@@ -2,7 +2,9 @@
 
 Runs small-dimensional probes of the fusion block (all parameter blocks
 and all three inputs), both score heads, the three similarity kinds,
-and both losses, reporting the worst relative error per block.
+both losses, and the composed mini-batch objective (``total_loss`` of
+``model_forward``) under every model variant, reporting the worst
+relative error per block.
 """
 
 from __future__ import annotations
@@ -10,8 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from .aff import AffParams, aff_backward, aff_forward, init_aff_params
-from .losses import BatchScores, fidelity_loss, mse_loss
-from .scoring import MlpParams, init_mlp_params, mlp_backward, mlp_forward, similarity_score
+from .dataio import FeatureBundle
+from .losses import BatchScores, fidelity_loss, mse_loss, total_loss
+from .scoring import (
+    MlpParams,
+    ModelGrads,
+    init_mlp_params,
+    init_model_params,
+    mlp_backward,
+    mlp_forward,
+    model_backward,
+    model_forward,
+    similarity_score,
+)
 from .tensor import Array, finite_diff_check, make_rng
 
 DEFAULT_EPS = 1e-5
@@ -109,6 +122,71 @@ def _check_losses(seed: int, n: int = 5) -> dict[str, float]:
     }
 
 
+# (report name, similarity, use_msi, use_aff): the three similarity kinds
+# plus the two fusion ablations, as the trainer and ``ablate`` build them.
+MODEL_VARIANTS = (
+    ("cosine", "cosine", True, True),
+    ("euclidean", "euclidean", True, True),
+    ("manhattan", "manhattan", True, True),
+    ("no_msi", "cosine", False, True),
+    ("no_aff", "cosine", True, False),
+)
+
+
+def _check_model(seed: int, dim: int = 6, hidden: int = 5, batch: int = 4) -> dict[str, float]:
+    """Audit the whole mini-batch objective against every model parameter.
+
+    Each variant's loss is ``total_loss`` over all three tasks of the
+    scores ``model_forward`` gives a ``batch``-row mini-batch, so the
+    per-block backward passes, their composition and the sums over the
+    batch are checked together.
+    """
+    results = {}
+    for k, (name, similarity, use_msi, use_aff) in enumerate(MODEL_VARIANTS):
+        rng = make_rng((seed, 206, k))
+        params = init_model_params(dim, rng, hidden, hidden, similarity)
+        for _, arr in params.named_arrays():
+            if arr.ndim == 1:  # nonzero biases exercise the ReLUs off-center
+                arr[:] = 0.1 * rng.standard_normal(arr.shape)
+        bundles = [FeatureBundle(*rng.standard_normal((4, dim))) for _ in range(batch)]
+        gts = rng.uniform(-2.0, 2.0, size=(3, batch))
+
+        def objective(p):
+            triples, caches = zip(
+                *(model_forward(b, p, use_msi=use_msi, use_aff=use_aff) for b in bundles)
+            )
+            loss = total_loss(
+                BatchScores(np.array([t.s_c for t in triples]), gts[0]),
+                BatchScores(np.array([t.s_v for t in triples]), gts[1]),
+                BatchScores(np.array([t.s_a for t in triples]), gts[2]),
+            )
+            return loss, caches
+
+        loss, caches = objective(params)
+        grads = ModelGrads.zeros_like(params)
+        for r, cache in enumerate(caches):
+            grads.add_(
+                model_backward(
+                    cache, params, loss.d_consistency[r], loss.d_quality[r], loss.d_authenticity[r]
+                )
+            )
+
+        def loss_with(block: str, flat: Array) -> float:
+            p2 = params.copy()
+            target = dict(p2.named_arrays())[block]
+            target[...] = flat.reshape(target.shape)
+            return objective(p2)[0].total
+
+        grad_map = dict(grads.named_arrays())
+        results[f"model.{name}"] = max(
+            finite_diff_check(
+                lambda flat, b=block: loss_with(b, flat), arr.ravel(), grad_map[block].ravel(), DEFAULT_EPS
+            )
+            for block, arr in params.named_arrays()
+        )
+    return results
+
+
 def run_gradcheck(seed: int = 0) -> dict[str, float]:
     """Max relative finite-difference error for every gradient block."""
     results: dict[str, float] = {}
@@ -117,6 +195,7 @@ def run_gradcheck(seed: int = 0) -> dict[str, float]:
     results.update(_check_head(seed, "head_a", 203))
     results.update(_check_similarity(seed))
     results.update(_check_losses(seed))
+    results.update(_check_model(seed))
     return results
 
 

@@ -90,6 +90,7 @@ def test_criterion_1_gradient_correctness():
             "head_a.w1", "head_a.b1", "head_a.w2", "head_a.b2", "head_a.x",
             "similarity.cosine", "similarity.euclidean", "similarity.manhattan",
             "loss.fidelity", "loss.mse",
+            "model.cosine", "model.euclidean", "model.manhattan", "model.no_msi", "model.no_aff",
         }
         assert expected_blocks <= set(results)
         worst = max(worst, max(results.values()))

@@ -1,12 +1,13 @@
 """Adaptive fusion of the three scale features.
 
-The three feature vectors are stacked into a (3, D) tensor, pushed
-row-wise through a shared two-layer perceptron (linear, ReLU, linear),
-and a softmax across the scale axis turns each feature channel's three
-logits into convex weights.  The fused feature is the per-channel
-weighted sum, so it always lies inside the min/max envelope of its
-inputs.  Both passes are hand-derived; the backward includes the
-softmax Jacobian and the shared-weight accumulation across rows.
+Each sample's three feature vectors form a (3, D) stack; a batch is a
+(B, 3, D) tensor.  Every row goes through a shared two-layer perceptron
+(linear, ReLU, linear), and a softmax across the scale axis turns each
+feature channel's three logits into convex weights.  The fused feature
+is the per-channel weighted sum, so it always lies inside the min/max
+envelope of its inputs.  Both passes are hand-derived; the backward
+includes the softmax Jacobian and sums the shared-weight gradients over
+the three rows of every sample in the batch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .tensor import Array, as_vector
+from .tensor import Array, affine_forward, softmax
 
 _SIMPLEX_TOL = 1e-12
 
@@ -59,11 +60,10 @@ class AffGrads:
 class AffCache:
     """Forward intermediates required by the backward pass."""
 
-    stacked: Array  # (3, dim) rows: 0.5x, 1.0x, 1.5x features
-    pre1: Array     # (3, hidden) first-layer pre-activations
-    hidden: Array   # (3, hidden) ReLU outputs
-    logits: Array   # (3, dim)
-    weights: Array  # (3, dim) per-channel simplex over the scale axis
+    stacked: Array  # (B, 3, dim) rows: 0.5x, 1.0x, 1.5x features
+    pre1: Array     # (B, 3, hidden) first-layer pre-activations
+    hidden: Array   # (B, 3, hidden) ReLU outputs
+    weights: Array  # (B, 3, dim) per-channel simplex over the scale axis
 
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Array:
@@ -83,64 +83,59 @@ def init_aff_params(dim: int, hidden: int = 256, rng: np.random.Generator | None
     )
 
 
-def aff_forward(f_05, f_10, f_15, params: AffParams) -> tuple[Array, AffCache]:
-    """Fuse three equal-length scale features into one vector."""
-    f_05 = as_vector(f_05, "f_05")
-    f_10 = as_vector(f_10, "f_10")
-    f_15 = as_vector(f_15, "f_15")
-    if not (f_05.shape == f_10.shape == f_15.shape):
+def aff_forward(stacked: Array, params: AffParams) -> tuple[Array, AffCache]:
+    """Fuse each sample's (3, D) scale stack into one (D,) vector.
+
+    ``stacked`` is (B, 3, D) with rows 0.5x, 1.0x, 1.5x; returns the
+    (B, D) fused features.
+    """
+    if stacked.ndim != 3 or stacked.shape[1:] != (3, params.dim):
         raise ShapeError(
-            f"aff_forward: mismatched dims {f_05.shape}, {f_10.shape}, {f_15.shape}"
+            f"aff_forward: expected (B, 3, {params.dim}) scale features, got {stacked.shape}"
         )
-    if f_05.shape[0] != params.dim:
-        raise ShapeError(f"aff_forward: features dim {f_05.shape[0]} vs params dim {params.dim}")
-
-    stacked = np.stack((f_05, f_10, f_15))           # (3, D)
-    pre1 = stacked @ params.w1.T + params.b1         # (3, h)
+    pre1 = affine_forward(params.w1, params.b1, stacked)     # (B, 3, h)
     hidden = np.maximum(pre1, 0.0)
-    logits = hidden @ params.w2.T + params.b2        # (3, D)
+    logits = affine_forward(params.w2, params.b2, hidden)    # (B, 3, D)
+    weights = softmax(logits, axis=1)
 
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    weights = e / e.sum(axis=0, keepdims=True)
-
-    col_sums = weights.sum(axis=0)
+    col_sums = weights.sum(axis=1)
     if np.any(weights < 0.0) or np.max(np.abs(col_sums - 1.0)) > _SIMPLEX_TOL:
         raise NumericError("aff_forward: scale weights left the simplex")
 
-    fused = (weights * stacked).sum(axis=0)
-    return fused, AffCache(stacked, pre1, hidden, logits, weights)
+    fused = (weights * stacked).sum(axis=1)
+    return fused, AffCache(stacked, pre1, hidden, weights)
 
 
-def aff_backward(cache: AffCache, params: AffParams, d_fused) -> tuple[AffGrads, Array, Array, Array]:
-    """Exact gradients of a scalar loss w.r.t. params and the three inputs.
+def aff_backward(cache: AffCache, params: AffParams, d_fused: Array) -> tuple[AffGrads, Array]:
+    """Exact gradients of a scalar loss w.r.t. params and the inputs.
 
-    ``d_fused`` is the upstream gradient w.r.t. the fused feature.
-    Each input receives a direct mixing term (its fusion weight times
-    the upstream gradient) plus the path back through the weights
-    generator.
+    ``d_fused`` is the (B, D) upstream gradient w.r.t. the fused
+    features.  Parameter gradients are summed over the batch; the
+    (B, 3, D) input gradient gives each row a direct mixing term (its
+    fusion weight times the upstream gradient) plus the path back
+    through the weights generator.
     """
-    d_fused = as_vector(d_fused, "d_fused")
-    if d_fused.shape[0] != params.dim:
-        raise ShapeError(f"aff_backward: d_fused dim {d_fused.shape[0]} vs params dim {params.dim}")
-    if cache.stacked.shape != (3, params.dim):
-        raise ShapeError("aff_backward: cache does not match params")
-
     stacked, weights = cache.stacked, cache.weights
-    d_weights = d_fused[None, :] * stacked           # (3, D)
+    if d_fused.shape != (stacked.shape[0], params.dim) or stacked.shape[2] != params.dim:
+        raise ShapeError(
+            f"aff_backward: d_fused {d_fused.shape} does not match cache {stacked.shape} "
+            f"and params dim {params.dim}"
+        )
+    d_weights = d_fused[:, None, :] * stacked        # (B, 3, D)
 
-    # Softmax Jacobian per channel (columns are independent 3-simplices).
-    inner = (weights * d_weights).sum(axis=0, keepdims=True)
+    # Softmax Jacobian per channel (each sample's columns are independent 3-simplices).
+    inner = (weights * d_weights).sum(axis=1, keepdims=True)
     d_logits = weights * (d_weights - inner)
 
-    db2 = d_logits.sum(axis=0)
-    dw2 = d_logits.T @ cache.hidden                  # (D, h)
-    d_hidden = d_logits @ params.w2                  # (3, h)
-    d_pre1 = d_hidden * (cache.pre1 > 0.0)
-    db1 = d_pre1.sum(axis=0)
-    dw1 = d_pre1.T @ stacked                         # (h, D)
-    d_stacked = d_pre1 @ params.w1                   # weights-generator path
+    # Shared weights: every (sample, row) pair is one more use of the layer.
+    flat_logits = d_logits.reshape(-1, params.dim)
+    db2 = flat_logits.sum(axis=0)
+    dw2 = flat_logits.T @ cache.hidden.reshape(-1, params.hidden)  # (D, h)
+    d_pre1 = (d_logits @ params.w2) * (cache.pre1 > 0.0)           # (B, 3, h)
+    flat_pre1 = d_pre1.reshape(-1, params.hidden)
+    db1 = flat_pre1.sum(axis=0)
+    dw1 = flat_pre1.T @ stacked.reshape(-1, params.dim)            # (h, D)
+    d_stacked = d_pre1 @ params.w1                                 # weights-generator path
 
-    d_inputs = weights * d_fused[None, :] + d_stacked
-    grads = AffGrads(dw1, db1, dw2, db2)
-    return grads, d_inputs[0], d_inputs[1], d_inputs[2]
+    d_inputs = weights * d_fused[:, None, :] + d_stacked
+    return AffGrads(dw1, db1, dw2, db2), d_inputs

@@ -288,19 +288,17 @@ def _cmd_predict(args) -> int:
     ckpt = trainer.load_checkpoint(args.ckpt)
     if ckpt.dim != dataset.dim:
         raise ShapeError(f"dimension mismatch: checkpoint dim {ckpt.dim} vs data dim {dataset.dim}")
-    lines = []
-    for sample in dataset.samples:
-        triple = trainer.ablation_variant_forward(
-            sample, ckpt.params, use_msi=ckpt.config.use_msi, use_aff=ckpt.config.use_aff
-        )
-        s_v, s_a = triple.s_v, triple.s_a
-        if ckpt.label_ranges.get("quality"):
-            s_v = trainer.denormalize(s_v, *ckpt.label_ranges["quality"])
-        if ckpt.label_ranges.get("authenticity"):
-            s_a = trainer.denormalize(s_a, *ckpt.label_ranges["authenticity"])
-        lines.append(
-            json.dumps({"id": sample.id, "s_c": triple.s_c, "s_v": s_v, "s_a": s_a}, sort_keys=True)
-        )
+    scores = trainer.score_dataset(
+        ckpt.params,
+        dataset,
+        use_msi=ckpt.config.use_msi,
+        use_aff=ckpt.config.use_aff,
+        label_ranges=ckpt.label_ranges,
+    )
+    lines = [
+        json.dumps({"id": sample.id, "s_c": s_c, "s_v": s_v, "s_a": s_a}, sort_keys=True)
+        for sample, (s_c, s_v, s_a) in zip(dataset.samples, scores.tolist())
+    ]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError
-from .tensor import Array, as_vector
+from .tensor import Array, _round_half_up, as_vector
 
 _MAGIC = b"AMFF"
 _VERSION = 1
@@ -116,6 +116,18 @@ class Dataset:
             if values:
                 ranges[task] = (min(values), max(values))
         return ranges
+
+    def features(self, rows) -> Array:
+        """(len(rows), 4, D) block of f_text, f_05, f_10, f_15 for the given rows."""
+        return np.array([
+            (f.f_text, f.f_05, f.f_10, f.f_15) for f in (self.samples[i].features for i in rows)
+        ])
+
+    def labels(self, task: str) -> Array:
+        """(N,) values of one task's label; NaN marks an absent label."""
+        return np.array([
+            np.nan if v is None else v for v in (s.labels.get(task) for s in self.samples)
+        ])
 
     def subset(self, indices) -> "Dataset":
         return Dataset([self.samples[i] for i in indices])
@@ -319,10 +331,6 @@ def read_feature_records_csv(path) -> Dataset:
 # ---------------------------------------------------------------------------
 # Splits.
 # ---------------------------------------------------------------------------
-
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
 
 
 def split_random(dataset: Dataset, train_fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
-from .tensor import Array, make_rng
+from .tensor import Array, _round_half_up, make_rng
 
 _GRID = 16                      # toy encoder cell grid is _GRID x _GRID
 _STATS_DIM = 2 * _GRID * _GRID  # per-cell mean and std
@@ -89,10 +89,6 @@ class FeatureMap:
     @property
     def width(self) -> int:
         return self.data.shape[2]
-
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
 
 
 def _axis_coords(n_in: int, n_out: int) -> tuple[Array, Array, Array]:

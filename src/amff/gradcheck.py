@@ -12,11 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .aff import AffParams, aff_backward, aff_forward, init_aff_params
-from .dataio import FeatureBundle
 from .losses import BatchScores, fidelity_loss, mse_loss, total_loss
 from .scoring import (
     MlpParams,
-    ModelGrads,
     init_mlp_params,
     init_model_params,
     mlp_backward,
@@ -29,23 +27,27 @@ from .tensor import Array, finite_diff_check, make_rng
 
 DEFAULT_EPS = 1e-5
 
+# Rows per probe batch: more than one, so the sums over the batch in
+# every backward pass are audited along with the per-row gradients.
+PROBE_BATCH = 3
+
 
 def _check_aff(seed: int, dim: int = 12, hidden: int = 7) -> dict[str, float]:
     rng = make_rng((seed, 201))
     params = init_aff_params(dim, hidden, rng)
-    f05, f10, f15 = (rng.standard_normal(dim) for _ in range(3))
-    probe = rng.standard_normal(dim)
+    stacked = rng.standard_normal((PROBE_BATCH, 3, dim))
+    probe = rng.standard_normal((PROBE_BATCH, dim))
 
-    _, cache = aff_forward(f05, f10, f15, params)
-    grads, d05, d10, d15 = aff_backward(cache, params, probe)
+    _, cache = aff_forward(stacked, params)
+    grads, d_stacked = aff_backward(cache, params, probe)
 
     results = {}
 
     def loss_with(block: str, flat: Array) -> float:
         kw = {k: getattr(params, k) for k in ("w1", "b1", "w2", "b2")}
         kw[block] = flat.reshape(kw[block].shape)
-        fused, _ = aff_forward(f05, f10, f15, AffParams(**kw))
-        return float(probe @ fused)
+        fused, _ = aff_forward(stacked, AffParams(**kw))
+        return float((probe * fused).sum())
 
     for block in ("w1", "b1", "w2", "b2"):
         analytic = getattr(grads, block).ravel()
@@ -56,31 +58,33 @@ def _check_aff(seed: int, dim: int = 12, hidden: int = 7) -> dict[str, float]:
             DEFAULT_EPS,
         )
 
-    inputs = {"f05": (0, f05, d05), "f10": (1, f10, d10), "f15": (2, f15, d15)}
-    for name, (slot, vec, analytic) in inputs.items():
-        def loss_input(x, s=slot):
-            trio = [f05, f10, f15]
-            trio[s] = x
-            fused, _ = aff_forward(*trio, params)
-            return float(probe @ fused)
+    for slot, name in enumerate(("f05", "f10", "f15")):
+        def loss_input(flat, s=slot):
+            trial = stacked.copy()
+            trial[:, s] = flat.reshape(PROBE_BATCH, dim)
+            fused, _ = aff_forward(trial, params)
+            return float((probe * fused).sum())
 
-        results[f"aff.{name}"] = finite_diff_check(loss_input, vec, analytic, DEFAULT_EPS)
+        results[f"aff.{name}"] = finite_diff_check(
+            loss_input, stacked[:, slot].ravel(), d_stacked[:, slot].ravel(), DEFAULT_EPS
+        )
     return results
 
 
 def _check_head(seed: int, tag: str, salt: int, dim: int = 12, hidden: int = 9) -> dict[str, float]:
     rng = make_rng((seed, salt))
     params = init_mlp_params(dim, hidden, rng)
-    x = rng.standard_normal(dim)
+    x = rng.standard_normal((PROBE_BATCH, dim))
+    dy = rng.standard_normal(PROBE_BATCH)
     _, cache = mlp_forward(params, x)
-    grads, dx = mlp_backward(cache, params, 1.0)
+    grads, dx = mlp_backward(cache, params, dy)
 
     results = {}
 
     def y_with(block: str, flat: Array) -> float:
         kw = {k: getattr(params, k) for k in ("w1", "b1", "w2", "b2")}
         kw[block] = flat.reshape(kw[block].shape)
-        return mlp_forward(MlpParams(**kw), x)[0]
+        return float(dy @ mlp_forward(MlpParams(**kw), x)[0])
 
     for block in ("w1", "b1", "w2", "b2"):
         results[f"{tag}.{block}"] = finite_diff_check(
@@ -89,7 +93,12 @@ def _check_head(seed: int, tag: str, salt: int, dim: int = 12, hidden: int = 9) 
             getattr(grads, block).ravel(),
             DEFAULT_EPS,
         )
-    results[f"{tag}.x"] = finite_diff_check(lambda v: mlp_forward(params, v)[0], x, dx, DEFAULT_EPS)
+    results[f"{tag}.x"] = finite_diff_check(
+        lambda flat: float(dy @ mlp_forward(params, flat.reshape(x.shape))[0]),
+        x.ravel(),
+        dx.ravel(),
+        DEFAULT_EPS,
+    )
     return results
 
 
@@ -97,11 +106,15 @@ def _check_similarity(seed: int, dim: int = 12) -> dict[str, float]:
     rng = make_rng((seed, 204))
     results = {}
     for kind in ("cosine", "euclidean", "manhattan"):
-        f_img = rng.standard_normal(dim)
-        f_text = rng.standard_normal(dim)
+        f_img = rng.standard_normal((PROBE_BATCH, dim))
+        f_text = rng.standard_normal((PROBE_BATCH, dim))
+        upstream = rng.standard_normal(PROBE_BATCH)
         _, grad = similarity_score(f_img, f_text, kind)
         results[f"similarity.{kind}"] = finite_diff_check(
-            lambda v, k=kind: similarity_score(v, f_text, k)[0], f_img, grad, DEFAULT_EPS
+            lambda flat, k=kind: float(upstream @ similarity_score(flat.reshape(f_img.shape), f_text, k)[0]),
+            f_img.ravel(),
+            (upstream[:, None] * grad).ravel(),
+            DEFAULT_EPS,
         )
     return results
 
@@ -148,28 +161,20 @@ def _check_model(seed: int, dim: int = 6, hidden: int = 5, batch: int = 4) -> di
         for _, arr in params.named_arrays():
             if arr.ndim == 1:  # nonzero biases exercise the ReLUs off-center
                 arr[:] = 0.1 * rng.standard_normal(arr.shape)
-        bundles = [FeatureBundle(*rng.standard_normal((4, dim))) for _ in range(batch)]
+        features = rng.standard_normal((batch, 4, dim))
         gts = rng.uniform(-2.0, 2.0, size=(3, batch))
 
         def objective(p):
-            triples, caches = zip(
-                *(model_forward(b, p, use_msi=use_msi, use_aff=use_aff) for b in bundles)
-            )
+            scores, cache = model_forward(features, p, use_msi=use_msi, use_aff=use_aff)
             loss = total_loss(
-                BatchScores(np.array([t.s_c for t in triples]), gts[0]),
-                BatchScores(np.array([t.s_v for t in triples]), gts[1]),
-                BatchScores(np.array([t.s_a for t in triples]), gts[2]),
+                BatchScores(scores.s_c, gts[0]),
+                BatchScores(scores.s_v, gts[1]),
+                BatchScores(scores.s_a, gts[2]),
             )
-            return loss, caches
+            return loss, cache
 
-        loss, caches = objective(params)
-        grads = ModelGrads.zeros_like(params)
-        for r, cache in enumerate(caches):
-            grads.add_(
-                model_backward(
-                    cache, params, loss.d_consistency[r], loss.d_quality[r], loss.d_authenticity[r]
-                )
-            )
+        loss, cache = objective(params)
+        grads = model_backward(cache, params, loss.d_consistency, loss.d_quality, loss.d_authenticity)
 
         def loss_with(block: str, flat: Array) -> float:
             p2 = params.copy()

@@ -5,7 +5,9 @@ visual quality and authenticity from the fused feature; the consistency
 score is the similarity between the fused feature and the text feature.
 Cosine is the default similarity; negated Euclidean and Manhattan
 distances are available so all three kinds share a higher-is-better
-orientation.
+orientation.  Every function works on a batch: features are (B, D),
+scores and their upstream gradients (B,), and parameter gradients are
+summed over the batch.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from typing import Iterator
 import numpy as np
 
 from .aff import AffCache, AffGrads, AffParams, aff_backward, aff_forward, glorot_uniform, init_aff_params
-from .dataio import FeatureBundle
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Array, as_vector
+from .tensor import Array, affine_forward
 
 SIMILARITY_KINDS = ("cosine", "euclidean", "manhattan")
 
@@ -71,66 +72,68 @@ def init_mlp_params(dim: int, hidden: int = 256, rng: np.random.Generator | None
     )
 
 
-def mlp_forward(params: MlpParams, x) -> tuple[float, MlpCache]:
-    x = as_vector(x, "x")
-    if x.shape[0] != params.dim:
-        raise ShapeError(f"mlp_forward: input dim {x.shape[0]} vs params dim {params.dim}")
-    pre1 = params.w1 @ x + params.b1
+def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, MlpCache]:
+    """Head scores (B,) for the (B, D) features ``x``."""
+    if x.ndim != 2 or x.shape[1] != params.dim:
+        raise ShapeError(f"mlp_forward: expected (B, {params.dim}) input, got {x.shape}")
+    pre1 = affine_forward(params.w1, params.b1, x)
     hidden = np.maximum(pre1, 0.0)
-    y = float(params.w2[0] @ hidden + params.b2[0])
+    y = affine_forward(params.w2, params.b2, hidden)[:, 0]
     return y, MlpCache(x, pre1, hidden)
 
 
-def mlp_backward(cache: MlpCache, params: MlpParams, dy: float) -> tuple[MlpGrads, Array]:
-    """Gradients for a scalar upstream ``dy``, including the ReLU mask."""
-    if cache.x.shape[0] != params.dim:
-        raise ShapeError("mlp_backward: cache does not match params")
-    dw2 = (dy * cache.hidden)[None, :]
-    db2 = np.array([dy])
-    d_hidden = dy * params.w2[0]
-    d_pre1 = d_hidden * (cache.pre1 > 0.0)
-    db1 = d_pre1
-    dw1 = np.outer(d_pre1, cache.x)
-    dx = params.w1.T @ d_pre1
+def mlp_backward(cache: MlpCache, params: MlpParams, dy: Array) -> tuple[MlpGrads, Array]:
+    """Gradients for the (B,) upstream ``dy``, including the ReLU mask.
+
+    Parameter gradients are summed over the batch; the input gradient
+    is (B, D).
+    """
+    if cache.x.shape[1] != params.dim or dy.shape != (cache.x.shape[0],):
+        raise ShapeError(f"mlp_backward: dy {dy.shape} or cache {cache.x.shape} does not match params")
+    dw2 = (dy @ cache.hidden)[None, :]
+    db2 = np.array([dy.sum()])
+    d_pre1 = dy[:, None] * params.w2[0] * (cache.pre1 > 0.0)   # (B, h)
+    db1 = d_pre1.sum(axis=0)
+    dw1 = d_pre1.T @ cache.x
+    dx = d_pre1 @ params.w1
     return MlpGrads(dw1, db1, dw2, db2), dx
 
 
-def similarity_score(f_img, f_text, kind: str = "cosine") -> tuple[float, Array]:
-    """Similarity between two vectors plus its gradient w.r.t. ``f_img``.
+def similarity_score(f_img: Array, f_text: Array, kind: str = "cosine") -> tuple[Array, Array]:
+    """Row-wise similarity of two (B, D) batches plus its gradient w.r.t. ``f_img``.
 
+    Returns (B,) scores and the (B, D) gradient of each row's score.
     Euclidean and Manhattan scores are negated distances so that higher
     always means more consistent.
     """
-    f_img = as_vector(f_img, "f_img")
-    f_text = as_vector(f_text, "f_text")
-    if f_img.shape != f_text.shape:
-        raise ShapeError(f"similarity: dims {f_img.shape} vs {f_text.shape}")
+    if f_img.ndim != 2 or f_img.shape != f_text.shape:
+        raise ShapeError(f"similarity: expected two equal (B, D) batches, got {f_img.shape} vs {f_text.shape}")
     if kind == "cosine":
-        ni = float(np.linalg.norm(f_img))
-        nt = float(np.linalg.norm(f_text))
-        if ni == 0.0 or nt == 0.0:
+        ni = np.linalg.norm(f_img, axis=1, keepdims=True)
+        nt = np.linalg.norm(f_text, axis=1, keepdims=True)
+        if np.any(ni == 0.0) or np.any(nt == 0.0):
             raise NumericError("similarity: cosine undefined for zero-norm input")
-        s = float(f_img @ f_text) / (ni * nt)
+        s = (f_img * f_text).sum(axis=1, keepdims=True) / (ni * nt)
         grad = (f_text / nt - s * f_img / ni) / ni
-        return float(np.clip(s, -1.0, 1.0)), grad
+        return np.clip(s[:, 0], -1.0, 1.0), grad
     if kind == "euclidean":
         diff = f_img - f_text
-        dist = float(np.linalg.norm(diff))
-        grad = -diff / dist if dist > 0.0 else np.zeros_like(diff)
-        return -dist, grad
+        dist = np.linalg.norm(diff, axis=1, keepdims=True)
+        grad = np.divide(-diff, dist, out=np.zeros_like(diff), where=dist > 0.0)
+        return -dist[:, 0], grad
     if kind == "manhattan":
         diff = f_img - f_text
-        return -float(np.abs(diff).sum()), -np.sign(diff)
+        return -np.abs(diff).sum(axis=1), -np.sign(diff)
     raise ConfigError(f"similarity: unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class ScoreTriple:
-    """Model outputs: consistency, visual quality, authenticity."""
+    """Model outputs, one (B,) array each: consistency, visual quality, authenticity."""
 
-    s_c: float
-    s_v: float
-    s_a: float
+    s_c: Array
+    s_v: Array
+    s_a: Array
 
 
 @dataclass
@@ -204,17 +207,17 @@ def init_model_params(
 
 @dataclass(frozen=True)
 class ModelCache:
-    fused: Array
+    fused: Array                # (B, D)
     aff_cache: AffCache | None  # None when fusion is the plain mean
     cache_v: MlpCache
     cache_a: MlpCache
-    sim_grad: Array
+    sim_grad: Array             # (B, D)
     use_msi: bool
     use_aff: bool
 
 
 def model_forward(
-    features: FeatureBundle,
+    features: Array,
     params: ModelParams,
     *,
     use_msi: bool = True,
@@ -222,46 +225,47 @@ def model_forward(
 ) -> tuple[ScoreTriple, ModelCache]:
     """Full forward pass: fuse scales, run both heads, score similarity.
 
-    ``use_msi=False`` feeds the original-scale feature into all three
-    fusion slots; ``use_aff=False`` replaces the learned fusion with
-    the plain mean of the three features.
+    ``features`` is a (B, 4, D) block whose rows are f_text, f_05, f_10
+    and f_15.  ``use_msi=False`` feeds the original-scale feature into
+    all three fusion slots; ``use_aff=False`` replaces the learned
+    fusion with the plain mean of the three features.
     """
-    if features.dim != params.dim:
-        raise ShapeError(f"model_forward: features dim {features.dim} vs params dim {params.dim}")
-    if use_msi:
-        trio = (features.f_05, features.f_10, features.f_15)
-    else:
-        trio = (features.f_10, features.f_10, features.f_10)
+    if features.ndim != 3 or features.shape[1:] != (4, params.dim):
+        raise ShapeError(f"model_forward: expected (B, 4, {params.dim}) features, got {features.shape}")
+    f_text = features[:, 0]
+    trio = features[:, 1:] if use_msi else features[:, (2, 2, 2)]
 
     if use_aff:
-        fused, aff_cache = aff_forward(*trio, params.aff)
+        fused, aff_cache = aff_forward(trio, params.aff)
     else:
-        fused = (trio[0] + trio[1] + trio[2]) / 3.0
+        fused = (trio[:, 0] + trio[:, 1] + trio[:, 2]) / 3.0
         aff_cache = None
 
     s_v, cache_v = mlp_forward(params.head_v, fused)
     s_a, cache_a = mlp_forward(params.head_a, fused)
-    s_c, sim_grad = similarity_score(fused, features.f_text, params.similarity)
-    triple = ScoreTriple(s_c, s_v, s_a)
+    s_c, sim_grad = similarity_score(fused, f_text, params.similarity)
     cache = ModelCache(fused, aff_cache, cache_v, cache_a, sim_grad, use_msi, use_aff)
-    return triple, cache
+    return ScoreTriple(s_c, s_v, s_a), cache
 
 
 def model_backward(
     cache: ModelCache,
     params: ModelParams,
-    ds_c: float,
-    ds_v: float,
-    ds_a: float,
+    ds_c: Array,
+    ds_v: Array,
+    ds_a: Array,
 ) -> ModelGrads:
-    """Gradients of ``ds_c*S_C + ds_v*S_V + ds_a*S_A`` w.r.t. all params."""
+    """Gradients of ``sum(ds_c*S_C + ds_v*S_V + ds_a*S_A)`` w.r.t. all params.
+
+    The upstream gradients are (B,), one entry per row of the forward's
+    batch; the parameter gradients are summed over the batch.
+    """
     grads_v, d_fused_v = mlp_backward(cache.cache_v, params.head_v, ds_v)
     grads_a, d_fused_a = mlp_backward(cache.cache_a, params.head_a, ds_a)
-    d_fused = d_fused_v + d_fused_a + ds_c * cache.sim_grad
+    d_fused = d_fused_v + d_fused_a + ds_c[:, None] * cache.sim_grad
 
     if cache.use_aff:
-        aff_grads, _, _, _ = aff_backward(cache.aff_cache, params.aff, d_fused)
+        aff_grads, _ = aff_backward(cache.aff_cache, params.aff, d_fused)
     else:
-        zeros = ModelGrads.zeros_like(params)
-        aff_grads = zeros.aff
+        aff_grads = ModelGrads.zeros_like(params).aff
     return ModelGrads(aff=aff_grads, head_v=grads_v, head_a=grads_a)

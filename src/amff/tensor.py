@@ -1,9 +1,9 @@
 """Dense float64 primitives shared by every differentiable module.
 
 Vectors are 1-D float64 ndarrays, matrices are row-major 2-D float64
-ndarrays.  All gradients in this package are hand-derived, so the
-finite-difference checker here is the single source of truth for their
-correctness.
+ndarrays, and batches carry the sample index on their leading axis.
+All gradients in this package are hand-derived, so the finite-difference
+checker here is the single source of truth for their correctness.
 """
 
 from __future__ import annotations
@@ -36,37 +36,36 @@ def as_vector(x, name: str = "vector") -> Array:
     return v
 
 
-def as_matrix(x, name: str = "matrix") -> Array:
-    """Validate and return ``x`` as a finite, non-empty 2-D float64 array."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ShapeError(f"{name}: expected non-empty 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NumericError(f"{name}: contains non-finite entries")
-    return m
-
-
 def affine_forward(w: Array, b: Array, x: Array) -> Array:
-    """Return ``w @ x + b`` after shape validation."""
-    w = as_matrix(w, "w")
-    b = as_vector(b, "b")
-    x = as_vector(x, "x")
-    if w.shape[1] != x.shape[0]:
-        raise ShapeError(f"affine: w has {w.shape[1]} columns but x has length {x.shape[0]}")
-    if w.shape[0] != b.shape[0]:
-        raise ShapeError(f"affine: w has {w.shape[0]} rows but b has length {b.shape[0]}")
-    return w @ x + b
+    """Return ``w @ v + b`` for every vector ``v`` along the last axis of ``x``.
+
+    ``x`` is one vector ``(n,)``, a batch of vectors ``(B, n)`` or a batch
+    of stacks ``(B, k, n)``; the leading axis indexes samples.  Each
+    sample goes through its own small matrix product rather than one
+    product over the whole batch, so a sample's result is bit-identical
+    whatever else is batched with it.
+    """
+    if w.ndim != 2 or b.shape != (w.shape[0],):
+        raise ShapeError(f"affine: w {w.shape} and b {b.shape} do not form a layer")
+    if x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"affine: w has {w.shape[1]} columns but x has length {x.shape[-1]}")
+    per_sample = x[:, None, :] if x.ndim == 2 else x
+    return (per_sample @ w.T).reshape(*x.shape[:-1], w.shape[0]) + b
 
 
-def softmax(v: Array) -> Array:
-    """Numerically stable softmax of a 1-D vector.
+def softmax(v: Array, axis: int = -1) -> Array:
+    """Numerically stable softmax along ``axis``.
 
     The maximum entry is subtracted before exponentiation so saturated
-    logits cannot overflow; the output always sums to 1 within 1e-12.
+    logits cannot overflow; every slice sums to 1 within 1e-12.
     """
-    v = as_vector(v, "softmax input")
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    e = np.exp(v - v.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _round_half_up(x: float) -> int:
+    """Nearest integer with halves rounded up, unlike ``round``'s half-to-even."""
+    return int(np.floor(x + 0.5))
 
 
 def finite_diff_check(

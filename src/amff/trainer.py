@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import Dataset, Sample, split_random
+from .dataio import TASKS, Dataset, split_random
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .losses import BatchScores, total_loss
 from .metrics import EvalResult, TaskMetrics, krcc, plcc, srcc
@@ -26,15 +26,12 @@ from .scoring import (
     MlpParams,
     ModelGrads,
     ModelParams,
-    ScoreTriple,
     init_model_params,
     model_backward,
     model_forward,
 )
 from .aff import AffParams
 from .tensor import Array, make_rng
-
-TASKS = ("consistency", "quality", "authenticity")
 
 # AdamW moment hyperparameters.
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -44,6 +41,10 @@ _TAG_INIT, _TAG_VALSPLIT, _TAG_EPOCH = 11, 12, 13
 
 _CKPT_MAGIC = b"AMFK"
 _CKPT_VERSION = 1
+
+# Rows per forward pass outside training (validation, evaluation,
+# prediction): bounds the stacked copy of the features that a pass holds.
+SCORE_CHUNK = 256
 
 
 @dataclass
@@ -192,42 +193,46 @@ def _normalize(values: Array, lo: float, hi: float) -> Array:
     return (values - lo) / span
 
 
-def denormalize(value: float, lo: float, hi: float) -> float:
+def _denormalize(values: Array, lo: float, hi: float) -> Array:
     span = hi - lo
-    return lo + value * span if span > 0.0 else lo
+    return lo + values * span if span > 0.0 else np.full_like(values, lo)
 
 
-def ablation_variant_forward(
-    sample: Sample, params: ModelParams, *, use_msi: bool = True, use_aff: bool = True
-) -> ScoreTriple:
-    """Forward one sample under the given ablation flags."""
-    triple, _ = model_forward(sample.features, params, use_msi=use_msi, use_aff=use_aff)
-    return triple
+def score_dataset(
+    params: ModelParams,
+    dataset: Dataset,
+    *,
+    use_msi: bool = True,
+    use_aff: bool = True,
+    label_ranges: dict | None = None,
+) -> Array:
+    """(N, 3) scores of every row, columns in ``TASKS`` order.
 
-
-def _forward_all(params: ModelParams, dataset: Dataset, use_msi: bool, use_aff: bool) -> list[ScoreTriple]:
-    return [
-        model_forward(s.features, params, use_msi=use_msi, use_aff=use_aff)[0]
-        for s in dataset.samples
-    ]
+    Rows are scored ``SCORE_CHUNK`` at a time.  Head scores are
+    denormalized through ``label_ranges`` (the training-time label
+    min/max) when it is given, so they live on the label scale.
+    """
+    scores = np.empty((len(dataset), len(TASKS)))
+    for lo in range(0, len(dataset), SCORE_CHUNK):
+        rows = range(lo, min(lo + SCORE_CHUNK, len(dataset)))
+        out, _ = model_forward(dataset.features(rows), params, use_msi=use_msi, use_aff=use_aff)
+        scores[lo : rows.stop] = np.stack((out.s_c, out.s_v, out.s_a), axis=1)
+    for k, task in enumerate(TASKS):
+        if task != "consistency" and label_ranges and label_ranges.get(task):
+            scores[:, k] = _denormalize(scores[:, k], *label_ranges[task])
+    return scores
 
 
 def _validation_srcc(
-    params: ModelParams, dataset: Dataset, present: dict[str, bool], use_msi: bool, use_aff: bool
+    params: ModelParams, dataset: Dataset, gts: dict[str, Array], use_msi: bool, use_aff: bool
 ) -> dict[str, float]:
-    triples = _forward_all(params, dataset, use_msi, use_aff)
-    scores = {
-        "consistency": np.array([t.s_c for t in triples]),
-        "quality": np.array([t.s_v for t in triples]),
-        "authenticity": np.array([t.s_a for t in triples]),
-    }
+    scores = score_dataset(params, dataset, use_msi=use_msi, use_aff=use_aff)
     out: dict[str, float] = {}
-    for task in TASKS:
-        if not present[task]:
+    for k, task in enumerate(TASKS):
+        if task not in gts:
             continue
-        gts = np.array([s.labels.get(task) for s in dataset.samples])
         try:
-            out[task] = srcc(scores[task], gts)
+            out[task] = srcc(scores[:, k], gts[task])
         except NumericError:
             continue  # constant predictions or labels; treated as no signal
     return out
@@ -276,14 +281,13 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
         history: list[EpochStats] = []
         start_epoch = 1
 
-    norm_gts = {}
+    # Per-row targets: the raw label ranks the pairwise loss, the MSE
+    # tasks regress onto labels normalized to [0, 1].
+    targets = {"consistency": core.labels(cfg.fidelity_label)}
     for task in ("quality", "authenticity"):
         if present[task]:
-            lo, hi = ranges[task]
-            norm_gts[task] = {
-                s.id: float(_normalize(np.array([s.labels.get(task)]), lo, hi)[0])
-                for s in core.samples
-            }
+            targets[task] = _normalize(core.labels(task), *ranges[task])
+    val_gts = {task: val.labels(task) for task in TASKS if present[task]}
 
     stopping_reason = "max_epochs"
     epoch = start_epoch - 1
@@ -293,33 +297,17 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
         sums = {"total": 0.0, "c": 0.0, "v": 0.0, "a": 0.0}
         n_batches = 0
         for b0 in range(0, len(perm), cfg.batch_size):
-            batch = [core.samples[int(i)] for i in perm[b0 : b0 + cfg.batch_size]]
-            triples, caches = [], []
-            for s in batch:
-                triple, cache = model_forward(
-                    s.features, params, use_msi=cfg.use_msi, use_aff=cfg.use_aff
-                )
-                triples.append(triple)
-                caches.append(cache)
-
-            cons = None
-            if fidelity_present and len(batch) >= 2:
-                cons = BatchScores(
-                    np.array([t.s_c for t in triples]),
-                    np.array([s.labels.get(cfg.fidelity_label) for s in batch]),
-                )
-            qual = None
+            rows = perm[b0 : b0 + cfg.batch_size]
+            scores, cache = model_forward(
+                core.features(rows), params, use_msi=cfg.use_msi, use_aff=cfg.use_aff
+            )
+            cons = qual = auth = None
+            if fidelity_present and rows.size >= 2:
+                cons = BatchScores(scores.s_c, targets["consistency"][rows])
             if present["quality"]:
-                qual = BatchScores(
-                    np.array([t.s_v for t in triples]),
-                    np.array([norm_gts["quality"][s.id] for s in batch]),
-                )
-            auth = None
+                qual = BatchScores(scores.s_v, targets["quality"][rows])
             if present["authenticity"]:
-                auth = BatchScores(
-                    np.array([t.s_a for t in triples]),
-                    np.array([norm_gts["authenticity"][s.id] for s in batch]),
-                )
+                auth = BatchScores(scores.s_a, targets["authenticity"][rows])
             if cons is None and qual is None and auth is None:
                 continue  # singleton tail batch with only the pairwise task
             try:
@@ -327,17 +315,14 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {n_batches}: {exc}") from exc
 
-            grads = ModelGrads.zeros_like(params)
-            for k, cache in enumerate(caches):
-                grads.add_(
-                    model_backward(
-                        cache,
-                        params,
-                        ds_c=float(bundle.d_consistency[k]) if bundle.d_consistency is not None else 0.0,
-                        ds_v=float(bundle.d_quality[k]) if bundle.d_quality is not None else 0.0,
-                        ds_a=float(bundle.d_authenticity[k]) if bundle.d_authenticity is not None else 0.0,
-                    )
-                )
+            no_grad = np.zeros(rows.size)
+            grads = model_backward(
+                cache,
+                params,
+                no_grad if bundle.d_consistency is None else bundle.d_consistency,
+                no_grad if bundle.d_quality is None else bundle.d_quality,
+                no_grad if bundle.d_authenticity is None else bundle.d_authenticity,
+            )
             adamw_step(params, grads, opt, lr_e, cfg.weight_decay)
             sums["total"] += bundle.total
             sums["c"] += bundle.l_c
@@ -349,7 +334,7 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
             raise DataError(
                 "train: no trainable batches (pairwise loss needs at least 2 samples per batch)"
             )
-        val_srcc = _validation_srcc(params, val, present, cfg.use_msi, cfg.use_aff)
+        val_srcc = _validation_srcc(params, val, val_gts, cfg.use_msi, cfg.use_aff)
         val_mean = float(np.mean(list(val_srcc.values()))) if val_srcc else -1.0
         history.append(
             EpochStats(
@@ -417,27 +402,17 @@ def evaluate_model(
     Head predictions are denormalized through ``label_ranges`` (the
     training-time label min/max) so scatter files live on the label scale.
     """
-    triples = _forward_all(params, dataset, use_msi, use_aff)
-    raw_preds = {
-        "consistency": np.array([t.s_c for t in triples]),
-        "quality": np.array([t.s_v for t in triples]),
-        "authenticity": np.array([t.s_a for t in triples]),
-    }
+    scores = score_dataset(
+        params, dataset, use_msi=use_msi, use_aff=use_aff, label_ranges=label_ranges
+    )
     tasks: dict[str, TaskMetrics] = {}
     scatter: dict[str, ScatterData] = {}
-    for task in TASKS:
-        pairs = [
-            (p, s.labels.get(task))
-            for p, s in zip(raw_preds[task], dataset.samples)
-            if s.labels.get(task) is not None
-        ]
-        if not pairs:
+    for k, task in enumerate(TASKS):
+        gts = dataset.labels(task)
+        labelled = ~np.isnan(gts)
+        if not labelled.any():
             continue
-        preds = np.array([p for p, _ in pairs])
-        gts = np.array([g for _, g in pairs])
-        if task in ("quality", "authenticity") and label_ranges and label_ranges.get(task):
-            lo, hi = label_ranges[task]
-            preds = np.array([denormalize(p, lo, hi) for p in preds])
+        preds, gts = scores[labelled, k], gts[labelled]
         plcc_value, logistic = plcc(preds, gts)
         tasks[task] = TaskMetrics(
             srcc=srcc(preds, gts),
@@ -469,7 +444,6 @@ class Checkpoint:
     best_metric: float
     last_epoch: int
     history: list[dict]
-    rng_state: dict
 
 
 def _params_tensor_list(prefix: str, params: ModelParams) -> list[tuple[str, Array]]:
@@ -492,7 +466,6 @@ def save_checkpoint(path, outcome: TrainOutcome) -> None:
         "best_metric": outcome.best_metric,
         "last_epoch": outcome.last_epoch,
         "opt_step": outcome.opt_state.step,
-        "rng_state": {"seed": outcome.config.seed, "next_epoch": outcome.last_epoch + 1},
         "history": [asdict(e) for e in outcome.report.epochs],
         "tensors": [{"name": n, "shape": list(a.shape)} for n, a in tensors],
     }
@@ -573,7 +546,6 @@ def load_checkpoint(path) -> Checkpoint:
             best_metric=header["best_metric"],
             last_epoch=header["last_epoch"],
             history=header["history"],
-            rng_state=header["rng_state"],
         )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed checkpoint header ({exc})") from None

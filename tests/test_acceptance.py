@@ -105,16 +105,16 @@ def test_criterion_2_aff_simplex_and_envelope():
     params = init_aff_params(16, 8, rng)
     params.b1[:] = 0.1 * rng.standard_normal(8)
     params.b2[:] = 0.1 * rng.standard_normal(16)
-    worst_sum = 0.0
-    for _ in range(1000):
-        f05, f10, f15 = (rng.standard_normal(16) * rng.uniform(0.5, 3.0) for _ in range(3))
-        fused, cache = aff_forward(f05, f10, f15, params)
-        w = cache.weights
-        assert np.all(w >= 0.0)
-        worst_sum = max(worst_sum, float(np.max(np.abs(w.sum(axis=0) - 1.0))))
-        stacked = np.stack([f05, f10, f15])
-        assert np.all(fused >= stacked.min(axis=0) - 1e-12)
-        assert np.all(fused <= stacked.max(axis=0) + 1e-12)
+    # 1000 samples, each scale vector drawn at its own magnitude, in one batch
+    stacked = np.array(
+        [[rng.standard_normal(16) * rng.uniform(0.5, 3.0) for _ in range(3)] for _ in range(1000)]
+    )
+    fused, cache = aff_forward(stacked, params)
+    w = cache.weights
+    assert np.all(w >= 0.0)
+    worst_sum = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
+    assert np.all(fused >= stacked.min(axis=1) - 1e-12)
+    assert np.all(fused <= stacked.max(axis=1) + 1e-12)
     assert worst_sum <= 1e-12
     print(f"\nACCEPTANCE 2 PASS: 1000 forwards on the simplex (worst sum dev {worst_sum:.2e})")
 
@@ -124,21 +124,14 @@ def test_criterion_3_aff_identity_and_no_msi_weights():
     params = init_aff_params(24, 12, rng)
     params.b1[:] = 0.2 * rng.standard_normal(12)
     f = rng.standard_normal(24)
-    fused, cache = aff_forward(f, f, f, params)
-    dev = float(np.max(np.abs(fused - f)))
+    fused, cache = aff_forward(np.tile(f, (1, 3, 1)), params)
+    dev = float(np.max(np.abs(fused[0] - f)))
     assert dev <= 1e-12
     assert np.all(cache.weights == 1.0 / 3.0)
 
     model = init_model_params(24, make_rng(304), hidden_aff=12, hidden_head=12)
-    from amff.dataio import FeatureBundle
-
-    bundle = FeatureBundle(
-        f_text=rng.standard_normal(24),
-        f_05=rng.standard_normal(24),
-        f_10=rng.standard_normal(24),
-        f_15=rng.standard_normal(24),
-    )
-    _, cache = model_forward(bundle, model, use_msi=False)
+    features = rng.standard_normal((1, 4, 24))  # f_text, f_05, f_10, f_15
+    _, cache = model_forward(features, model, use_msi=False)
     assert np.all(cache.aff_cache.weights == 1.0 / 3.0)
     print(f"\nACCEPTANCE 3 PASS: identity fusion dev {dev:.2e}, w/o-MSI weights exactly 1/3")
 

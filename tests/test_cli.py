@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from amff import cli
 from amff.dataio import read_feature_records, write_feature_records
 from amff.encoder import Image, write_image
 from amff.tensor import make_rng
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def _run(argv):
@@ -163,6 +167,21 @@ class TestPredict:
         row = json.loads(lines[0])
         assert set(row) == {"id", "s_c", "s_v", "s_a"}
         assert -1.0 <= row["s_c"] <= 1.0
+
+
+    def test_earlier_checkpoint_predicts_its_pinned_scores(self, tmp_path):
+        # parent_v1.ckpt and parent_v1_preds.jsonl were written by the
+        # per-sample implementation, whose checkpoint header also carried
+        # an rng_state field that nothing read.
+        out = tmp_path / "preds.jsonl"
+        assert _run(["predict", "--data", DATA / "parent_v1.amff",
+                     "--ckpt", DATA / "parent_v1.ckpt", "--out", out]) == 0
+        got = [json.loads(l) for l in out.read_text().splitlines()]
+        want = [json.loads(l) for l in (DATA / "parent_v1_preds.jsonl").read_text().splitlines()]
+        assert [r["id"] for r in got] == [r["id"] for r in want]
+        for g, w in zip(got, want):
+            for key in ("s_c", "s_v", "s_a"):
+                assert abs(g[key] - w[key]) <= 1e-12 * max(1.0, abs(w[key])), (g["id"], key)
 
 
 class TestGradcheckCommand:

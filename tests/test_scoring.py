@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from amff.dataio import FeatureBundle
 from amff.errors import ConfigError, NumericError, ShapeError
 from amff.scoring import (
     MlpParams,
@@ -19,49 +18,53 @@ from amff.scoring import (
 from amff.tensor import finite_diff_check, make_rng
 
 
-def _bundle(rng, dim=10):
-    return FeatureBundle(
-        f_text=rng.standard_normal(dim),
-        f_05=rng.standard_normal(dim),
-        f_10=rng.standard_normal(dim),
-        f_15=rng.standard_normal(dim),
-    )
+def _features(rng, dim=10, batch=1):
+    """(batch, 4, dim) block: f_text, f_05, f_10, f_15 per row."""
+    return rng.standard_normal((batch, 4, dim))
+
+
+def _sim(a, b, kind):
+    """Similarity of two single vectors, through the batched function."""
+    s, grad = similarity_score(np.asarray(a, float)[None], np.asarray(b, float)[None], kind)
+    return s[0], grad[0]
 
 
 class TestMlp:
     def test_zero_params_zero_output(self):
         p = MlpParams(np.zeros((4, 3)), np.zeros(4), np.zeros((1, 4)), np.zeros(1))
-        y, _ = mlp_forward(p, np.array([1.0, -2.0, 3.0]))
-        assert y == 0.0
+        y, _ = mlp_forward(p, np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]]))
+        assert np.array_equal(y, np.zeros(2))
 
     def test_relu_inactive_on_nonnegative_input(self):
         # identity-like first layer, summing second layer
         p = MlpParams(np.eye(4), np.zeros(4), np.ones((1, 4)), np.zeros(1))
-        x = np.array([0.5, 1.0, 0.0, 2.5])
+        x = np.array([[0.5, 1.0, 0.0, 2.5], [3.0, 0.0, 0.25, 1.0]])
         y, _ = mlp_forward(p, x)
-        assert y == pytest.approx(float(x.sum()), abs=1e-15)
+        assert np.allclose(y, x.sum(axis=1), atol=1e-15, rtol=0)
 
     def test_matches_loop_oracle(self):
         rng = make_rng(1)
         p = init_mlp_params(6, 5, rng)
-        x = rng.standard_normal(6)
+        x = rng.standard_normal((3, 6))
         y, _ = mlp_forward(p, x)
-        hidden = [max(sum(p.w1[i, j] * x[j] for j in range(6)) + p.b1[i], 0.0) for i in range(5)]
-        oracle = sum(p.w2[0, i] * hidden[i] for i in range(5)) + p.b2[0]
-        assert y == pytest.approx(oracle, abs=1e-12)
+        for row, got in zip(x, y):
+            hidden = [max(sum(p.w1[i, j] * row[j] for j in range(6)) + p.b1[i], 0.0) for i in range(5)]
+            oracle = sum(p.w2[0, i] * hidden[i] for i in range(5)) + p.b2[0]
+            assert got == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_backward_matches_finite_differences(self, seed):
         rng = make_rng((seed, 50))
         p = init_mlp_params(7, 5, rng)
-        x = rng.standard_normal(7)
+        x = rng.standard_normal((3, 7))
+        dy = rng.standard_normal(3)
         _, cache = mlp_forward(p, x)
-        grads, dx = mlp_backward(cache, p, 1.0)
+        grads, dx = mlp_backward(cache, p, dy)
 
         def y_with(block, flat):
             kw = {k: getattr(p, k) for k in ("w1", "b1", "w2", "b2")}
             kw[block] = flat.reshape(kw[block].shape)
-            return mlp_forward(MlpParams(**kw), x)[0]
+            return float(dy @ mlp_forward(MlpParams(**kw), x)[0])
 
         for block in ("w1", "b1", "w2", "b2"):
             err = finite_diff_check(
@@ -70,13 +73,16 @@ class TestMlp:
                 getattr(grads, block).ravel(),
             )
             assert err < 1e-4, block
-        assert finite_diff_check(lambda v: mlp_forward(p, v)[0], x, dx) < 1e-4
+        err = finite_diff_check(
+            lambda v: float(dy @ mlp_forward(p, v.reshape(x.shape))[0]), x.ravel(), dx.ravel()
+        )
+        assert err < 1e-4
 
     def test_zero_upstream_zero_grads(self):
         rng = make_rng(2)
         p = init_mlp_params(5, 4, rng)
-        _, cache = mlp_forward(p, rng.standard_normal(5))
-        grads, dx = mlp_backward(cache, p, 0.0)
+        _, cache = mlp_forward(p, rng.standard_normal((3, 5)))
+        grads, dx = mlp_backward(cache, p, np.zeros(3))
         for g in (grads.w1, grads.b1, grads.w2, grads.b2, dx):
             assert np.array_equal(g, np.zeros_like(g))
 
@@ -84,19 +90,19 @@ class TestMlp:
         rng = make_rng(3)
         p = init_mlp_params(5, 4, rng)
         p.b1[:] = -100.0  # every unit dead for moderate inputs
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((2, 5))
         y, cache = mlp_forward(p, x)
-        grads, dx = mlp_backward(cache, p, 1.0)
-        assert y == pytest.approx(float(p.b2[0]))
-        assert np.array_equal(dx, np.zeros(5))
+        grads, dx = mlp_backward(cache, p, np.ones(2))
+        assert np.array_equal(y, np.full(2, p.b2[0]))
+        assert np.array_equal(dx, np.zeros((2, 5)))
         assert np.array_equal(grads.w1, np.zeros_like(grads.w1))
-        assert grads.b2[0] == 1.0  # bias path stays alive
+        assert grads.b2[0] == 2.0  # bias path stays alive, once per row
 
     def test_piecewise_linearity_on_fixed_pattern(self):
         rng = make_rng(4)
         p = init_mlp_params(6, 5, rng)
-        x = rng.standard_normal(6)
-        d = rng.standard_normal(6)
+        x = rng.standard_normal((1, 6))
+        d = rng.standard_normal((1, 6))
         t = 1e-4  # small enough to keep the activation pattern fixed
         _, c0 = mlp_forward(p, x)
         _, c1 = mlp_forward(p, x + 2 * t * d)
@@ -104,52 +110,57 @@ class TestMlp:
         y0, _ = mlp_forward(p, x)
         y1, _ = mlp_forward(p, x + t * d)
         y2, _ = mlp_forward(p, x + 2 * t * d)
-        assert (y2 - y0) == pytest.approx(2 * (y1 - y0), abs=1e-10)
+        assert (y2 - y0)[0] == pytest.approx(2 * (y1 - y0)[0], abs=1e-10)
 
 
 class TestSimilarity:
     def test_identical_vectors_cosine_one(self):
         v = np.array([1.0, 2.0, -1.0])
-        s, _ = similarity_score(v, v, "cosine")
+        s, _ = _sim(v, v, "cosine")
         assert s == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_unit_vectors(self):
         a = np.array([1.0, 0.0])
         b = np.array([0.0, 1.0])
-        assert similarity_score(a, b, "cosine")[0] == pytest.approx(0.0, abs=1e-15)
-        assert similarity_score(a, b, "euclidean")[0] == pytest.approx(-math.sqrt(2), abs=1e-12)
+        assert _sim(a, b, "cosine")[0] == pytest.approx(0.0, abs=1e-15)
+        assert _sim(a, b, "euclidean")[0] == pytest.approx(-math.sqrt(2), abs=1e-12)
 
     def test_antipodal(self):
         v = np.array([0.5, -1.5, 2.0])
-        assert similarity_score(v, -v, "cosine")[0] == pytest.approx(-1.0, abs=1e-12)
-        manh, _ = similarity_score(v, -v, "manhattan")
+        assert _sim(v, -v, "cosine")[0] == pytest.approx(-1.0, abs=1e-12)
+        manh, _ = _sim(v, -v, "manhattan")
         assert manh == pytest.approx(-2.0 * np.abs(v).sum(), abs=1e-12)
 
     def test_zero_norm_cosine_errors(self):
         with pytest.raises(NumericError):
-            similarity_score(np.zeros(3), np.ones(3), "cosine")
+            similarity_score(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), np.ones((2, 3)), "cosine")
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            similarity_score(np.ones(2), np.ones(2), "hamming")
+            similarity_score(np.ones((1, 2)), np.ones((1, 2)), "hamming")
 
     @pytest.mark.parametrize("kind", ["cosine", "euclidean", "manhattan"])
     def test_gradients_match_finite_differences(self, kind):
         rng = make_rng(5)
-        f_img = rng.standard_normal(8)
-        f_text = rng.standard_normal(8)
+        f_img = rng.standard_normal((3, 8))
+        f_text = rng.standard_normal((3, 8))
+        upstream = rng.standard_normal(3)
         _, grad = similarity_score(f_img, f_text, kind)
-        err = finite_diff_check(lambda v: similarity_score(v, f_text, kind)[0], f_img, grad)
+        err = finite_diff_check(
+            lambda v: float(upstream @ similarity_score(v.reshape(3, 8), f_text, kind)[0]),
+            f_img.ravel(),
+            (upstream[:, None] * grad).ravel(),
+        )
         assert err < 1e-4
 
     def test_cosine_scale_invariance(self):
         rng = make_rng(6)
-        f_img = rng.standard_normal(8)
-        f_text = rng.standard_normal(8)
+        f_img = rng.standard_normal((2, 8))
+        f_text = rng.standard_normal((2, 8))
         s0, _ = similarity_score(f_img, f_text, "cosine")
         s1, _ = similarity_score(3.7 * f_img, f_text, "cosine")
         s2, _ = similarity_score(f_img, 3.7 * f_text, "cosine")
-        assert abs(s1 - s0) < 1e-12 and abs(s2 - s0) < 1e-12
+        assert np.max(np.abs(s1 - s0)) < 1e-12 and np.max(np.abs(s2 - s0)) < 1e-12
 
 
 class TestModelForward:
@@ -158,9 +169,8 @@ class TestModelForward:
         params = init_model_params(8, rng, hidden_aff=6, hidden_head=6)
         f = rng.standard_normal(8)
         f /= np.linalg.norm(f)
-        bundle = FeatureBundle(f_text=f, f_05=f, f_10=f, f_15=f)
-        triple, _ = model_forward(bundle, params)
-        assert triple.s_c == pytest.approx(1.0, abs=1e-12)
+        scores, _ = model_forward(np.tile(f, (1, 4, 1)), params)
+        assert scores.s_c[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_heads_zero_scores(self):
         rng = make_rng(8)
@@ -168,56 +178,76 @@ class TestModelForward:
         for head in (params.head_v, params.head_a):
             for leaf in ("w1", "b1", "w2", "b2"):
                 getattr(head, leaf)[:] = 0.0
-        triple, _ = model_forward(_bundle(make_rng(9), 6), params)
-        assert triple.s_v == 0.0 and triple.s_a == 0.0
+        scores, _ = model_forward(_features(make_rng(9), 6, batch=3), params)
+        assert np.array_equal(scores.s_v, np.zeros(3)) and np.array_equal(scores.s_a, np.zeros(3))
 
     def test_composes_component_oracles(self):
         from amff.aff import aff_forward
 
         rng = make_rng(10)
         params = init_model_params(7, rng, hidden_aff=5, hidden_head=5)
-        bundle = _bundle(rng, 7)
-        triple, _ = model_forward(bundle, params)
-        fused, _ = aff_forward(bundle.f_05, bundle.f_10, bundle.f_15, params.aff)
-        assert triple.s_v == pytest.approx(mlp_forward(params.head_v, fused)[0], abs=1e-12)
-        assert triple.s_a == pytest.approx(mlp_forward(params.head_a, fused)[0], abs=1e-12)
-        assert triple.s_c == pytest.approx(
-            similarity_score(fused, bundle.f_text, "cosine")[0], abs=1e-12
+        features = _features(rng, 7, batch=3)
+        scores, _ = model_forward(features, params)
+        fused, _ = aff_forward(features[:, 1:], params.aff)
+        assert np.allclose(scores.s_v, mlp_forward(params.head_v, fused)[0], atol=1e-12, rtol=0)
+        assert np.allclose(scores.s_a, mlp_forward(params.head_a, fused)[0], atol=1e-12, rtol=0)
+        assert np.allclose(
+            scores.s_c, similarity_score(fused, features[:, 0], "cosine")[0], atol=1e-12, rtol=0
         )
 
     def test_zeroing_a_scale_changes_outputs(self):
         rng = make_rng(11)
         params = init_model_params(8, rng, hidden_aff=6, hidden_head=6)
-        bundle = _bundle(rng, 8)
-        base, _ = model_forward(bundle, params)
-        zeroed = FeatureBundle(
-            f_text=bundle.f_text, f_05=np.zeros(8), f_10=bundle.f_10, f_15=bundle.f_15
-        )
+        features = _features(rng, 8)
+        base, _ = model_forward(features, params)
+        zeroed = features.copy()
+        zeroed[:, 1] = 0.0
         changed, _ = model_forward(zeroed, params)
-        assert changed.s_v != base.s_v  # f_05 participates in the fusion
+        assert changed.s_v[0] != base.s_v[0]  # f_05 participates in the fusion
 
     def test_ablation_flags(self):
         rng = make_rng(12)
         params = init_model_params(8, rng, hidden_aff=6, hidden_head=6)
-        bundle = _bundle(rng, 8)
+        features = _features(rng, 8, batch=2)
+        f_05, f_10, f_15 = features[:, 1], features[:, 2], features[:, 3]
         # no_aff: fused feature is the plain mean
-        triple, cache = model_forward(bundle, params, use_aff=False)
-        mean = (bundle.f_05 + bundle.f_10 + bundle.f_15) / 3.0
-        assert np.allclose(cache.fused, mean, atol=1e-15)
+        _, cache = model_forward(features, params, use_aff=False)
+        mean = (f_05 + f_10 + f_15) / 3.0
+        assert np.allclose(cache.fused, mean, atol=1e-15, rtol=0)
         assert cache.aff_cache is None
         # no_msi with learned fusion: equal rows give exact 1/3 weights
-        _, cache = model_forward(bundle, params, use_msi=False)
+        _, cache = model_forward(features, params, use_msi=False)
         assert np.all(cache.aff_cache.weights == 1.0 / 3.0)
-        assert np.allclose(cache.fused, bundle.f_10, atol=1e-12)
+        assert np.allclose(cache.fused, f_10, atol=1e-12, rtol=0)
         # both off: fused is exactly the original-scale feature
-        _, cache = model_forward(bundle, params, use_msi=False, use_aff=False)
-        assert np.allclose(cache.fused, bundle.f_10, atol=1e-15)
+        _, cache = model_forward(features, params, use_msi=False, use_aff=False)
+        assert np.allclose(cache.fused, f_10, atol=1e-15, rtol=0)
 
     def test_dim_mismatch(self):
         rng = make_rng(13)
         params = init_model_params(8, rng, hidden_aff=4, hidden_head=4)
         with pytest.raises(ShapeError):
-            model_forward(_bundle(rng, 6), params)
+            model_forward(_features(rng, 6), params)
+        with pytest.raises(ShapeError):
+            model_forward(rng.standard_normal((2, 3, 8)), params)  # no text feature
+
+    @pytest.mark.parametrize(
+        "flags",
+        [{}, {"use_msi": False}, {"use_aff": False}, {"similarity": "euclidean"}, {"similarity": "manhattan"}],
+        ids=["full", "no_msi", "no_aff", "euclidean", "manhattan"],
+    )
+    def test_batch_equals_single_rows_bit_for_bit(self, flags):
+        rng = make_rng(17)
+        params = init_model_params(16, rng, hidden_aff=12, hidden_head=12,
+                                   similarity=flags.get("similarity", "cosine"))
+        switches = {k: v for k, v in flags.items() if k != "similarity"}
+        features = _features(rng, 16, batch=9)
+        scores, cache = model_forward(features, params, **switches)
+        for r in range(9):
+            one, one_cache = model_forward(features[r : r + 1], params, **switches)
+            for name in ("s_c", "s_v", "s_a"):
+                assert np.array_equal(getattr(one, name), getattr(scores, name)[r : r + 1]), name
+            assert np.array_equal(one_cache.fused[0], cache.fused[r])
 
 
 class TestModelBackward:
@@ -225,18 +255,18 @@ class TestModelBackward:
     def test_param_grads_match_finite_differences(self, use_aff):
         rng = make_rng(14)
         params = init_model_params(6, rng, hidden_aff=5, hidden_head=5)
-        bundle = _bundle(rng, 6)
-        ds = tuple(rng.standard_normal(3))
+        features = _features(rng, 6, batch=3)
+        ds = rng.standard_normal((3, 3))
 
-        _, cache = model_forward(bundle, params, use_aff=use_aff)
+        _, cache = model_forward(features, params, use_aff=use_aff)
         grads = model_backward(cache, params, *ds)
 
         def loss_with(name, flat):
             p2 = params.copy()
             target = dict(p2.named_arrays())[name]
             target[...] = flat.reshape(target.shape)
-            triple, _ = model_forward(bundle, p2, use_aff=use_aff)
-            return ds[0] * triple.s_c + ds[1] * triple.s_v + ds[2] * triple.s_a
+            scores, _ = model_forward(features, p2, use_aff=use_aff)
+            return float(ds[0] @ scores.s_c + ds[1] @ scores.s_v + ds[2] @ scores.s_a)
 
         grad_map = dict(grads.named_arrays())
         for name, arr in params.named_arrays():
@@ -245,19 +275,37 @@ class TestModelBackward:
             )
             assert err < 1e-4, f"{name}: {err}"
 
+    @pytest.mark.parametrize("use_msi,use_aff", [(True, True), (False, True), (True, False)])
+    @pytest.mark.parametrize("similarity", ["cosine", "euclidean", "manhattan"])
+    def test_batch_equals_sum_of_single_rows(self, similarity, use_msi, use_aff):
+        # the per-row backward passes, summed, are the loop oracle
+        rng = make_rng(18)
+        params = init_model_params(10, rng, hidden_aff=7, hidden_head=7, similarity=similarity)
+        features = _features(rng, 10, batch=6)
+        ds = rng.standard_normal((3, 6))
+        _, cache = model_forward(features, params, use_msi=use_msi, use_aff=use_aff)
+        grads = model_backward(cache, params, *ds)
+        total = ModelGrads.zeros_like(params)
+        for r in range(6):
+            _, one = model_forward(features[r : r + 1], params, use_msi=use_msi, use_aff=use_aff)
+            total.add_(model_backward(one, params, *ds[:, r : r + 1]))
+        want = dict(total.named_arrays())
+        for name, got in grads.named_arrays():
+            assert np.max(np.abs(got - want[name])) <= 1e-13, name
+
     def test_no_aff_leaves_fusion_grads_zero(self):
         rng = make_rng(15)
         params = init_model_params(6, rng, hidden_aff=5, hidden_head=5)
-        _, cache = model_forward(_bundle(rng, 6), params, use_aff=False)
-        grads = model_backward(cache, params, 1.0, 1.0, 1.0)
+        _, cache = model_forward(_features(rng, 6, batch=2), params, use_aff=False)
+        grads = model_backward(cache, params, np.ones(2), np.ones(2), np.ones(2))
         for leaf in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(grads.aff, leaf), np.zeros_like(getattr(grads.aff, leaf)))
 
     def test_grads_accumulate(self):
         rng = make_rng(16)
         params = init_model_params(5, rng, hidden_aff=4, hidden_head=4)
-        _, cache = model_forward(_bundle(rng, 5), params)
-        g1 = model_backward(cache, params, 1.0, 0.5, -0.5)
+        _, cache = model_forward(_features(rng, 5), params)
+        g1 = model_backward(cache, params, np.array([1.0]), np.array([0.5]), np.array([-0.5]))
         total = ModelGrads.zeros_like(params)
         total.add_(g1)
         total.add_(g1)

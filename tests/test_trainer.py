@@ -86,33 +86,17 @@ class TestTrain:
     def test_loss_decreases_after_tiny_step(self, tiny_dataset):
         cfg = fast_config()
         params = init_model_params(tiny_dataset.dim, make_rng(0), hidden_aff=8, hidden_head=8)
-        batch = tiny_dataset.samples[:8]
+        rows = range(8)
+        features = tiny_dataset.features(rows)
 
         def batch_loss(p):
-            triples, caches = [], []
-            for s in batch:
-                t, c = model_forward(s.features, p)
-                triples.append(t)
-                caches.append(c)
-            cons = BatchScores(
-                np.array([t.s_c for t in triples]), np.array([s.labels.q_c for s in batch])
-            )
-            qual = BatchScores(
-                np.array([t.s_v for t in triples]), np.array([s.labels.q_v for s in batch])
-            )
-            return total_loss(cons, qual, None), caches
+            scores, cache = model_forward(features, p)
+            cons = BatchScores(scores.s_c, tiny_dataset.labels("consistency")[:8])
+            qual = BatchScores(scores.s_v, tiny_dataset.labels("quality")[:8])
+            return total_loss(cons, qual, None), cache
 
-        bundle, caches = batch_loss(params)
-        grads = ModelGrads.zeros_like(params)
-        for k, cache in enumerate(caches):
-            grads.add_(
-                model_backward(
-                    cache, params,
-                    ds_c=float(bundle.d_consistency[k]),
-                    ds_v=float(bundle.d_quality[k]),
-                    ds_a=0.0,
-                )
-            )
+        bundle, cache = batch_loss(params)
+        grads = model_backward(cache, params, bundle.d_consistency, bundle.d_quality, np.zeros(8))
         adamw_step(params, grads, OptimizerState.zeros_like(params), lr=1e-6, weight_decay=0.0)
         after, _ = batch_loss(params)
         assert after.total < bundle.total + 1e-12
@@ -188,29 +172,21 @@ class TestTrain:
 
 class TestAblationVariantForward:
     def test_no_aff_equal_features_passes_through(self):
-        from amff.dataio import FeatureBundle
         from amff.scoring import mlp_forward
-        from amff.trainer import ablation_variant_forward
 
         rng = make_rng(20)
         params = _params(dim=8, seed=21)
         f = rng.standard_normal(8)
-        sample = Sample(
-            "s", "g", "p",
-            FeatureBundle(f_text=rng.standard_normal(8), f_05=f, f_10=f, f_15=f),
-            Labels(q_v=1.0),
-        )
-        triple = ablation_variant_forward(sample, params, use_aff=False)
-        assert triple.s_v == pytest.approx(mlp_forward(params.head_v, f)[0], abs=1e-12)
+        features = np.stack([rng.standard_normal(8), f, f, f])[None]
+        scores, _ = model_forward(features, params, use_aff=False)
+        assert scores.s_v[0] == pytest.approx(mlp_forward(params.head_v, f[None])[0][0], abs=1e-12)
 
     def test_variants_differ_from_full(self, tiny_dataset):
-        from amff.trainer import ablation_variant_forward
-
         params = _params(dim=tiny_dataset.dim, seed=22)
-        sample = tiny_dataset.samples[0]
-        full = ablation_variant_forward(sample, params)
-        no_msi = ablation_variant_forward(sample, params, use_msi=False)
-        assert full.s_v != no_msi.s_v  # scale features genuinely differ
+        features = tiny_dataset.features([0])
+        full, _ = model_forward(features, params)
+        no_msi, _ = model_forward(features, params, use_msi=False)
+        assert full.s_v[0] != no_msi.s_v[0]  # scale features genuinely differ
 
 
 class TestEvaluateModel:

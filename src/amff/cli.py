@@ -13,9 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import dataio, encoder, metrics, trainer
@@ -48,19 +46,6 @@ def _error_code(exc: Exception) -> str:
     if isinstance(exc, OSError):
         return "E_IO"
     return "E_INTERNAL"
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("AMFF_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"AMFF_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"AMFF_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _parse_split(spec: str) -> tuple[str, float | None]:
@@ -257,12 +242,7 @@ def _cmd_eval(args) -> int:
 
     # Full protocol: one train+eval per trial seed, median reported.
     seeds = list(range(args.seed, args.seed + args.trials))
-    cap = min(_worker_cap(), len(seeds))
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(lambda s: _run_trial(dataset, args, s), seeds))
-    else:
-        results = [_run_trial(dataset, args, s) for s in seeds]
+    results = [_run_trial(dataset, args, s) for s in seeds]
     median = metrics.median_of_trials(results)
 
     trial_lines = []
@@ -307,11 +287,11 @@ def _cmd_predict(args) -> int:
 
 
 _ABLATION_VARIANTS = (
-    ("full", {"no_msi": False, "no_aff": False, "similarity": "cosine"}),
-    ("no_msi", {"no_msi": True, "no_aff": False, "similarity": "cosine"}),
-    ("no_aff", {"no_msi": False, "no_aff": True, "similarity": "cosine"}),
-    ("euclidean", {"no_msi": False, "no_aff": False, "similarity": "euclidean"}),
-    ("manhattan", {"no_msi": False, "no_aff": False, "similarity": "manhattan"}),
+    ("full", {"similarity": "cosine", "use_msi": True, "use_aff": True}),
+    ("no_msi", {"similarity": "cosine", "use_msi": False, "use_aff": True}),
+    ("no_aff", {"similarity": "cosine", "use_msi": True, "use_aff": False}),
+    ("euclidean", {"similarity": "euclidean", "use_msi": True, "use_aff": True}),
+    ("manhattan", {"similarity": "manhattan", "use_msi": True, "use_aff": True}),
 )
 
 
@@ -323,18 +303,7 @@ def _cmd_ablate(args) -> int:
 
     results: dict[str, metrics.EvalResult] = {}
     for name, overrides in _ABLATION_VARIANTS:
-        cfg = trainer.TrainConfig(
-            batch_size=args.batch_size,
-            max_epochs=args.epochs,
-            lr=args.lr,
-            lr_drop_epoch=args.lr_drop_epoch,
-            weight_decay=args.weight_decay,
-            early_stop_patience=args.patience,
-            seed=args.seed,
-            similarity=overrides["similarity"],
-            use_msi=not overrides["no_msi"],
-            use_aff=not overrides["no_aff"],
-        )
+        cfg = dataclasses.replace(_train_config(args), **overrides)
         outcome = trainer.train(train_set, cfg)
         result, _ = trainer.evaluate_model(
             outcome.params,

@@ -9,8 +9,6 @@ relative error per block.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .aff import AffParams, aff_backward, aff_forward, init_aff_params
 from .losses import BatchScores, fidelity_loss, mse_loss, total_loss
 from .scoring import (

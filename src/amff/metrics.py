@@ -17,9 +17,6 @@ import numpy as np
 from .errors import DataError, NumericError
 from .tensor import Array, as_vector
 
-TASK_ORDER = ("consistency", "quality", "authenticity")
-
-
 def _ranks(x: Array) -> Array:
     """Fractional ranks (1-based); tied values share the average rank."""
     n = x.size
@@ -209,9 +206,18 @@ def logistic_fit(preds, gts) -> LogisticParams:
 
 
 def plcc(preds, gts) -> tuple[float, LogisticParams]:
-    """Pearson correlation after the fitted logistic pre-mapping."""
+    """Pearson correlation after the fitted logistic pre-mapping.
+
+    On predictions that carry little signal the fit can run to a step
+    that maps every prediction to one value; the identity mapping
+    (``fallback``) is used then, so the result is the raw correlation.
+    """
+    preds = np.asarray(preds, dtype=np.float64)
     params = logistic_fit(preds, gts)
-    mapped = params.apply(np.asarray(preds, dtype=np.float64))
+    mapped = params.apply(preds)
+    if np.all(mapped == mapped[0]):
+        params = LogisticParams(0.0, 0.0, 0.0, 0.0, fallback=True)
+        mapped = params.apply(preds)
     return pearson(mapped, gts), params
 
 

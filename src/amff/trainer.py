@@ -315,14 +315,9 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {n_batches}: {exc}") from exc
 
-            no_grad = np.zeros(rows.size)
-            grads = model_backward(
-                cache,
-                params,
-                no_grad if bundle.d_consistency is None else bundle.d_consistency,
-                no_grad if bundle.d_quality is None else bundle.d_quality,
-                no_grad if bundle.d_authenticity is None else bundle.d_authenticity,
-            )
+            no_grad = np.zeros(rows.size)  # upstream of a masked task
+            upstream = (bundle.d_consistency, bundle.d_quality, bundle.d_authenticity)
+            grads = model_backward(cache, params, *(no_grad if d is None else d for d in upstream))
             adamw_step(params, grads, opt, lr_e, cfg.weight_decay)
             sums["total"] += bundle.total
             sums["c"] += bundle.l_c

@@ -134,25 +134,6 @@ class TestTrainEval:
         assert rc == 1
         assert "ERROR E_CONFIG" in capsys.readouterr().err
 
-    def test_worker_cap_env_validated(self, tmp_path, data_file, capsys, monkeypatch):
-        monkeypatch.setenv("AMFF_THREADS", "zero")
-        rc = _run(["eval", "--data", data_file, "--out", tmp_path / "t", "--trials", 2,
-                   *_fast_train_flags()])
-        assert rc == 1
-        assert "AMFF_THREADS" in capsys.readouterr().err
-
-    def test_worker_cap_parallel_matches_serial(self, tmp_path, data_file, monkeypatch):
-        serial_out = tmp_path / "serial"
-        assert _run(["eval", "--data", data_file, "--out", serial_out, "--seed", 0,
-                     "--trials", 2, *_fast_train_flags()]) == 0
-        monkeypatch.setenv("AMFF_THREADS", "2")
-        par_out = tmp_path / "parallel"
-        assert _run(["eval", "--data", data_file, "--out", par_out, "--seed", 0,
-                     "--trials", 2, *_fast_train_flags()]) == 0
-        assert (serial_out / "reports" / "eval.jsonl").read_bytes() == (
-            par_out / "reports" / "eval.jsonl"
-        ).read_bytes()
-
 
 class TestPredict:
     def test_emits_score_triples(self, tmp_path, data_file):

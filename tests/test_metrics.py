@@ -172,7 +172,60 @@ class TestLogisticFit:
             logistic_fit(np.ones(8), np.arange(8.0))
 
 
+# Quality (pred, gt) pairs of a checkpoint trained one epoch on 32 planted
+# rows and evaluated on 64 (synth --n 64/32 --dim 16 --seed 3, train
+# --epochs 1 --patience 1): the predictions carry almost no signal and
+# the logistic fit runs to a step (k4 ~ 463) that maps all of them to one
+# value.
+_COLLAPSE_PREDS = [
+    2.4485655733566998, 2.6167663307109326, 2.0991667281585515, 2.5520211943206714,
+    2.438465960385412, 2.6307990286998915, 2.5785238046339227, 2.437733913764491,
+    2.353530904896673, 2.161157040300355, 2.4083174480421965, 2.7849235770694065,
+    2.1309383242586115, 2.158786676866192, 2.1395683730554724, 2.705380290777727,
+    2.4392910633953697, 2.484258485646727, 2.179169719241548, 2.6025493489467344,
+    2.1570750322863104, 2.5249630055536727, 2.826495157725369, 2.7492687559064697,
+    2.399881889003841, 2.1200822291894688, 2.607307543814124, 2.5811426982554306,
+    2.116972132574944, 2.4321792335788937, 2.300426434811879, 2.3002223416213785,
+    2.7802830051486023, 3.2351227010846912, 2.1600790862004464, 2.179674925808658,
+    2.4230214568891806, 2.442797364163875, 2.2681156912809746, 3.0024667400163905,
+    2.2854798579507745, 2.7489424300855334, 2.17845344918469, 2.29253965828612,
+    2.520606870258338, 2.247570425534281, 2.605985223117846, 3.0986902872009576,
+    2.107885558541759, 2.28056692388796, 2.3616660564574263, 2.595914367138598,
+    2.3387129983866553, 2.629988173348925, 2.2539158969530906, 2.4643716048978743,
+    2.402957940178773, 2.5890055638964746, 2.461992283034488, 2.0969997951648893,
+    2.4246071837242402, 2.2693431319060964, 3.163438764152897, 3.248339498352763,
+]
+_COLLAPSE_GTS = [
+    2.413795232772827, 3.697377920150757, 3.247666597366333, 2.160675048828125,
+    2.232402801513672, 2.8316712379455566, 3.305997848510742, 2.8198585510253906,
+    2.3568203449249268, 2.9454965591430664, 3.7655439376831055, 2.940582036972046,
+    3.2481114864349365, 2.968242883682251, 2.890805959701538, 2.649707078933716,
+    3.5895957946777344, 2.82112455368042, 2.6890857219696045, 2.790390729904175,
+    2.220998764038086, 2.747582197189331, 2.962616443634033, 2.635918617248535,
+    2.468315839767456, 2.7852094173431396, 3.2942864894866943, 2.9365105628967285,
+    3.259186029434204, 2.7883524894714355, 2.894256591796875, 3.459383010864258,
+    2.8556792736053467, 3.463566303253174, 2.3969109058380127, 2.423588514328003,
+    2.60223126411438, 2.861814260482788, 2.6803925037384033, 2.737887144088745,
+    3.022082805633545, 3.3169147968292236, 2.797333002090454, 2.6403112411499023,
+    3.108715772628784, 2.497464656829834, 3.4247889518737793, 2.2500100135803223,
+    2.5501303672790527, 2.404886484146118, 3.1294357776641846, 3.3579773902893066,
+    2.335294008255005, 2.5501363277435303, 2.543052911758423, 2.8522050380706787,
+    2.333549737930298, 3.603616237640381, 3.927034616470337, 3.360626697540283,
+    3.0578129291534424, 3.2786478996276855, 3.279299259185791, 2.3324077129364014,
+]
+
+
 class TestPlcc:
+    def test_collapsed_fit_falls_back_to_identity(self):
+        preds, gts = np.array(_COLLAPSE_PREDS), np.array(_COLLAPSE_GTS)
+        fitted = logistic_fit(preds, gts)
+        mapped = fitted.apply(preds)
+        assert not fitted.fallback and np.all(mapped == mapped[0])  # the fit itself collapses
+        value, params = plcc(preds, gts)
+        assert params.fallback
+        assert value == pearson(preds, gts)
+        assert abs(value - 0.0714) < 1e-3
+
     def test_exact_logistic_relation(self):
         rng = make_rng(41)
         preds = rng.uniform(-2, 2, size=100)

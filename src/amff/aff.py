@@ -128,14 +128,14 @@ def aff_backward(cache: AffCache, params: AffParams, d_fused: Array) -> tuple[Af
     d_logits = weights * (d_weights - inner)
 
     # Shared weights: every (sample, row) pair is one more use of the layer.
-    flat_logits = d_logits.reshape(-1, params.dim)
-    db2 = flat_logits.sum(axis=0)
-    dw2 = flat_logits.T @ cache.hidden.reshape(-1, params.hidden)  # (D, h)
-    d_pre1 = (d_logits @ params.w2) * (cache.pre1 > 0.0)           # (B, 3, h)
-    flat_pre1 = d_pre1.reshape(-1, params.hidden)
-    db1 = flat_pre1.sum(axis=0)
-    dw1 = flat_pre1.T @ stacked.reshape(-1, params.dim)            # (h, D)
-    d_stacked = d_pre1 @ params.w1                                 # weights-generator path
+    d_logits_flat = d_logits.reshape(-1, params.dim)
+    db2 = d_logits_flat.sum(axis=0)
+    dw2 = d_logits_flat.T @ cache.hidden.reshape(-1, params.hidden)  # (D, h)
+    d_pre1 = (d_logits @ params.w2) * (cache.pre1 > 0.0)             # (B, 3, h)
+    d_pre1_flat = d_pre1.reshape(-1, params.hidden)
+    db1 = d_pre1_flat.sum(axis=0)
+    dw1 = d_pre1_flat.T @ stacked.reshape(-1, params.dim)            # (h, D)
+    d_stacked = d_pre1 @ params.w1                                   # weights-generator path
 
     d_inputs = weights * d_fused[:, None, :] + d_stacked
     return AffGrads(dw1, db1, dw2, db2), d_inputs

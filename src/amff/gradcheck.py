@@ -144,11 +144,11 @@ MODEL_VARIANTS = (
 )
 
 
-def _check_model(seed: int, dim: int = 6, hidden: int = 5, batch: int = 4) -> dict[str, float]:
+def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
     """Audit the whole mini-batch objective against every model parameter.
 
     Each variant's loss is ``total_loss`` over all three tasks of the
-    scores ``model_forward`` gives a ``batch``-row mini-batch, so the
+    scores ``model_forward`` gives a ``PROBE_BATCH``-row mini-batch, so the
     per-block backward passes, their composition and the sums over the
     batch are checked together.
     """
@@ -159,8 +159,8 @@ def _check_model(seed: int, dim: int = 6, hidden: int = 5, batch: int = 4) -> di
         for _, arr in params.named_arrays():
             if arr.ndim == 1:  # nonzero biases exercise the ReLUs off-center
                 arr[:] = 0.1 * rng.standard_normal(arr.shape)
-        features = rng.standard_normal((batch, 4, dim))
-        gts = rng.uniform(-2.0, 2.0, size=(3, batch))
+        features = rng.standard_normal((PROBE_BATCH, 4, dim))
+        gts = rng.uniform(-2.0, 2.0, size=(3, PROBE_BATCH))
 
         def objective(p):
             scores, cache = model_forward(features, p, use_msi=use_msi, use_aff=use_aff)

@@ -7,7 +7,7 @@ and MSE losses with hand-derived gradients, and the full
 SRCC/PLCC/KRCC evaluation protocol.
 """
 
-from .aff import AffParams, aff_backward, aff_forward, init_aff_params
+from .aff import aff_backward, aff_forward, init_aff_params
 from .dataio import (
     Dataset,
     FeatureBundle,
@@ -48,7 +48,6 @@ from .metrics import (
     srcc,
 )
 from .scoring import (
-    MlpParams,
     ModelParams,
     ScoreTriple,
     init_model_params,
@@ -60,7 +59,6 @@ from .scoring import (
 )
 from .tensor import affine_forward, finite_diff_check, make_rng, softmax
 from .trainer import (
-    OptimizerState,
     TrainConfig,
     TrainReport,
     adamw_step,

@@ -13,6 +13,7 @@ the three rows of every sample in the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,22 +23,16 @@ from .tensor import Array, affine_forward, softmax
 _SIMPLEX_TOL = 1e-12
 
 
-@dataclass
-class AffParams:
-    """Weights-generator parameters: D -> hidden -> D applied per row."""
+class Block(NamedTuple):
+    """Two affine layers, ``dim -> hidden -> out``, with a ReLU between them.
+
+    The weights generator (``out == dim``), a score head (``out == 1``) or their gradients.
+    """
 
     w1: Array  # (hidden, dim)
     b1: Array  # (hidden,)
-    w2: Array  # (dim, hidden)
-    b2: Array  # (dim,)
-
-    def __post_init__(self):
-        h, d = self.w1.shape
-        if self.b1.shape != (h,) or self.w2.shape != (d, h) or self.b2.shape != (d,):
-            raise ShapeError(
-                f"AffParams: inconsistent shapes w1={self.w1.shape} b1={self.b1.shape} "
-                f"w2={self.w2.shape} b2={self.b2.shape}"
-            )
+    w2: Array  # (out, hidden)
+    b2: Array  # (out,)
 
     @property
     def dim(self) -> int:
@@ -46,14 +41,6 @@ class AffParams:
     @property
     def hidden(self) -> int:
         return self.w1.shape[0]
-
-
-@dataclass
-class AffGrads:
-    w1: Array
-    b1: Array
-    w2: Array
-    b2: Array
 
 
 @dataclass(frozen=True)
@@ -71,11 +58,11 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Array:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def init_aff_params(dim: int, hidden: int = 256, rng: np.random.Generator | None = None) -> AffParams:
+def init_aff_params(dim: int, hidden: int = 256, rng: np.random.Generator | None = None) -> Block:
     """Glorot-uniform weights, zero biases; initial fusion weights ~ 1/3."""
     if rng is None:
         raise ValueError("init_aff_params requires an explicit rng")
-    return AffParams(
+    return Block(
         w1=glorot_uniform(rng, hidden, dim),
         b1=np.zeros(hidden),
         w2=glorot_uniform(rng, dim, hidden),
@@ -83,7 +70,7 @@ def init_aff_params(dim: int, hidden: int = 256, rng: np.random.Generator | None
     )
 
 
-def aff_forward(stacked: Array, params: AffParams) -> tuple[Array, AffCache]:
+def aff_forward(stacked: Array, params: Block) -> tuple[Array, AffCache]:
     """Fuse each sample's (3, D) scale stack into one (D,) vector.
 
     ``stacked`` is (B, 3, D) with rows 0.5x, 1.0x, 1.5x; returns the
@@ -106,7 +93,7 @@ def aff_forward(stacked: Array, params: AffParams) -> tuple[Array, AffCache]:
     return fused, AffCache(stacked, pre1, hidden, weights)
 
 
-def aff_backward(cache: AffCache, params: AffParams, d_fused: Array) -> tuple[AffGrads, Array]:
+def aff_backward(cache: AffCache, params: Block, d_fused: Array) -> tuple[Block, Array]:
     """Exact gradients of a scalar loss w.r.t. params and the inputs.
 
     ``d_fused`` is the (B, D) upstream gradient w.r.t. the fused
@@ -138,4 +125,4 @@ def aff_backward(cache: AffCache, params: AffParams, d_fused: Array) -> tuple[Af
     d_stacked = d_pre1 @ params.w1                                   # weights-generator path
 
     d_inputs = weights * d_fused[:, None, :] + d_stacked
-    return AffGrads(dw1, db1, dw2, db2), d_inputs
+    return Block(dw1, db1, dw2, db2), d_inputs

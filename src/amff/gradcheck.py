@@ -9,10 +9,9 @@ relative error per block.
 
 from __future__ import annotations
 
-from .aff import AffParams, aff_backward, aff_forward, init_aff_params
+from .aff import aff_backward, aff_forward, init_aff_params
 from .losses import BatchScores, fidelity_loss, mse_loss, total_loss
 from .scoring import (
-    MlpParams,
     init_mlp_params,
     init_model_params,
     mlp_backward,
@@ -42,9 +41,8 @@ def _check_aff(seed: int, dim: int = 12, hidden: int = 7) -> dict[str, float]:
     results = {}
 
     def loss_with(block: str, flat: Array) -> float:
-        kw = {k: getattr(params, k) for k in ("w1", "b1", "w2", "b2")}
-        kw[block] = flat.reshape(kw[block].shape)
-        fused, _ = aff_forward(stacked, AffParams(**kw))
+        trial = params._replace(**{block: flat.reshape(getattr(params, block).shape)})
+        fused, _ = aff_forward(stacked, trial)
         return float((probe * fused).sum())
 
     for block in ("w1", "b1", "w2", "b2"):
@@ -80,9 +78,8 @@ def _check_head(seed: int, tag: str, salt: int, dim: int = 12, hidden: int = 9) 
     results = {}
 
     def y_with(block: str, flat: Array) -> float:
-        kw = {k: getattr(params, k) for k in ("w1", "b1", "w2", "b2")}
-        kw[block] = flat.reshape(kw[block].shape)
-        return float(dy @ mlp_forward(MlpParams(**kw), x)[0])
+        trial = params._replace(**{block: flat.reshape(getattr(params, block).shape)})
+        return float(dy @ mlp_forward(trial, x)[0])
 
     for block in ("w1", "b1", "w2", "b2"):
         results[f"{tag}.{block}"] = finite_diff_check(
@@ -174,19 +171,12 @@ def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
         loss, cache = objective(params)
         grads = model_backward(cache, params, loss.d_consistency, loss.d_quality, loss.d_authenticity)
 
-        def loss_with(block: str, flat: Array) -> float:
-            p2 = params.copy()
-            target = dict(p2.named_arrays())[block]
-            target[...] = flat.reshape(target.shape)
-            return objective(p2)[0].total
+        def loss_at(flat: Array) -> float:
+            trial = params.zeros_like()
+            trial.flat[:] = flat
+            return objective(trial)[0].total
 
-        grad_map = dict(grads.named_arrays())
-        results[f"model.{name}"] = max(
-            finite_diff_check(
-                lambda flat, b=block: loss_with(b, flat), arr.ravel(), grad_map[block].ravel(), DEFAULT_EPS
-            )
-            for block, arr in params.named_arrays()
-        )
+        results[f"model.{name}"] = finite_diff_check(loss_at, params.flat, grads.flat, DEFAULT_EPS)
     return results
 
 

@@ -71,7 +71,10 @@ def fidelity_loss(batch: BatchScores) -> tuple[float, Array]:
 
     diff = preds[:, None] - preds[None, :]
     p_hat = 0.5 * _erfc(-diff / 2.0)
-    p_hat_c = 0.5 * _erfc(diff / 2.0)  # accurate 1 - p_hat
+    # Accurate 1 - p_hat without a second erfc pass: a - b == -(b - a)
+    # exactly in IEEE arithmetic, so diff is antisymmetric bit for bit and
+    # entry (i, j) of 0.5 * erfc(diff / 2) is entry (j, i) of p_hat.
+    p_hat_c = p_hat.T
     prefer = gts[:, None] >= gts[None, :]
 
     term = np.where(prefer, 1.0 - np.sqrt(p_hat), 1.0 - np.sqrt(p_hat_c))

@@ -12,46 +12,17 @@ summed over the batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .aff import AffCache, AffGrads, AffParams, aff_backward, aff_forward, glorot_uniform, init_aff_params
+from .aff import AffCache, Block, aff_backward, aff_forward, glorot_uniform
 from .errors import ConfigError, NumericError, ShapeError
 from .tensor import Array, affine_forward
 
 SIMILARITY_KINDS = ("cosine", "euclidean", "manhattan")
-
-
-@dataclass
-class MlpParams:
-    """Two fully connected layers with a ReLU between them."""
-
-    w1: Array  # (hidden, dim)
-    b1: Array  # (hidden,)
-    w2: Array  # (1, hidden)
-    b2: Array  # (1,)
-
-    def __post_init__(self):
-        h, _ = self.w1.shape
-        if self.b1.shape != (h,) or self.w2.shape != (1, h) or self.b2.shape != (1,):
-            raise ShapeError(
-                f"MlpParams: inconsistent shapes w1={self.w1.shape} b1={self.b1.shape} "
-                f"w2={self.w2.shape} b2={self.b2.shape}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.w1.shape[1]
-
-
-@dataclass
-class MlpGrads:
-    w1: Array
-    b1: Array
-    w2: Array
-    b2: Array
 
 
 @dataclass(frozen=True)
@@ -61,10 +32,10 @@ class MlpCache:
     hidden: Array
 
 
-def init_mlp_params(dim: int, hidden: int = 256, rng: np.random.Generator | None = None) -> MlpParams:
+def init_mlp_params(dim: int, hidden: int = 256, rng: np.random.Generator | None = None) -> Block:
     if rng is None:
         raise ValueError("init_mlp_params requires an explicit rng")
-    return MlpParams(
+    return Block(
         w1=glorot_uniform(rng, hidden, dim),
         b1=np.zeros(hidden),
         w2=glorot_uniform(rng, 1, hidden),
@@ -72,7 +43,7 @@ def init_mlp_params(dim: int, hidden: int = 256, rng: np.random.Generator | None
     )
 
 
-def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, MlpCache]:
+def mlp_forward(params: Block, x: Array) -> tuple[Array, MlpCache]:
     """Head scores (B,) for the (B, D) features ``x``."""
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ShapeError(f"mlp_forward: expected (B, {params.dim}) input, got {x.shape}")
@@ -82,7 +53,7 @@ def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, MlpCache]:
     return y, MlpCache(x, pre1, hidden)
 
 
-def mlp_backward(cache: MlpCache, params: MlpParams, dy: Array) -> tuple[MlpGrads, Array]:
+def mlp_backward(cache: MlpCache, params: Block, dy: Array) -> tuple[Block, Array]:
     """Gradients for the (B,) upstream ``dy``, including the ReLU mask.
 
     Parameter gradients are summed over the batch; the input gradient
@@ -96,7 +67,7 @@ def mlp_backward(cache: MlpCache, params: MlpParams, dy: Array) -> tuple[MlpGrad
     db1 = d_pre1.sum(axis=0)
     dw1 = d_pre1.T @ cache.x
     dx = d_pre1 @ params.w1
-    return MlpGrads(dw1, db1, dw2, db2), dx
+    return Block(dw1, db1, dw2, db2), dx
 
 
 def similarity_score(f_img: Array, f_text: Array, kind: str = "cosine") -> tuple[Array, Array]:
@@ -136,58 +107,67 @@ class ScoreTriple:
     s_a: Array
 
 
-@dataclass
-class ModelParams:
-    aff: AffParams
-    head_v: MlpParams
-    head_a: MlpParams
-    similarity: str = "cosine"
+def param_layout(dim: int, hidden_aff: int, hidden_head: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter tensor, in buffer and checkpoint order."""
+    blocks = (("aff", hidden_aff, dim), ("head_v", hidden_head, 1), ("head_a", hidden_head, 1))
+    return [
+        (f"{block}.{leaf}", shape)
+        for block, hidden, out in blocks
+        for leaf, shape in zip(Block._fields, ((hidden, dim), (hidden,), (out, hidden), (out,)))
+    ]
 
-    def __post_init__(self):
-        if self.similarity not in SIMILARITY_KINDS:
-            raise ConfigError(f"ModelParams: unknown similarity {self.similarity!r}")
+
+class ModelParams:
+    """Every learnable weight of the model in one contiguous float64 buffer.
+
+    ``flat`` holds the tensors of ``param_layout`` back to back; ``aff``,
+    ``head_v`` and ``head_a`` are blocks of views into it, so writing
+    through a view writes the buffer.  Gradients and optimizer moments
+    are containers of the same layout (``zeros_like``), which makes every
+    whole-model update one operation on ``flat``.
+    """
+
+    def __init__(self, dim: int, hidden_aff: int, hidden_head: int, similarity: str = "cosine"):
+        if similarity not in SIMILARITY_KINDS:
+            raise ConfigError(f"ModelParams: unknown similarity {similarity!r}")
+        layout = param_layout(dim, hidden_aff, hidden_head)
+        size = sum(math.prod(shape) for _, shape in layout)
+        # BLAS multiplies by a weight matrix fastest when it starts on a 64-byte
+        # boundary (about 1.4x for a (256, 512) aff.w1), so the buffer starts on one.
+        buf = np.zeros(size + 7)
+        skip = (-buf.ctypes.data % 64) // 8
+        self.flat = buf[skip : skip + size]
+        views, pos = [], 0
+        for _, shape in layout:
+            views.append(self.flat[pos : pos + math.prod(shape)].reshape(shape))
+            pos += math.prod(shape)
+        self.similarity = similarity
+        self.aff, self.head_v, self.head_a = (Block(*views[k : k + 4]) for k in (0, 4, 8))
 
     @property
     def dim(self) -> int:
-        return self.head_v.dim
+        return self.aff.dim
 
     def named_arrays(self) -> Iterator[tuple[str, Array]]:
-        for block, p in (("aff", self.aff), ("head_v", self.head_v), ("head_a", self.head_a)):
-            for leaf in ("w1", "b1", "w2", "b2"):
-                yield f"{block}.{leaf}", getattr(p, leaf)
+        for block in ("aff", "head_v", "head_a"):
+            for leaf, a in zip(Block._fields, getattr(self, block)):
+                yield f"{block}.{leaf}", a
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            aff=AffParams(self.aff.w1.copy(), self.aff.b1.copy(), self.aff.w2.copy(), self.aff.b2.copy()),
-            head_v=MlpParams(self.head_v.w1.copy(), self.head_v.b1.copy(), self.head_v.w2.copy(), self.head_v.b2.copy()),
-            head_a=MlpParams(self.head_a.w1.copy(), self.head_a.b1.copy(), self.head_a.w2.copy(), self.head_a.b2.copy()),
-            similarity=self.similarity,
-        )
+        out = self.zeros_like()
+        out.flat[:] = self.flat
+        return out
+
+    def zeros_like(self) -> "ModelParams":
+        return ModelParams(self.dim, self.aff.hidden, self.head_v.hidden, self.similarity)
+
+    def add_(self, other: "ModelParams") -> None:
+        self.flat += other.flat
 
 
-@dataclass
-class ModelGrads:
-    aff: AffGrads
-    head_v: MlpGrads
-    head_a: MlpGrads
-
-    @staticmethod
-    def zeros_like(params: ModelParams) -> "ModelGrads":
-        z = lambda a: np.zeros_like(a)
-        return ModelGrads(
-            aff=AffGrads(z(params.aff.w1), z(params.aff.b1), z(params.aff.w2), z(params.aff.b2)),
-            head_v=MlpGrads(z(params.head_v.w1), z(params.head_v.b1), z(params.head_v.w2), z(params.head_v.b2)),
-            head_a=MlpGrads(z(params.head_a.w1), z(params.head_a.b1), z(params.head_a.w2), z(params.head_a.b2)),
-        )
-
-    def named_arrays(self) -> Iterator[tuple[str, Array]]:
-        for block_name, block in (("aff", self.aff), ("head_v", self.head_v), ("head_a", self.head_a)):
-            for leaf in ("w1", "b1", "w2", "b2"):
-                yield f"{block_name}.{leaf}", getattr(block, leaf)
-
-    def add_(self, other: "ModelGrads") -> None:
-        for (_, mine), (_, theirs) in zip(self.named_arrays(), other.named_arrays()):
-            mine += theirs
+# Gradients are parameter containers; the second name stays only because
+# bench/spans.py traces ``ModelGrads.add_``.
+ModelGrads = ModelParams
 
 
 def init_model_params(
@@ -197,12 +177,12 @@ def init_model_params(
     hidden_head: int = 256,
     similarity: str = "cosine",
 ) -> ModelParams:
-    return ModelParams(
-        aff=init_aff_params(dim, hidden_aff, rng),
-        head_v=init_mlp_params(dim, hidden_head, rng),
-        head_a=init_mlp_params(dim, hidden_head, rng),
-        similarity=similarity,
-    )
+    """Glorot-uniform weights and zero biases, drawn block by block in layout order."""
+    params = ModelParams(dim, hidden_aff, hidden_head, similarity)
+    for block in (params.aff, params.head_v, params.head_a):
+        block.w1[...] = glorot_uniform(rng, *block.w1.shape)
+        block.w2[...] = glorot_uniform(rng, *block.w2.shape)
+    return params
 
 
 @dataclass(frozen=True)
@@ -254,7 +234,7 @@ def model_backward(
     ds_c: Array,
     ds_v: Array,
     ds_a: Array,
-) -> ModelGrads:
+) -> ModelParams:
     """Gradients of ``sum(ds_c*S_C + ds_v*S_V + ds_a*S_A)`` w.r.t. all params.
 
     The upstream gradients are (B,), one entry per row of the forward's
@@ -267,5 +247,7 @@ def model_backward(
     if cache.use_aff:
         aff_grads, _ = aff_backward(cache.aff_cache, params.aff, d_fused)
     else:
-        aff_grads = ModelGrads.zeros_like(params).aff
-    return ModelGrads(aff=aff_grads, head_v=grads_v, head_a=grads_a)
+        aff_grads = [np.zeros_like(a) for a in params.aff]
+    grads = params.zeros_like()
+    np.concatenate([g.ravel() for g in (*aff_grads, *grads_v, *grads_a)], out=grads.flat)
+    return grads

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +25,12 @@ from .losses import BatchScores, total_loss
 from .metrics import EvalResult, TaskMetrics, krcc, plcc, srcc
 from .scoring import (
     SIMILARITY_KINDS,
-    MlpParams,
-    ModelGrads,
     ModelParams,
     init_model_params,
     model_backward,
     model_forward,
+    param_layout,
 )
-from .aff import AffParams
 from .tensor import Array, make_rng
 
 # AdamW moment hyperparameters.
@@ -89,48 +89,51 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Per-tensor first/second moment accumulators plus the step count."""
+    """First/second moment accumulators, laid out like the parameters, plus the step count."""
 
-    m: dict[str, Array]
-    v: dict[str, Array]
+    m: ModelParams
+    v: ModelParams
     step: int = 0
+
+    @cached_property
+    def scratch(self) -> tuple[Array, Array]:
+        """Space for the update, so a step allocates no full-size temporaries."""
+        return np.empty_like(self.m.flat), np.empty_like(self.m.flat)
 
     @staticmethod
     def zeros_like(params: ModelParams) -> "OptimizerState":
-        return OptimizerState(
-            m={name: np.zeros_like(a) for name, a in params.named_arrays()},
-            v={name: np.zeros_like(a) for name, a in params.named_arrays()},
-        )
+        return OptimizerState(m=params.zeros_like(), v=params.zeros_like())
 
 
 def adamw_step(
     params: ModelParams,
-    grads: ModelGrads,
+    grads: ModelParams,
     state: OptimizerState,
     lr: float,
     weight_decay: float,
 ) -> None:
-    """One decoupled-weight-decay Adam update, in place."""
+    """One decoupled-weight-decay Adam update of the whole buffer, in place."""
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    if not (g.shape == m.shape == v.shape == p.shape):
+        raise ShapeError(f"adamw_step: grad {g.shape} and moments do not match params {p.shape}")
+    if not np.all(np.isfinite(g)):
+        bad = next(name for name, a in grads.named_arrays() if not np.all(np.isfinite(a)))
+        raise NumericError(f"adamw_step: non-finite gradient in {bad}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    grad_map = dict(grads.named_arrays())
-    for name, p in params.named_arrays():
-        g = grad_map[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"adamw_step: grad/param shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"adamw_step: non-finite gradient in {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        # Decay is decoupled: applied to the parameter, not the gradient.
-        p *= 1.0 - lr * weight_decay
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    a, b = state.scratch
+    m *= BETA1
+    m += np.multiply(1.0 - BETA1, g, out=a)
+    v *= BETA2
+    v += np.multiply(np.multiply(1.0 - BETA2, g, out=a), g, out=a)
+    # Decay is decoupled: applied to the parameter, not the gradient.
+    p *= 1.0 - lr * weight_decay
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time.
+    np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
+    p -= np.divide(a, b, out=a)
 
 
 @dataclass
@@ -264,7 +267,7 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
         best_params = ckpt.params
         best_epoch = ckpt.best_epoch
         best_metric = ckpt.best_metric
-        history = [EpochStats(**e) for e in ckpt.history]
+        history = list(ckpt.history)
         start_epoch = ckpt.last_epoch + 1
     else:
         params = init_model_params(
@@ -438,31 +441,32 @@ class Checkpoint:
     best_epoch: int
     best_metric: float
     last_epoch: int
-    history: list[dict]
+    history: list[EpochStats]
 
 
-def _params_tensor_list(prefix: str, params: ModelParams) -> list[tuple[str, Array]]:
-    return [(f"{prefix}.{name}", a) for name, a in params.named_arrays()]
+# Parameter containers of a checkpoint, in file order; each is written as
+# the tensors of ``param_layout`` under its prefix.
+_CKPT_CONTAINERS = ("best", "final", "opt_m", "opt_v")
+
+
+def _tensor_table(dim: int, hidden_aff: int, hidden_head: int) -> list[dict]:
+    layout = param_layout(dim, hidden_aff, hidden_head)
+    return [{"name": f"{p}.{name}", "shape": list(shape)} for p in _CKPT_CONTAINERS for name, shape in layout]
 
 
 def save_checkpoint(path, outcome: TrainOutcome) -> None:
     """Versioned binary checkpoint: JSON header plus little-endian f64 tensors."""
-    tensors: list[tuple[str, Array]] = []
-    tensors += _params_tensor_list("best", outcome.params)
-    tensors += _params_tensor_list("final", outcome.final_params)
-    tensors += [(f"opt_m.{k}", a) for k, a in outcome.opt_state.m.items()]
-    tensors += [(f"opt_v.{k}", a) for k, a in outcome.opt_state.v.items()]
-
+    cfg, opt = outcome.config, outcome.opt_state
     header = {
         "dim": outcome.dim,
-        "config": asdict(outcome.config),
+        "config": asdict(cfg),
         "label_ranges": {k: list(v) if v else None for k, v in outcome.label_ranges.items()},
         "best_epoch": outcome.best_epoch,
         "best_metric": outcome.best_metric,
         "last_epoch": outcome.last_epoch,
-        "opt_step": outcome.opt_state.step,
+        "opt_step": opt.step,
         "history": [asdict(e) for e in outcome.report.epochs],
-        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in tensors],
+        "tensors": _tensor_table(outcome.dim, cfg.hidden_aff, cfg.hidden_head),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     out = bytearray()
@@ -470,31 +474,41 @@ def save_checkpoint(path, outcome: TrainOutcome) -> None:
     out += struct.pack("<I", _CKPT_VERSION)
     out += struct.pack("<Q", len(blob))
     out += blob
-    for _, a in tensors:
-        out += np.asarray(a, dtype="<f8").tobytes()
+    for container in (outcome.params, outcome.final_params, opt.m, opt.v):
+        out += np.asarray(container.flat, dtype="<f8").tobytes()
     Path(path).write_bytes(bytes(out))
 
 
-def _rebuild_params(arrays: dict[str, Array], prefix: str, similarity: str) -> ModelParams:
-    def block(name, cls):
-        return cls(
-            w1=arrays[f"{prefix}.{name}.w1"],
-            b1=arrays[f"{prefix}.{name}.b1"],
-            w2=arrays[f"{prefix}.{name}.w2"],
-            b2=arrays[f"{prefix}.{name}.b2"],
-        )
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
-    return ModelParams(
-        aff=block("aff", AffParams),
-        head_v=block("head_v", MlpParams),
-        head_a=block("head_a", MlpParams),
-        similarity=similarity,
-    )
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _mistyped_config_field(cfg: TrainConfig) -> str | None:
+    """The first config field whose type differs from its default's, or None."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(f.default, float) or f.default is None:  # any finite number (or None)
+            ok = _is_real(value) or value is f.default is None
+        else:
+            ok = type(value) is type(f.default)
+        if not ok:
+            return f.name
+    return None
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint and check every field against the layout it declares.
+
+    The header's ``dim`` and the config's hidden sizes fix the expected
+    tensor table; a missing, misshapen or non-finite tensor, a mistyped
+    config field, a malformed label range or counter raises ``FormatError``.
+    """
     data = Path(path).read_bytes()
-    if data[:4] != _CKPT_MAGIC:
+    if len(data) < 16 or data[:4] != _CKPT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
     version = struct.unpack("<I", data[4:8])[0]
     if version != _CKPT_VERSION:
@@ -504,46 +518,69 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(data[16 : 16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError):
+    except (UnicodeDecodeError, ValueError, RecursionError):
         raise FormatError(f"{path}: corrupt checkpoint header") from None
 
-    try:
-        arrays: dict[str, Array] = {}
-        pos = 16 + hlen
-        for spec in header["tensors"]:
-            size = int(np.prod(spec["shape"])) if spec["shape"] else 1
-            nbytes = 8 * size
-            if pos + nbytes > len(data):
-                raise FormatError(f"{path}: truncated tensor {spec['name']}")
-            arrays[spec["name"]] = (
-                np.frombuffer(data[pos : pos + nbytes], dtype="<f8")
-                .astype(np.float64)
-                .reshape(spec["shape"])
-            )
-            pos += nbytes
-        if pos != len(data):
-            raise FormatError(f"{path}: trailing bytes after tensors")
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise FormatError(f"{path}: {what}")
 
+    try:
         cfg = TrainConfig(**header["config"])
-        opt = OptimizerState(
-            m={k[len("opt_m."):]: a for k, a in arrays.items() if k.startswith("opt_m.")},
-            v={k[len("opt_v."):]: a for k, a in arrays.items() if k.startswith("opt_v.")},
-            step=header["opt_step"],
+        bad_field = _mistyped_config_field(cfg)
+        need(bad_field is None, f"config field {bad_field!r} has the wrong type")
+        dim = header["dim"]
+        need(
+            _is_int(dim) and min(dim, cfg.hidden_aff, cfg.hidden_head) > 0,
+            f"dim {dim!r}, hidden_aff {cfg.hidden_aff} and hidden_head {cfg.hidden_head} must be positive",
         )
-        return Checkpoint(
-            params=_rebuild_params(arrays, "best", cfg.similarity),
-            final_params=_rebuild_params(arrays, "final", cfg.similarity),
-            opt_state=opt,
-            config=cfg,
-            label_ranges={k: tuple(v) if v else None for k, v in header["label_ranges"].items()},
-            dim=header["dim"],
-            best_epoch=header["best_epoch"],
-            best_metric=header["best_metric"],
-            last_epoch=header["last_epoch"],
-            history=header["history"],
-        )
-    except (KeyError, TypeError) as exc:
+        for name in ("opt_step", "best_epoch", "last_epoch"):
+            need(_is_int(header[name]) and header[name] >= 0, f"{name} must be an integer >= 0")
+        need(_is_real(header["best_metric"]), "best_metric is not a finite number")
+        label_ranges = {}
+        for task, v in header["label_ranges"].items():
+            need(
+                v is None or (isinstance(v, list) and len(v) == 2 and all(map(_is_real, v)) and v[0] <= v[1]),
+                f"label range of {task!r} is not null or two finite numbers lo <= hi",
+            )
+            label_ranges[task] = None if v is None else (float(v[0]), float(v[1]))
+        history = [EpochStats(**e) for e in header["history"]]
+        table = header["tensors"]
+    except (KeyError, TypeError, AttributeError, OverflowError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed checkpoint header ({exc})") from None
+
+    expected = _tensor_table(dim, cfg.hidden_aff, cfg.hidden_head)
+    need(isinstance(table, list), "tensor table is not a list")
+    for k, want in enumerate(expected):
+        got = table[k] if k < len(table) else "nothing"
+        need(got == want, f"expected tensor {want['name']} of shape {want['shape']}, found {got}")
+    need(len(table) == len(expected), f"{len(table) - len(expected)} tensors beyond the layout")
+
+    size = sum(math.prod(shape) for _, shape in param_layout(dim, cfg.hidden_aff, cfg.hidden_head))
+    payload = len(data) - 16 - hlen
+    need(payload >= 8 * size * len(_CKPT_CONTAINERS), "truncated tensor payload")
+    need(payload == 8 * size * len(_CKPT_CONTAINERS), "trailing bytes after tensors")
+    containers = []
+    for k, prefix in enumerate(_CKPT_CONTAINERS):
+        container = ModelParams(dim, cfg.hidden_aff, cfg.hidden_head, cfg.similarity)
+        container.flat[:] = np.frombuffer(data, dtype="<f8", count=size, offset=16 + hlen + 8 * size * k)
+        for name, a in container.named_arrays():
+            need(bool(np.all(np.isfinite(a))), f"non-finite value in {prefix}.{name}")
+        containers.append(container)
+    best, final, m, v = containers
+    need(bool(np.all(v.flat >= 0.0)), "negative value in the second moment opt_v")
+    return Checkpoint(
+        params=best,
+        final_params=final,
+        opt_state=OptimizerState(m, v, header["opt_step"]),
+        config=cfg,
+        label_ranges=label_ranges,
+        dim=dim,
+        best_epoch=header["best_epoch"],
+        best_metric=header["best_metric"],
+        last_epoch=header["last_epoch"],
+        history=history,
+    )
 
 
 def _check_resume_compat(ckpt: Checkpoint, cfg: TrainConfig, dim: int) -> None:

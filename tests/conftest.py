@@ -1,3 +1,6 @@
+import json
+import struct
+
 import pytest
 
 from amff.dataio import synth_generate
@@ -25,3 +28,15 @@ def fast_config(**overrides) -> TrainConfig:
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def split_checkpoint(data: bytes) -> tuple[bytes, dict, bytes]:
+    """A checkpoint's magic and version, its JSON header and its tensor payload."""
+    hlen = struct.unpack("<Q", data[8:16])[0]
+    return data[:8], json.loads(data[16 : 16 + hlen]), data[16 + hlen :]
+
+
+def join_checkpoint(prefix: bytes, header: dict, payload: bytes) -> bytes:
+    """Inverse of ``split_checkpoint``, with the header length recomputed."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return prefix + struct.pack("<Q", len(blob)) + blob + payload

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from amff.aff import AffParams, aff_backward, aff_forward, init_aff_params
+from amff.aff import Block, aff_backward, aff_forward, init_aff_params
 from amff.errors import ShapeError
 from amff.tensor import finite_diff_check, make_rng
 
@@ -125,7 +125,7 @@ class TestAffBackward:
         def loss_with(block, flat):
             kw = {k: getattr(p, k) for k in ("w1", "b1", "w2", "b2")}
             kw[block] = flat.reshape(kw[block].shape)
-            fused, _ = aff_forward(stacked, AffParams(**kw))
+            fused, _ = aff_forward(stacked, Block(**kw))
             return float((probe * fused).sum())
 
         for block in ("w1", "b1", "w2", "b2"):

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from amff import cli
 from amff.dataio import read_feature_records, write_feature_records
 from amff.encoder import Image, write_image
 from amff.tensor import make_rng
+from conftest import join_checkpoint, split_checkpoint
 
 
 DATA = Path(__file__).parent / "data"
@@ -163,6 +166,52 @@ class TestPredict:
         for g, w in zip(got, want):
             for key in ("s_c", "s_v", "s_a"):
                 assert abs(g[key] - w[key]) <= 1e-12 * max(1.0, abs(w[key])), (g["id"], key)
+
+
+def _flat_best_aff_w1(header, payload):
+    header["tensors"][0]["shape"] = [math.prod(header["tensors"][0]["shape"])]
+    return header, payload
+
+
+def _one_number_label_range(header, payload):
+    header["label_ranges"]["quality"] = [1]
+    return header, payload
+
+
+def _nan_in_best_head_v_b2(header, payload):
+    pos = 0
+    for spec in header["tensors"]:
+        if spec["name"] == "best.head_v.b2":
+            break
+        pos += 8 * math.prod(spec["shape"])
+    return header, payload[:pos] + struct.pack("<d", math.nan) + payload[pos + 8 :]
+
+
+def _missing_last_moment(header, payload):
+    assert header["tensors"].pop() == {"name": "opt_v.head_a.b2", "shape": [1]}
+    return header, payload[:-8]
+
+
+def _text_hidden_head(header, payload):
+    header["config"]["hidden_head"] = "x"
+    return header, payload
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize(
+        "edit",
+        [_flat_best_aff_w1, _one_number_label_range, _nan_in_best_head_v_b2,
+         _missing_last_moment, _text_hidden_head],
+    )
+    def test_predict_reports_one_format_error(self, tmp_path, capsys, edit):
+        prefix, header, payload = split_checkpoint((DATA / "parent_v1.ckpt").read_bytes())
+        ckpt = tmp_path / "edited.ckpt"
+        ckpt.write_bytes(join_checkpoint(prefix, *edit(header, payload)))
+        out = tmp_path / "preds.jsonl"
+        assert _run(["predict", "--data", DATA / "parent_v1.amff", "--ckpt", ckpt, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR E_FORMAT: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

@@ -118,6 +118,13 @@ class TestFidelityLoss:
         loss_apart, _ = fidelity_loss(BatchScores(np.array([3.0, -3.0]), gts))
         assert loss_eq < loss_apart
 
+    def test_complement_is_the_transposed_preference_bit_for_bit(self):
+        # fidelity_loss takes 1 - p_hat as p_hat.T instead of a second erfc pass
+        erfc = np.vectorize(math.erfc, otypes=[np.float64])
+        preds = np.concatenate([10.0 * make_rng(40).standard_normal(30), [0.0, -0.0, 1e-300, 38.0, -38.0]])
+        diff = preds[:, None] - preds[None, :]
+        assert np.array_equal(0.5 * erfc(diff / 2.0), (0.5 * erfc(-diff / 2.0)).T)
+
 
 class TestMseLoss:
     def test_zero_at_match(self):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from amff.aff import Block
 from amff.errors import ConfigError, NumericError, ShapeError
 from amff.scoring import (
-    MlpParams,
-    ModelGrads,
     init_mlp_params,
     init_model_params,
     mlp_backward,
@@ -31,13 +30,13 @@ def _sim(a, b, kind):
 
 class TestMlp:
     def test_zero_params_zero_output(self):
-        p = MlpParams(np.zeros((4, 3)), np.zeros(4), np.zeros((1, 4)), np.zeros(1))
+        p = Block(np.zeros((4, 3)), np.zeros(4), np.zeros((1, 4)), np.zeros(1))
         y, _ = mlp_forward(p, np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]]))
         assert np.array_equal(y, np.zeros(2))
 
     def test_relu_inactive_on_nonnegative_input(self):
         # identity-like first layer, summing second layer
-        p = MlpParams(np.eye(4), np.zeros(4), np.ones((1, 4)), np.zeros(1))
+        p = Block(np.eye(4), np.zeros(4), np.ones((1, 4)), np.zeros(1))
         x = np.array([[0.5, 1.0, 0.0, 2.5], [3.0, 0.0, 0.25, 1.0]])
         y, _ = mlp_forward(p, x)
         assert np.allclose(y, x.sum(axis=1), atol=1e-15, rtol=0)
@@ -64,7 +63,7 @@ class TestMlp:
         def y_with(block, flat):
             kw = {k: getattr(p, k) for k in ("w1", "b1", "w2", "b2")}
             kw[block] = flat.reshape(kw[block].shape)
-            return float(dy @ mlp_forward(MlpParams(**kw), x)[0])
+            return float(dy @ mlp_forward(Block(**kw), x)[0])
 
         for block in ("w1", "b1", "w2", "b2"):
             err = finite_diff_check(
@@ -285,7 +284,7 @@ class TestModelBackward:
         ds = rng.standard_normal((3, 6))
         _, cache = model_forward(features, params, use_msi=use_msi, use_aff=use_aff)
         grads = model_backward(cache, params, *ds)
-        total = ModelGrads.zeros_like(params)
+        total = params.zeros_like()
         for r in range(6):
             _, one = model_forward(features[r : r + 1], params, use_msi=use_msi, use_aff=use_aff)
             total.add_(model_backward(one, params, *ds[:, r : r + 1]))
@@ -306,7 +305,7 @@ class TestModelBackward:
         params = init_model_params(5, rng, hidden_aff=4, hidden_head=4)
         _, cache = model_forward(_features(rng, 5), params)
         g1 = model_backward(cache, params, np.array([1.0]), np.array([0.5]), np.array([-0.5]))
-        total = ModelGrads.zeros_like(params)
+        total = params.zeros_like()
         total.add_(g1)
         total.add_(g1)
         assert np.allclose(total.head_v.w1, 2 * g1.head_v.w1, atol=1e-15)

@@ -1,13 +1,21 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amff.dataio import Dataset, Labels, Sample
-from amff.errors import ConfigError, DataError, NumericError
+from amff.dataio import Dataset, Labels, Sample, read_feature_records
+from amff.errors import AmffError, ConfigError, DataError, NumericError
 from amff.losses import BatchScores, total_loss
-from amff.scoring import ModelGrads, init_model_params, model_backward, model_forward
+from amff.scoring import init_model_params, model_backward, model_forward
 from amff.tensor import make_rng
 from amff.trainer import (
     ADAM_EPS,
+    BETA1,
+    BETA2,
     OptimizerState,
     TrainConfig,
     adamw_step,
@@ -15,9 +23,12 @@ from amff.trainer import (
     load_checkpoint,
     params_checksum,
     save_checkpoint,
+    score_dataset,
     train,
 )
-from conftest import fast_config
+from conftest import fast_config, join_checkpoint, split_checkpoint
+
+DATA = Path(__file__).parent / "data"
 
 
 def _params(dim=6, seed=0):
@@ -25,7 +36,7 @@ def _params(dim=6, seed=0):
 
 
 def _zero_grads(params):
-    return ModelGrads.zeros_like(params)
+    return params.zeros_like()
 
 
 class TestAdamW:
@@ -74,6 +85,32 @@ class TestAdamW:
         grads.head_a.b2[0] = 1.0
         adamw_step(p2, grads, OptimizerState.zeros_like(p2), lr=1e-3, weight_decay=0.0)
         assert params_checksum(p2) != base  # nonzero gradient
+
+    def test_flat_update_equals_per_tensor_reference(self):
+        rng = make_rng(30)
+        p = _params()
+        state = OptimizerState.zeros_like(p)
+        ref = {n: a.copy() for n, a in p.named_arrays()}
+        ref_m = {n: np.zeros_like(a) for n, a in ref.items()}
+        ref_v = {n: np.zeros_like(a) for n, a in ref.items()}
+        for t, lr in enumerate((1e-2, 1e-2, 3e-3, 1e-3, 1e-3, 5e-4), start=1):
+            grads = _zero_grads(p)
+            grads.flat[:] = rng.standard_normal(grads.flat.size)
+            adamw_step(p, grads, state, lr=lr, weight_decay=0.05)
+            # The update as it ran on one tensor at a time.
+            bc1, bc2 = 1.0 - BETA1**t, 1.0 - BETA2**t
+            for name, g in grads.named_arrays():
+                m, v, q = ref_m[name], ref_v[name], ref[name]
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * g * g
+                q *= 1.0 - lr * 0.05
+                q -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        assert state.step == 6
+        for got, want in ((p, ref), (state.m, ref_m), (state.v, ref_v)):
+            for name, a in got.named_arrays():
+                assert np.array_equal(a, want[name]), name
 
 
 class TestTrain:
@@ -221,8 +258,8 @@ class TestCheckpoint:
         assert params_checksum(ckpt.params) == params_checksum(outcome.params)
         assert params_checksum(ckpt.final_params) == params_checksum(outcome.final_params)
         assert ckpt.opt_state.step == outcome.opt_state.step
-        for name, a in outcome.opt_state.m.items():
-            assert np.array_equal(ckpt.opt_state.m[name], a)
+        assert np.array_equal(ckpt.opt_state.m.flat, outcome.opt_state.m.flat)
+        assert np.array_equal(ckpt.opt_state.v.flat, outcome.opt_state.v.flat)
         assert ckpt.config == outcome.config
         assert ckpt.label_ranges == outcome.label_ranges
 
@@ -252,3 +289,67 @@ class TestCheckpoint:
 
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_resume_from_earlier_checkpoint_matches_pins(self):
+        # parent_v1.ckpt and the losses and final-parameter scores in
+        # parent_v1_resume.json were written by the implementation that kept
+        # one optimizer moment array per tensor.
+        dataset = read_feature_records(DATA / "parent_v1.amff")
+        cfg = dataclasses.replace(load_checkpoint(DATA / "parent_v1.ckpt").config, max_epochs=5)
+        outcome = train(dataset, cfg, resume_from=DATA / "parent_v1.ckpt")
+        want = json.loads((DATA / "parent_v1_resume.json").read_text())
+        losses = {str(e.epoch): e.loss_total for e in outcome.report.epochs if e.epoch >= 4}
+        assert losses.keys() == want["loss_total"].keys()
+        for epoch, loss in losses.items():
+            assert abs(loss - want["loss_total"][epoch]) <= 1e-12 * abs(want["loss_total"][epoch]), epoch
+        scores = score_dataset(outcome.final_params, dataset, label_ranges=outcome.label_ranges)
+        pinned = np.array(want["final_preds"])
+        assert np.all(np.abs(scores - pinned) <= 1e-12 * np.abs(pinned))
+
+
+# Arbitrary JSON values for header edits, NaN, infinities and huge integers included.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_SHAPES = st.lists(st.integers(-2, 40), max_size=3) | _JSON
+_PARENT_CKPT = (DATA / "parent_v1.ckpt").read_bytes()
+
+
+def _load_or_amff_error(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        load_checkpoint(path)
+    except AmffError:
+        pass
+
+
+class TestCheckpointFuzz:
+    """Whatever a checkpoint holds, loading it succeeds or raises an AmffError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(flips=st.lists(st.tuples(st.integers(0, len(_PARENT_CKPT) - 1), st.integers(1, 255)),
+                          min_size=1, max_size=4))
+    def test_byte_flips(self, tmp_path_factory, flips):
+        data = bytearray(_PARENT_CKPT)
+        for pos, mask in flips:
+            data[pos] ^= mask
+        _load_or_amff_error(tmp_path_factory.getbasetemp() / "fuzz.ckpt", bytes(data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_header_edits(self, tmp_path_factory, data):
+        prefix, header, payload = split_checkpoint(_PARENT_CKPT)
+        section = data.draw(st.sampled_from(["tensors", "config", "label_ranges", "top"]))
+        if section == "tensors":
+            k = data.draw(st.integers(0, len(header["tensors"]) - 1))
+            header["tensors"][k]["shape"] = data.draw(_SHAPES)
+        else:
+            target = header if section == "top" else header[section]
+            key = data.draw(st.sampled_from(sorted(target)) | st.text(max_size=3))
+            if data.draw(st.booleans()):
+                target[key] = data.draw(_JSON)
+            else:
+                target.pop(key, None)
+        _load_or_amff_error(tmp_path_factory.getbasetemp() / "fuzz.ckpt", join_checkpoint(prefix, header, payload))

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import pytest
@@ -40,3 +41,24 @@ def join_checkpoint(prefix: bytes, header: dict, payload: bytes) -> bytes:
     """Inverse of ``split_checkpoint``, with the header length recomputed."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     return prefix + struct.pack("<Q", len(blob)) + blob + payload
+
+
+def krcc_oracle(x, y):
+    """Independent O(n^2) tau-b: explicit pair counting."""
+    n = len(x)
+    conc = disc = tx = ty = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = x[i] - x[j]
+            dy = y[i] - y[j]
+            if dx == 0:
+                tx += 1
+            if dy == 0:
+                ty += 1
+            if dx != 0 and dy != 0:
+                if dx * dy > 0:
+                    conc += 1
+                else:
+                    disc += 1
+    n0 = n * (n - 1) // 2
+    return (conc - disc) / math.sqrt((n0 - tx) * (n0 - ty))

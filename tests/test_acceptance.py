@@ -22,6 +22,7 @@ from amff.losses import BatchScores, fidelity_loss
 from amff.metrics import LogisticParams, krcc, logistic_fit_trace, plcc, srcc, _ranks
 from amff.scoring import init_model_params, model_forward
 from amff.tensor import make_rng
+from conftest import krcc_oracle
 
 SEED = 7
 
@@ -38,23 +39,6 @@ def fidelity_oracle(preds, gts):
             p_hat = 0.5 * (1.0 + erf((preds[i] - preds[j]) / 2.0))
             total += 1.0 - math.sqrt(p * p_hat) - math.sqrt((1.0 - p) * (1.0 - p_hat))
     return total / (n * n)
-
-
-def krcc_oracle(x, y):
-    """Independent O(n^2) tau-b with explicit pair counting."""
-    n = len(x)
-    conc = disc = tx = ty = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx, dy = x[i] - x[j], y[i] - y[j]
-            if dx == 0:
-                tx += 1
-            if dy == 0:
-                ty += 1
-            if dx != 0 and dy != 0:
-                conc, disc = (conc + 1, disc) if dx * dy > 0 else (conc, disc + 1)
-    n0 = n * (n - 1) // 2
-    return (conc - disc) / math.sqrt((n0 - tx) * (n0 - ty))
 
 
 def _run(argv):

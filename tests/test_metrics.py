@@ -1,8 +1,10 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from amff.errors import DataError, NumericError
 from amff.metrics import (
@@ -22,6 +24,7 @@ from amff.metrics import (
     to_jsonl,
 )
 from amff.tensor import make_rng
+from conftest import krcc_oracle
 
 
 def _srcc_rank_formula(x, y):
@@ -32,25 +35,75 @@ def _srcc_rank_formula(x, y):
     return 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
 
 
-def _krcc_oracle(x, y):
-    """Independent O(n^2) tau-b: explicit pair counting."""
-    n = len(x)
-    conc = disc = tx = ty = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = x[i] - x[j]
-            dy = y[i] - y[j]
-            if dx == 0:
-                tx += 1
-            if dy == 0:
-                ty += 1
-            if dx != 0 and dy != 0:
-                if dx * dy > 0:
-                    conc += 1
-                else:
-                    disc += 1
+def _ranks_loop(x):
+    """Reference fractional ranks: walk each run of ties in sorted order."""
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def _krcc_enumerated(x, y):
+    """Reference tau-b from the signs of all n(n-1)/2 pair differences."""
+    n = x.size
+    iu = np.triu_indices(n, 1)
+    sx = np.sign(x[:, None] - x[None, :])[iu]
+    sy = np.sign(y[:, None] - y[None, :])[iu]
+    prod = sx * sy
+    concordant = int(np.count_nonzero(prod > 0))
+    discordant = int(np.count_nonzero(prod < 0))
+    ties_x = int(np.count_nonzero(sx == 0))
+    ties_y = int(np.count_nonzero(sy == 0))
     n0 = n * (n - 1) // 2
-    return (conc - disc) / math.sqrt((n0 - tx) * (n0 - ty))
+    denom = np.sqrt(float(n0 - ties_x) * float(n0 - ties_y))
+    if denom <= 0.0:
+        raise NumericError("krcc: correlation undefined for constant input")
+    return float(np.clip((concordant - discordant) / denom, -1.0, 1.0))
+
+
+_POOL = (-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 7.0, 1e-300)
+
+
+@st.composite
+def _tied_vectors(draw, count):
+    """``count`` vectors of one length in 2..80 drawn from small value pools, so ties are heavy."""
+    n = draw(st.integers(2, 80))
+    vectors = []
+    for _ in range(count):
+        pool = _POOL[: draw(st.integers(1, len(_POOL)))]
+        vectors.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))))
+    return vectors
+
+
+class TestAgainstReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_vectors(1))
+    @example([np.full(7, 3.0)])
+    def test_ranks_equal_the_loop(self, vectors):
+        (x,) = vectors
+        assert np.array_equal(_ranks(x), _ranks_loop(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_vectors(2))
+    @example([np.full(5, 2.0), np.full(5, 2.0)])
+    @example([np.full(5, 2.0), np.arange(5.0)])
+    @example([np.arange(5.0), np.full(5, -0.0)])
+    def test_krcc_equals_pair_enumeration(self, vectors):
+        x, y = vectors
+        try:
+            expected = _krcc_enumerated(x, y)
+        except NumericError:
+            with pytest.raises(NumericError):
+                krcc(x, y)
+        else:
+            assert krcc(x, y) == expected
 
 
 class TestSrcc:
@@ -113,13 +166,13 @@ class TestKrcc:
         rng = make_rng(21)
         x = rng.standard_normal(100)
         y = rng.standard_normal(100)
-        assert abs(krcc(x, y) - _krcc_oracle(x, y)) < 1e-12
+        assert abs(krcc(x, y) - krcc_oracle(x, y)) < 1e-12
 
     def test_matches_brute_force_and_scipy_with_ties(self):
         rng = make_rng(22)
         x = rng.integers(0, 8, size=100).astype(float)
         y = rng.integers(0, 8, size=100).astype(float)
-        assert abs(krcc(x, y) - _krcc_oracle(x, y)) < 1e-12
+        assert abs(krcc(x, y) - krcc_oracle(x, y)) < 1e-12
         ref = scipy.stats.kendalltau(x, y, variant="b").statistic
         assert abs(krcc(x, y) - ref) < 1e-12
 
@@ -132,6 +185,25 @@ class TestKrcc:
     def test_constant_input_errors(self):
         with pytest.raises(NumericError):
             krcc(np.full(4, 2.0), np.arange(4.0))
+
+    def test_memory_is_linear(self):
+        rng = make_rng(24)
+        x = rng.standard_normal(3000)
+        y = x + rng.standard_normal(3000)
+        tracemalloc.start()
+        try:
+            krcc(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_matches_scipy_at_large_n_with_ties(self):
+        rng = make_rng(25)
+        x = rng.integers(0, 50, size=100_000).astype(float)
+        y = rng.integers(0, 50, size=100_000).astype(float)
+        ref = scipy.stats.kendalltau(x, y, variant="b").statistic
+        assert abs(krcc(x, y) - ref) <= 1e-12
 
 
 class TestLogisticFit:

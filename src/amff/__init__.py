@@ -10,9 +10,6 @@ SRCC/PLCC/KRCC evaluation protocol.
 from .aff import aff_backward, aff_forward, init_aff_params
 from .dataio import (
     Dataset,
-    FeatureBundle,
-    Labels,
-    Sample,
     read_feature_records,
     read_feature_records_csv,
     split_per_generator,

@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import dataio, encoder, metrics, trainer
 from .errors import (
     AmffError,
@@ -150,34 +152,35 @@ def _cmd_extract(args) -> int:
     manifest = Path(args.manifest)
     if not manifest.exists():
         raise DataError(f"manifest not found: {manifest}")
-    samples = []
-    with open(manifest, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "generator", "prompt", "image"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise FormatError(f"manifest must have columns {sorted(required)}")
-        for row in reader:
-            img = encoder.read_image(images_dir / row["image"])
-            msi = encoder.make_multiscale(img)
-            f_05, f_10, f_15 = encoder.toy_encode(msi, args.dim)
-            f_text = encoder.toy_encode_text(row["prompt"], args.dim)
-            labels = {}
-            for name in ("q_v", "q_a", "q_c"):
-                cell = (row.get(name) or "").strip()
-                try:
-                    labels[name] = float(cell) if cell else None
-                except ValueError:
-                    raise FormatError(f"manifest row {row['id']!r}: bad {name} value {cell!r}") from None
-            samples.append(
-                dataio.Sample(
-                    id=row["id"],
-                    generator_id=row["generator"],
-                    prompt=row["prompt"],
-                    features=dataio.FeatureBundle(f_text=f_text, f_05=f_05, f_10=f_10, f_15=f_15),
-                    labels=dataio.Labels(**labels),
-                )
-            )
-    dataset = dataio.Dataset(samples)
+    required = ("id", "generator", "prompt", "image")
+    try:
+        with open(manifest, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
+                raise FormatError(f"manifest must have columns {sorted(required)}")
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise FormatError(f"manifest {manifest} is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise FormatError(f"manifest {manifest}: malformed CSV at line {reader.reader.line_num} ({exc})") from None
+    features, labels = [], []
+    for k, row in enumerate(rows, start=1):
+        if any(row[name] is None for name in required):
+            raise FormatError(f"manifest row {k} has no cell for one of {', '.join(required)}")
+        msi = encoder.make_multiscale(encoder.read_image(images_dir / row["image"]))
+        f_05, f_10, f_15 = encoder.toy_encode(msi, args.dim)
+        features.append((encoder.toy_encode_text(row["prompt"], args.dim), f_05, f_10, f_15))
+        where = f"manifest row {row['id']!r}"
+        labels.append(
+            [dataio.parse_label_cell((row.get(name) or "").strip(), name, where) for name in ("q_v", "q_a", "q_c")]
+        )
+    dataset = dataio.Dataset(
+        [row["id"] for row in rows],
+        [row["generator"] for row in rows],
+        [row["prompt"] for row in rows],
+        np.array(features),
+        np.array(labels),
+    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     dataio.write_feature_records(dataset, out)
@@ -276,8 +279,8 @@ def _cmd_predict(args) -> int:
         label_ranges=ckpt.label_ranges,
     )
     lines = [
-        json.dumps({"id": sample.id, "s_c": s_c, "s_v": s_v, "s_a": s_a}, sort_keys=True)
-        for sample, (s_c, s_v, s_a) in zip(dataset.samples, scores.tolist())
+        json.dumps({"id": sid, "s_c": s_c, "s_v": s_v, "s_a": s_a}, sort_keys=True)
+        for sid, (s_c, s_v, s_a) in zip(dataset.ids, scores.tolist())
     ]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

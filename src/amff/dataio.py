@@ -1,7 +1,12 @@
-"""Dataset model, feature-record codecs, splits, and the planted generator.
+"""Columnar dataset, feature-record codecs, splits, and the planted generator.
 
-Feature records hold one text feature and three scale features per
-sample, each a D-dim vector, alongside up to three quality labels.
+A ``Dataset`` holds its rows column-wise: lists of ids, generator ids
+and prompts, one ``(N, 4, D)`` float64 feature block whose rows are
+f_text, f_05, f_10 and f_15, and an ``(N, 3)`` float64 label block with
+columns q_v, q_a and q_c, in which NaN marks an absent label.  A
+mini-batch is an index gather of the blocks and a scoring chunk a slice
+of them, so no row is ever copied into an object of its own.
+
 Two interchangeable on-disk formats are supported: a little-endian
 binary layout (magic ``AMFF``) and a CSV layout with one header row.
 Vectors are stored as f32 on disk; the synthetic generator emits values
@@ -11,6 +16,7 @@ already on the f32 grid so a write/read round trip is the identity.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,133 +25,118 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError
-from .tensor import Array, _round_half_up, as_vector
+from .tensor import Array, _round_half_up
 
 _MAGIC = b"AMFF"
 _VERSION = 1
+_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, record count
 
 TASKS = ("consistency", "quality", "authenticity")
-_LABEL_FIELDS = {"quality": "q_v", "authenticity": "q_a", "consistency": "q_c"}
+_FEATURES = ("f_text", "f_05", "f_10", "f_15")  # rows of a sample's (4, D) block
+_LABELS = ("q_v", "q_a", "q_c")  # columns of the label block, in file order
+_LABEL_COLUMN = {"quality": 0, "authenticity": 1, "consistency": 2}
 
 
-@dataclass(frozen=True)
-class Labels:
-    """Ground-truth scores; ``None`` marks an absent label."""
-
-    q_v: float | None = None
-    q_a: float | None = None
-    q_c: float | None = None
-
-    def __post_init__(self):
-        for name in ("q_v", "q_a", "q_c"):
-            v = getattr(self, name)
-            if v is not None and not np.isfinite(v):
-                raise DataError(f"Labels: {name} is non-finite")
-
-    def get(self, task: str) -> float | None:
-        return getattr(self, _LABEL_FIELDS[task])
-
-    @property
-    def any_present(self) -> bool:
-        return any(v is not None for v in (self.q_v, self.q_a, self.q_c))
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureBundle:
-    """Per-sample inputs: text feature plus the three scale features."""
-
-    f_text: Array
-    f_05: Array
-    f_10: Array
-    f_15: Array
-
-    def __post_init__(self):
-        vecs = {}
-        for name in ("f_text", "f_05", "f_10", "f_15"):
-            vecs[name] = as_vector(getattr(self, name), name)
-            object.__setattr__(self, name, vecs[name])
-        dims = {v.shape[0] for v in vecs.values()}
-        if len(dims) != 1:
-            raise DataError(f"FeatureBundle: inconsistent dims {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.f_text.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    id: str
-    generator_id: str
-    prompt: str
-    features: FeatureBundle
-    labels: Labels
+def _first_nonfinite(features: Array) -> str | None:
+    """Where the first non-finite feature value of an (N, 4, D) block is, or None."""
+    finite = np.isfinite(features).all(axis=2)
+    if finite.all():
+        return None
+    i, k = np.argwhere(~finite)[0]
+    return f"record {i}: non-finite values in {_FEATURES[k]}"
 
 
 @dataclass(eq=False)
 class Dataset:
-    samples: list[Sample]
+    """Samples held column-wise, validated once when built."""
+
+    ids: list[str]
+    generators: list[str]
+    prompts: list[str]
+    features: Array  # (N, 4, D): f_text, f_05, f_10, f_15
+    labels: Array  # (N, 3): q_v, q_a, q_c; NaN marks an absent label
 
     def __post_init__(self):
-        if not self.samples:
+        n = len(self.ids)
+        if n == 0:
             raise DataError("Dataset: refusing to build an empty dataset")
-        ids = [s.id for s in self.samples]
-        if len(set(ids)) != len(ids):
+        if len(set(self.ids)) != n:
             raise DataError("Dataset: duplicate sample ids")
-        dims = {s.features.dim for s in self.samples}
-        if len(dims) != 1:
-            raise DataError(f"Dataset: inconsistent feature dims {sorted(dims)}")
+        if len(self.generators) != n or len(self.prompts) != n:
+            raise DataError(
+                f"Dataset: {n} ids but {len(self.generators)} generators and {len(self.prompts)} prompts"
+            )
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.float64)
+        f, lab = self.features.shape, self.labels.shape
+        if len(f) != 3 or f[:2] != (n, 4) or f[2] == 0 or lab != (n, 3):
+            raise DataError(
+                f"Dataset: feature dims {f} and label dims {lab} for {n} ids, expected (N, 4, D) and (N, 3)"
+            )
+        bad = _first_nonfinite(self.features)
+        if bad:
+            raise DataError(f"Dataset: {bad}")
+        if np.isinf(self.labels).any():
+            raise DataError("Dataset: infinite label")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
     @property
     def dim(self) -> int:
-        return self.samples[0].features.dim
+        return self.features.shape[2]
+
+    def label(self, task: str) -> Array:
+        """(N,) column of one task's label; NaN marks an absent label."""
+        return self.labels[:, _LABEL_COLUMN[task]]
 
     def has_label(self, task: str) -> bool:
         """True when every sample carries the task's label."""
-        return all(s.labels.get(task) is not None for s in self.samples)
+        return not np.isnan(self.label(task)).any()
 
     @cached_property
     def label_ranges(self) -> dict[str, tuple[float, float]]:
         """Per-task (min, max) over present label values."""
         ranges = {}
         for task in TASKS:
-            values = [s.labels.get(task) for s in self.samples if s.labels.get(task) is not None]
-            if values:
-                ranges[task] = (min(values), max(values))
+            values = self.label(task)
+            values = values[~np.isnan(values)]
+            if values.size:
+                ranges[task] = (float(values.min()), float(values.max()))
         return ranges
 
-    def features(self, rows) -> Array:
-        """(len(rows), 4, D) block of f_text, f_05, f_10, f_15 for the given rows."""
-        return np.array([
-            (f.f_text, f.f_05, f.f_10, f.f_15) for f in (self.samples[i].features for i in rows)
-        ])
-
-    def labels(self, task: str) -> Array:
-        """(N,) values of one task's label; NaN marks an absent label."""
-        return np.array([
-            np.nan if v is None else v for v in (s.labels.get(task) for s in self.samples)
-        ])
-
     def subset(self, indices) -> "Dataset":
-        return Dataset([self.samples[i] for i in indices])
+        rows = np.asarray(indices, dtype=np.intp)
+        pick = rows.tolist()
+        return Dataset(
+            [self.ids[i] for i in pick],
+            [self.generators[i] for i in pick],
+            [self.prompts[i] for i in pick],
+            self.features[rows],
+            self.labels[rows],
+        )
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Field-wise equality, exact on floats (used by round-trip tests)."""
-    if len(a) != len(b):
-        return False
-    for sa, sb in zip(a.samples, b.samples):
-        if (sa.id, sa.generator_id, sa.prompt) != (sb.id, sb.generator_id, sb.prompt):
-            return False
-        if (sa.labels.q_v, sa.labels.q_a, sa.labels.q_c) != (sb.labels.q_v, sb.labels.q_a, sb.labels.q_c):
-            return False
-        for name in ("f_text", "f_05", "f_10", "f_15"):
-            if not np.array_equal(getattr(sa.features, name), getattr(sb.features, name)):
-                return False
-    return True
+    """Column-wise equality, exact on floats (used by round-trip tests)."""
+    return (
+        (a.ids, a.generators, a.prompts) == (b.ids, b.generators, b.prompts)
+        and np.array_equal(a.features, b.features)
+        and np.array_equal(a.labels, b.labels, equal_nan=True)
+    )
+
+
+def parse_label_cell(cell: str, name: str, where: str) -> float:
+    """The value of a text label cell; an empty cell is an absent label (NaN)."""
+    if cell == "":
+        return math.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        raise FormatError(f"{where}: bad {name} value {cell!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{where}: label {name} is non-finite")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -153,115 +144,110 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _encode_record(sample: Sample) -> bytes:
-    id_b = sample.id.encode("utf-8")
-    gen_b = sample.generator_id.encode("utf-8")
-    prompt_b = sample.prompt.encode("utf-8")
-    if len(id_b) > 0xFFFF or len(gen_b) > 0xFFFF:
-        raise FormatError(f"record {sample.id!r}: id/generator too long for u16 length")
-    parts = [
-        struct.pack("<H", len(id_b)), id_b,
-        struct.pack("<H", len(gen_b)), gen_b,
-        struct.pack("<I", len(prompt_b)), prompt_b,
-    ]
-    mask = 0
-    labels = []
-    for bit, value in enumerate((sample.labels.q_v, sample.labels.q_a, sample.labels.q_c)):
-        if value is not None:
-            mask |= 1 << bit
-            labels.append(value)
-    parts.append(struct.pack("<B", mask))
-    for value in labels:
-        parts.append(struct.pack("<f", value))
-    for name in ("f_text", "f_05", "f_10", "f_15"):
-        parts.append(np.asarray(getattr(sample.features, name), dtype="<f4").tobytes())
-    return b"".join(parts)
-
-
 def write_feature_records(dataset: Dataset, path) -> None:
-    """Serialize a dataset to the binary record format (deterministic)."""
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<I", _VERSION)
-    out += struct.pack("<I", dataset.dim)
-    out += struct.pack("<Q", len(dataset))
-    for sample in dataset.samples:
-        out += _encode_record(sample)
-    Path(path).write_bytes(bytes(out))
+    """Serialize a dataset to the binary record format (deterministic).
 
-
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.record = -1  # -1 while parsing the file header
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            where = "header" if self.record < 0 else f"record {self.record}"
-            raise FormatError(f"truncated file in {where} (need {n} bytes at offset {self.pos})")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
-
-    def take_str(self, n: int, what: str) -> str:
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"record {self.record}: {what} is not valid UTF-8") from None
+    Every record's strings and labels are encoded before the file is
+    opened; its vectors are converted to f32 one record at a time as it
+    is written, so no f32 copy of the whole block is held.
+    """
+    present = ~np.isnan(dataset.labels)
+    heads = []
+    for sid, gen, prompt, mask, labels in zip(
+        dataset.ids, dataset.generators, dataset.prompts, present, dataset.labels
+    ):
+        id_b, gen_b, prompt_b = sid.encode("utf-8"), gen.encode("utf-8"), prompt.encode("utf-8")
+        if len(id_b) > 0xFFFF or len(gen_b) > 0xFFFF:
+            raise FormatError(f"record {sid!r}: id/generator too long for u16 length")
+        heads.append(b"".join([
+            struct.pack("<H", len(id_b)), id_b,
+            struct.pack("<H", len(gen_b)), gen_b,
+            struct.pack("<I", len(prompt_b)), prompt_b,
+            struct.pack("<B", mask @ (1, 2, 4)),
+            labels[mask].astype("<f4").tobytes(),
+        ]))
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, dataset.dim, len(dataset)))
+        for head, vectors in zip(heads, dataset.features):
+            fh.write(head)
+            fh.write(vectors.astype("<f4").tobytes())
 
 
 def read_feature_records(path) -> Dataset:
-    """Parse a binary feature-record file into a Dataset."""
-    cur = _Cursor(Path(path).read_bytes())
-    if cur.take(4) != _MAGIC:
+    """Parse a binary feature-record file into a Dataset.
+
+    Only the string headers and label masks are walked record by record;
+    each record's four vectors go straight into the preallocated feature
+    block, which is checked for finite values once.
+    """
+    data = Path(path).read_bytes()
+    if data[:4] != _MAGIC:
         raise FormatError(f"{path}: bad magic, not a feature-record file")
-    version = cur.unpack("<I")
+    if len(data) < _HEADER.size:
+        raise FormatError(f"{path}: truncated file in header")
+    _, version, dim, count = _HEADER.unpack_from(data)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version} (expected {_VERSION})")
-    dim = cur.unpack("<I")
     if dim == 0:
         raise FormatError(f"{path}: zero feature dimension")
-    count = cur.unpack("<Q")
     if count == 0:
         raise FormatError(f"{path}: file contains no records")
-
-    samples = []
-    for idx in range(count):
-        cur.record = idx
-        sid = cur.take_str(cur.unpack("<H"), "id")
-        gen = cur.take_str(cur.unpack("<H"), "generator_id")
-        prompt = cur.take_str(cur.unpack("<I"), "prompt")
-        mask = cur.unpack("<B")
-        values: dict[str, float | None] = {"q_v": None, "q_a": None, "q_c": None}
-        for bit, name in enumerate(("q_v", "q_a", "q_c")):
-            if mask & (1 << bit):
-                v = float(cur.unpack("<f"))
-                if not np.isfinite(v):
-                    raise FormatError(f"record {idx}: non-finite label {name}")
-                values[name] = v
-        vectors = {}
-        for name in ("f_text", "f_05", "f_10", "f_15"):
-            raw = cur.take(4 * dim)
-            vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            if not np.all(np.isfinite(vec)):
-                raise FormatError(f"record {idx}: non-finite values in {name}")
-            vectors[name] = vec
-        samples.append(
-            Sample(
-                id=sid,
-                generator_id=gen,
-                prompt=prompt,
-                features=FeatureBundle(**vectors),
-                labels=Labels(**values),
-            )
+    # A record holds at least its three string lengths, its label mask and
+    # four f32 vectors; checking that here keeps a corrupt count or dim
+    # from sizing the feature block.
+    end = len(data)
+    least = count * (9 + 16 * dim)
+    if least > end - _HEADER.size:
+        raise FormatError(
+            f"{path}: truncated file: {count} records of dim {dim} need at least "
+            f"{least} bytes after the header, found {end - _HEADER.size}"
         )
-    if cur.pos != len(cur.data):
-        raise FormatError(f"{path}: {len(cur.data) - cur.pos} trailing bytes after last record")
-    return Dataset(samples)
+
+    ids: list[str] = []
+    generators: list[str] = []
+    prompts: list[str] = []
+    labels = np.full((count, 3), np.nan)
+    features = np.empty((count, 4, dim))
+    vector_bytes = 16 * dim
+    pos = _HEADER.size
+
+    def truncated(need: int) -> FormatError:
+        return FormatError(f"truncated file in record {idx} (need {need} bytes at offset {pos})")
+
+    for idx in range(count):
+        for column, width, what in ((ids, 2, "id"), (generators, 2, "generator_id"), (prompts, 4, "prompt")):
+            size = int.from_bytes(data[pos : pos + width], "little")
+            if pos + width + size > end:
+                raise truncated(width + size)
+            pos += width
+            try:
+                column.append(data[pos : pos + size].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise FormatError(f"record {idx}: {what} is not valid UTF-8") from None
+            pos += size
+        if pos >= end:
+            raise truncated(1)
+        mask = data[pos]
+        pos += 1
+        for bit, name in enumerate(_LABELS):
+            if mask & (1 << bit):
+                if pos + 4 > end:
+                    raise truncated(4)
+                (value,) = struct.unpack_from("<f", data, pos)
+                if not math.isfinite(value):
+                    raise FormatError(f"record {idx}: non-finite label {name}")
+                labels[idx, bit] = value
+                pos += 4
+        if pos + vector_bytes > end:
+            raise truncated(vector_bytes)
+        features[idx] = np.frombuffer(data, "<f4", 4 * dim, pos).reshape(4, dim)
+        pos += vector_bytes
+    bad = _first_nonfinite(features)
+    if bad:
+        raise FormatError(bad)
+    if pos != end:
+        raise FormatError(f"{path}: {end - pos} trailing bytes after last record")
+    return Dataset(ids, generators, prompts, features, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -280,52 +266,52 @@ def write_feature_records_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_csv_header(dataset.dim))
-        for s in dataset.samples:
-            row = [s.id, s.generator_id, s.prompt]
-            for v in (s.labels.q_v, s.labels.q_a, s.labels.q_c):
-                row.append("" if v is None else repr(float(v)))
-            for name in ("f_text", "f_05", "f_10", "f_15"):
-                row.extend(repr(float(v)) for v in getattr(s.features, name))
-            writer.writerow(row)
+        rows = zip(dataset.ids, dataset.generators, dataset.prompts, dataset.labels, dataset.features)
+        for sid, gen, prompt, labels, features in rows:
+            writer.writerow([
+                sid, gen, prompt,
+                *("" if math.isnan(v) else repr(v) for v in labels.tolist()),
+                *map(repr, features.ravel().tolist()),
+            ])
 
 
 def read_feature_records_csv(path) -> Dataset:
+    ids: list[str] = []
+    generators: list[str] = []
+    prompts: list[str] = []
+    labels: list[list[float]] = []
+    features: list[Array] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FormatError(f"{path}: empty CSV file") from None
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty CSV file")
             dim = sum(1 for c in header if c.startswith("ftext_"))
             if dim == 0 or header != _csv_header(dim):
                 raise FormatError(f"{path}: unexpected CSV header")
-            samples = []
             for idx, row in enumerate(reader):
                 if len(row) != len(header):
                     raise FormatError(f"record {idx}: expected {len(header)} cells, got {len(row)}")
-                sid, gen, prompt = row[0], row[1], row[2]
+                ids.append(row[0])
+                generators.append(row[1])
+                prompts.append(row[2])
+                labels.append([parse_label_cell(c, n, f"record {idx}") for n, c in zip(_LABELS, row[3:6])])
                 try:
-                    labels = {
-                        name: (None if cell == "" else float(cell))
-                        for name, cell in zip(("q_v", "q_a", "q_c"), row[3:6])
-                    }
-                    offset = 6
-                    vectors = {}
-                    for name in ("f_text", "f_05", "f_10", "f_15"):
-                        vec = np.array([float(c) for c in row[offset : offset + dim]])
-                        if not np.all(np.isfinite(vec)):
-                            raise FormatError(f"record {idx}: non-finite values in {name}")
-                        vectors[name] = vec
-                        offset += dim
+                    features.append(np.array([float(c) for c in row[6:]]))
                 except ValueError:
                     raise FormatError(f"record {idx}: non-numeric cell") from None
-                samples.append(Sample(sid, gen, prompt, FeatureBundle(**vectors), Labels(**labels)))
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not a text/CSV file") from None
-    if not samples:
+    except csv.Error as exc:
+        raise FormatError(f"{path}: malformed CSV at line {reader.line_num} ({exc})") from None
+    if not ids:
         raise FormatError(f"{path}: CSV file contains no records")
-    return Dataset(samples)
+    block = np.array(features).reshape(len(ids), 4, dim)
+    bad = _first_nonfinite(block)
+    if bad:
+        raise FormatError(bad)
+    return Dataset(ids, generators, prompts, block, np.array(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +330,21 @@ def split_random(dataset: Dataset, train_fraction: float, rng: np.random.Generat
     if n_train == 0 or n_train == n:
         raise DataError(f"split_random: fraction {train_fraction} leaves an empty side for n={n}")
     perm = rng.permutation(n)
-    train_idx = sorted(int(i) for i in perm[:n_train])
-    test_idx = sorted(int(i) for i in perm[n_train:])
-    return dataset.subset(train_idx), dataset.subset(test_idx)
+    return dataset.subset(np.sort(perm[:n_train])), dataset.subset(np.sort(perm[n_train:]))
 
 
 def split_per_generator(dataset: Dataset, train_fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
-    """Apply the fraction independently inside each generator group."""
+    """Apply the fraction independently inside each generator group.
+
+    Groups are split in order of their first row, each with the next
+    permutation drawn from ``rng``.
+    """
     if not 0.0 < train_fraction < 1.0:
         raise DataError(f"split_per_generator: train_fraction must be in (0, 1), got {train_fraction}")
     groups: dict[str, list[int]] = {}
-    for i, s in enumerate(dataset.samples):
-        groups.setdefault(s.generator_id, []).append(i)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
+    for i, gen in enumerate(dataset.generators):
+        groups.setdefault(gen, []).append(i)
+    train_idx, test_idx = [], []
     for gen, indices in groups.items():
         m = len(indices)
         if m < 2:
@@ -365,10 +352,10 @@ def split_per_generator(dataset: Dataset, train_fraction: float, rng: np.random.
         m_train = _round_half_up(train_fraction * m)
         if m_train == 0 or m_train == m:
             raise DataError(f"split_per_generator: group {gen!r} too small for fraction {train_fraction}")
-        perm = rng.permutation(m)
-        train_idx.extend(indices[int(i)] for i in perm[:m_train])
-        test_idx.extend(indices[int(i)] for i in perm[m_train:])
-    return dataset.subset(sorted(train_idx)), dataset.subset(sorted(test_idx))
+        perm = np.asarray(indices)[rng.permutation(m)]
+        train_idx.append(perm[:m_train])
+        test_idx.append(perm[m_train:])
+    return dataset.subset(np.sort(np.concatenate(train_idx))), dataset.subset(np.sort(np.concatenate(test_idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +415,8 @@ def synth_generate_with_latents(
     w_a = rng.standard_normal(_LATENT_DIM)
     w_a *= 0.5 / np.linalg.norm(w_a)
 
-    samples = []
+    features = np.empty((n, 4, dim))
+    labels = np.empty((n, 3))
     zs = np.empty((n, _LATENT_DIM))
     angles = np.empty(n)
     for i in range(n):
@@ -453,16 +441,16 @@ def synth_generate_with_latents(
         q_v = float(np.float32(1.0 + 4.0 / (1.0 + np.exp(-(w_v @ z)))))
         q_a = float(np.float32(1.0 + 4.0 / (1.0 + np.exp(-(w_a @ z)))))
 
-        samples.append(
-            Sample(
-                id=f"synth-{i:06d}",
-                generator_id="gen-a" if i % 2 == 0 else "gen-b",
-                prompt=f"synthetic scene {i}",
-                features=FeatureBundle(f_text=f_text, f_05=f_05, f_10=f_10, f_15=f_15),
-                labels=Labels(q_v=q_v, q_a=q_a, q_c=q_c),
-            )
-        )
-    return Dataset(samples), SynthLatents(zs, mix, w_v, w_a, angles)
+        features[i] = f_text, f_05, f_10, f_15
+        labels[i] = q_v, q_a, q_c
+    dataset = Dataset(
+        ids=[f"synth-{i:06d}" for i in range(n)],
+        generators=["gen-a" if i % 2 == 0 else "gen-b" for i in range(n)],
+        prompts=[f"synthetic scene {i}" for i in range(n)],
+        features=features,
+        labels=labels,
+    )
+    return dataset, SynthLatents(zs, mix, w_v, w_a, angles)
 
 
 def synth_generate(n: int, dim: int, noise_sigma: float, rng: np.random.Generator) -> Dataset:

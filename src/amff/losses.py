@@ -50,12 +50,6 @@ def thurstone_prob(s_i: float, s_j: float) -> float:
     return 0.5 * math.erfc(-(s_i - s_j) / 2.0)
 
 
-def preference_matrix(gts: Array) -> Array:
-    """Binary comparison matrix: entry (i, j) is 1 when gt_i >= gt_j."""
-    gts = as_vector(gts, "gts")
-    return (gts[:, None] >= gts[None, :]).astype(np.float64)
-
-
 def fidelity_loss(batch: BatchScores) -> tuple[float, Array]:
     """Pairwise ranking loss over all ordered pairs of a mini-batch.
 

@@ -43,7 +43,8 @@ _CKPT_MAGIC = b"AMFK"
 _CKPT_VERSION = 1
 
 # Rows per forward pass outside training (validation, evaluation,
-# prediction): bounds the stacked copy of the features that a pass holds.
+# prediction).  A chunk's features are a view of the dataset's block, so
+# this bounds the activations a pass holds, not a copy of the features.
 SCORE_CHUNK = 256
 
 
@@ -217,9 +218,9 @@ def score_dataset(
     """
     scores = np.empty((len(dataset), len(TASKS)))
     for lo in range(0, len(dataset), SCORE_CHUNK):
-        rows = range(lo, min(lo + SCORE_CHUNK, len(dataset)))
-        out, _ = model_forward(dataset.features(rows), params, use_msi=use_msi, use_aff=use_aff)
-        scores[lo : rows.stop] = np.stack((out.s_c, out.s_v, out.s_a), axis=1)
+        chunk = dataset.features[lo : lo + SCORE_CHUNK]
+        out, _ = model_forward(chunk, params, use_msi=use_msi, use_aff=use_aff)
+        scores[lo : lo + len(chunk)] = np.stack((out.s_c, out.s_v, out.s_a), axis=1)
     for k, task in enumerate(TASKS):
         if task != "consistency" and label_ranges and label_ranges.get(task):
             scores[:, k] = _denormalize(scores[:, k], *label_ranges[task])
@@ -286,11 +287,11 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
 
     # Per-row targets: the raw label ranks the pairwise loss, the MSE
     # tasks regress onto labels normalized to [0, 1].
-    targets = {"consistency": core.labels(cfg.fidelity_label)}
+    targets = {"consistency": core.label(cfg.fidelity_label)}
     for task in ("quality", "authenticity"):
         if present[task]:
-            targets[task] = _normalize(core.labels(task), *ranges[task])
-    val_gts = {task: val.labels(task) for task in TASKS if present[task]}
+            targets[task] = _normalize(core.label(task), *ranges[task])
+    val_gts = {task: val.label(task) for task in TASKS if present[task]}
 
     stopping_reason = "max_epochs"
     epoch = start_epoch - 1
@@ -302,7 +303,7 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
         for b0 in range(0, len(perm), cfg.batch_size):
             rows = perm[b0 : b0 + cfg.batch_size]
             scores, cache = model_forward(
-                core.features(rows), params, use_msi=cfg.use_msi, use_aff=cfg.use_aff
+                core.features[rows], params, use_msi=cfg.use_msi, use_aff=cfg.use_aff
             )
             cons = qual = auth = None
             if fidelity_present and rows.size >= 2:
@@ -406,7 +407,7 @@ def evaluate_model(
     tasks: dict[str, TaskMetrics] = {}
     scatter: dict[str, ScatterData] = {}
     for k, task in enumerate(TASKS):
-        gts = dataset.labels(task)
+        gts = dataset.label(task)
         labelled = ~np.isnan(gts)
         if not labelled.any():
             continue

@@ -249,6 +249,6 @@ def test_criterion_9_determinism(pipeline):
     ds_gen = synth_generate(1600, 8, 0.0, make_rng(2))  # two generators, 800 each
     train_g, test_g = split_per_generator(ds_gen, 0.75, make_rng(0))
     for gen in ("gen-a", "gen-b"):
-        assert sum(1 for s in train_g.samples if s.generator_id == gen) == 600
-        assert sum(1 for s in test_g.samples if s.generator_id == gen) == 200
+        assert train_g.generators.count(gen) == 600
+        assert test_g.generators.count(gen) == 200
     print(f"\nACCEPTANCE 9 PASS: {len(compared)} report files byte-identical; split counts exact")

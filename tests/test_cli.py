@@ -73,10 +73,54 @@ class TestExtract:
         assert _run(["extract", "--images", img_dir, "--manifest", manifest, "--out", out, "--dim", 16]) == 0
         ds = read_feature_records(out)
         assert len(ds) == 4 and ds.dim == 16
-        s = ds.samples[1]
-        assert s.labels.q_v == 2.0 and s.labels.q_a is None
-        for name in ("f_05", "f_10", "f_15", "f_text"):
-            assert np.linalg.norm(getattr(s.features, name)) == pytest.approx(1.0, abs=1e-5)
+        q_v, q_a, _ = ds.labels[1]
+        assert q_v == 2.0 and np.isnan(q_a)
+        for vector in ds.features[1]:  # f_text, f_05, f_10, f_15
+            assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-5)
+
+
+def _long_csv_cell(tmp_path, dataset):
+    from amff.dataio import write_feature_records_csv
+
+    path = tmp_path / "long.csv"
+    write_feature_records_csv(dataset, path)
+    text = path.read_text(encoding="utf-8").replace(dataset.prompts[0], "x" * 200_000, 1)
+    path.write_text(text, encoding="utf-8")
+    return ["train", "--data", path, "--out", tmp_path / "run"]
+
+
+def _oversized_header(tmp_path, dataset):
+    path = tmp_path / "huge.amff"
+    path.write_bytes(b"AMFF" + struct.pack("<IIQ", 1, 2**31, 2**40))
+    return ["predict", "--data", path, "--ckpt", DATA / "parent_v1.ckpt", "--out", tmp_path / "p.jsonl"]
+
+
+def _manifest(body: bytes):
+    def command(tmp_path, dataset):
+        write_image(tmp_path / "x.ppm", Image(np.full((20, 20, 3), 0.5)))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"id,generator,prompt,image,q_v\n" + body)
+        return ["extract", "--images", tmp_path, "--manifest", manifest, "--out", tmp_path / "f.amff"]
+
+    return command
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (_long_csv_cell, "E_FORMAT"),
+            (_oversized_header, "E_FORMAT"),
+            (_manifest(b"a,g,\xff\xfe prompt,x.ppm,1\n"), "E_FORMAT"),
+            (_manifest(b"a,g,p\n"), "E_FORMAT"),
+            (_manifest(b"a,g,p,x.ppm,nan\n"), "E_DATA"),
+        ],
+        ids=["long_csv_cell", "oversized_header", "non_utf8_manifest", "short_manifest_row", "nan_manifest_label"],
+    )
+    def test_one_error_line(self, tmp_path, capsys, tiny_dataset, command, code):
+        assert _run(command(tmp_path, tiny_dataset)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1, err
 
 
 class TestTrainEval:

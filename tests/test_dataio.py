@@ -1,13 +1,14 @@
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from amff.dataio import (
     Dataset,
-    FeatureBundle,
-    Labels,
-    Sample,
     datasets_equal,
     read_feature_records,
     read_feature_records_csv,
@@ -18,7 +19,7 @@ from amff.dataio import (
     write_feature_records,
     write_feature_records_csv,
 )
-from amff.errors import DataError, FormatError
+from amff.errors import AmffError, DataError, FormatError
 from amff.tensor import make_rng
 
 
@@ -28,24 +29,34 @@ def _vec(rng, dim):
 
 
 def _dataset(rng, n=5, dim=6, generators=("a", "b")):
-    samples = []
+    features = np.empty((n, 4, dim))
+    labels = np.empty((n, 3))
     for i in range(n):
-        samples.append(
-            Sample(
-                id=f"s{i}",
-                generator_id=generators[i % len(generators)],
-                prompt=f"a prompt, with commas {i}",
-                features=FeatureBundle(
-                    f_text=_vec(rng, dim), f_05=_vec(rng, dim), f_10=_vec(rng, dim), f_15=_vec(rng, dim)
-                ),
-                labels=Labels(
-                    q_v=float(np.float32(rng.uniform(1, 5))),
-                    q_a=None if i == 2 else float(np.float32(rng.uniform(1, 5))),
-                    q_c=float(np.float32(rng.uniform(0, 1))),
-                ),
-            )
+        features[i] = [_vec(rng, dim) for _ in range(4)]
+        labels[i] = (
+            float(np.float32(rng.uniform(1, 5))),
+            np.nan if i == 2 else float(np.float32(rng.uniform(1, 5))),
+            float(np.float32(rng.uniform(0, 1))),
         )
-    return Dataset(samples)
+    return Dataset(
+        ids=[f"s{i}" for i in range(n)],
+        generators=[generators[i % len(generators)] for i in range(n)],
+        prompts=[f"a prompt, with commas {i}" for i in range(n)],
+        features=features,
+        labels=labels,
+    )
+
+
+def _rows(ds, rows, **replace):
+    """A dataset of the given rows of ``ds``, with whole columns replaced by keyword."""
+    columns = {
+        "ids": [ds.ids[i] for i in rows],
+        "generators": [ds.generators[i] for i in rows],
+        "prompts": [ds.prompts[i] for i in rows],
+        "features": ds.features[rows],
+        "labels": ds.labels[rows],
+    }
+    return Dataset(**{**columns, **replace})
 
 
 class TestBinaryCodec:
@@ -121,12 +132,13 @@ class TestBinaryCodec:
         path.write_bytes(blob)
         ds = read_feature_records(path)
         assert len(ds) == 3
-        for k, s in enumerate(ds.samples):
-            assert (s.id, s.generator_id, s.prompt) == (f"s{k}", "gen", "hello")
-            assert s.labels.q_v == 3.5 + k and s.labels.q_a is None
-            assert s.labels.q_c == pytest.approx(0.25 * k, abs=1e-7)
-            for name, expected in expected_vectors[k].items():
-                assert np.array_equal(getattr(s.features, name), np.array(expected))
+        for k in range(3):
+            assert (ds.ids[k], ds.generators[k], ds.prompts[k]) == (f"s{k}", "gen", "hello")
+            q_v, q_a, q_c = ds.labels[k]
+            assert q_v == 3.5 + k and np.isnan(q_a)
+            assert q_c == pytest.approx(0.25 * k, abs=1e-7)
+            for row, expected in enumerate(expected_vectors[k].values()):
+                assert np.array_equal(ds.features[k, row], np.array(expected))
 
     def test_invalid_utf8_rejected(self, tmp_path):
         dim = 1
@@ -143,7 +155,7 @@ class TestBinaryCodec:
 
     def test_empty_dataset_refused(self):
         with pytest.raises(DataError):
-            Dataset([])
+            Dataset([], [], [], np.empty((0, 4, 1)), np.empty((0, 3)))
 
 
 class TestCsvCodec:
@@ -154,7 +166,7 @@ class TestCsvCodec:
         back = read_feature_records_csv(path)
         assert datasets_equal(back, ds)
         # absent label survives as an empty cell
-        assert back.samples[2].labels.q_a is None
+        assert np.isnan(back.labels[2, 1])
 
     def test_header_check(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -168,16 +180,14 @@ class TestSplits:
         ds = _dataset(make_rng(7), n=10)
         train, test = split_random(ds, 0.8, make_rng(0))
         assert len(train) == 8 and len(test) == 2
-        assert not {s.id for s in train.samples} & {s.id for s in test.samples}
-        assert {s.id for s in train.samples} | {s.id for s in test.samples} == {
-            s.id for s in ds.samples
-        }
+        assert not set(train.ids) & set(test.ids)
+        assert set(train.ids) | set(test.ids) == set(ds.ids)
 
     def test_random_determinism(self):
         ds = _dataset(make_rng(8), n=12)
         a = split_random(ds, 0.75, make_rng(3))
         b = split_random(ds, 0.75, make_rng(3))
-        assert [s.id for s in a[0].samples] == [s.id for s in b[0].samples]
+        assert a[0].ids == b[0].ids
 
     def test_degenerate_fraction_errors(self):
         ds = _dataset(make_rng(9), n=4)
@@ -195,30 +205,27 @@ class TestSplits:
         ds = _dataset(make_rng(11), n=16, generators=("g1", "g2"))
         train, test = split_per_generator(ds, 0.75, make_rng(0))
         for part, expect in ((train, 6), (test, 2)):
-            counts = {}
-            for s in part.samples:
-                counts[s.generator_id] = counts.get(s.generator_id, 0) + 1
-            assert counts == {"g1": expect, "g2": expect}
+            assert Counter(part.generators) == {"g1": expect, "g2": expect}
 
     def test_per_generator_brute_force_recount(self):
         rng = make_rng(12)
         ds = _dataset(rng, n=30, generators=("a", "b", "c"))
         train, _ = split_per_generator(ds, 0.7, make_rng(1))
         for gen in ("a", "b", "c"):
-            total = sum(1 for s in ds.samples if s.generator_id == gen)
-            got = sum(1 for s in train.samples if s.generator_id == gen)
+            total = ds.generators.count(gen)
+            got = train.generators.count(gen)
             assert got == int(np.floor(0.7 * total + 0.5))
 
     def test_single_generator_matches_split_random(self):
         ds = _dataset(make_rng(13), n=10, generators=("only",))
         a = split_per_generator(ds, 0.8, make_rng(2))
         b = split_random(ds, 0.8, make_rng(2))
-        assert [s.id for s in a[0].samples] == [s.id for s in b[0].samples]
+        assert a[0].ids == b[0].ids
 
     def test_small_group_errors(self):
-        samples = _dataset(make_rng(14), n=5, generators=("a",)).samples
-        lone = Sample("lone", "b", "p", samples[0].features, samples[0].labels)
-        ds = Dataset(samples[:4] + [lone])
+        full = _dataset(make_rng(14), n=5, generators=("a",))
+        ds = _rows(full, [0, 1, 2, 3, 0], ids=full.ids[:4] + ["lone"], generators=["a"] * 4 + ["b"],
+                   prompts=full.prompts[:4] + ["p"])
         with pytest.raises(DataError, match="group"):
             split_per_generator(ds, 0.75, make_rng(0))
 
@@ -234,24 +241,23 @@ class TestSynthGenerate:
 
     def test_noise_zero_consistency_label_exact(self):
         ds = synth_generate(12, 16, 0.0, make_rng(5))
-        for s in ds.samples:
-            ft, f10 = s.features.f_text, s.features.f_10
+        for ft, f10, q_c in zip(ds.features[:, 0], ds.features[:, 2], ds.labels[:, 2]):
             recomputed = float(
                 np.float32(float(ft @ f10) / (np.linalg.norm(ft) * np.linalg.norm(f10)))
             )
-            assert recomputed == s.labels.q_c
+            assert recomputed == q_c
 
     def test_labels_are_functions_of_latents(self):
         ds, lat = synth_generate_with_latents(10, 8, 0.0, make_rng(6))
-        for i, s in enumerate(ds.samples):
+        for i, (label_v, _, label_c) in enumerate(ds.labels):
             q_v = float(np.float32(1.0 + 4.0 / (1.0 + np.exp(-(lat.w_v @ lat.z[i])))))
-            assert s.labels.q_v == q_v
-            assert abs(s.labels.q_c - np.cos(lat.angles[i])) < 1e-5
+            assert label_v == q_v
+            assert abs(label_c - np.cos(lat.angles[i])) < 1e-5
 
     def test_linear_probe_recovers_quality(self):
         ds, lat = synth_generate_with_latents(512, 16, 0.0, make_rng(7))
         z = np.hstack([lat.z, np.ones((len(ds), 1))])
-        q = np.array([s.labels.q_v for s in ds.samples])
+        q = ds.labels[:, 0]
         coef, *_ = np.linalg.lstsq(z, q, rcond=None)
         resid = q - z @ coef
         r2 = 1.0 - float(resid @ resid) / float(((q - q.mean()) ** 2).sum())
@@ -259,12 +265,12 @@ class TestSynthGenerate:
 
     def test_text_features_unit_norm(self):
         ds = synth_generate(8, 8, 0.1, make_rng(8))
-        for s in ds.samples:
-            assert np.linalg.norm(s.features.f_text) == pytest.approx(1.0, abs=1e-6)
+        for f_text in ds.features[:, 0]:
+            assert np.linalg.norm(f_text) == pytest.approx(1.0, abs=1e-6)
 
     def test_generator_ids_alternate(self):
         ds = synth_generate(8, 8, 0.0, make_rng(9))
-        assert {s.generator_id for s in ds.samples} == {"gen-a", "gen-b"}
+        assert set(ds.generators) == {"gen-a", "gen-b"}
 
     def test_invalid_sizes(self):
         with pytest.raises(DataError):
@@ -277,22 +283,154 @@ class TestSynthGenerate:
 
 class TestDatasetModel:
     def test_duplicate_ids_rejected(self):
-        s = _dataset(make_rng(15), n=2).samples
-        dup = Sample(s[0].id, "g", "p", s[1].features, s[1].labels)
+        ds = _dataset(make_rng(15), n=2)
         with pytest.raises(DataError, match="duplicate"):
-            Dataset([s[0], dup])
+            _rows(ds, [0, 1], ids=[ds.ids[0]] * 2, generators=[ds.generators[0], "g"],
+                  prompts=[ds.prompts[0], "p"])
 
     def test_label_ranges(self):
         ds = _dataset(make_rng(16), n=6)
         ranges = ds.label_ranges
-        values = [s.labels.q_v for s in ds.samples]
+        values = ds.labels[:, 0].tolist()
         assert ranges["quality"] == (min(values), max(values))
         assert "authenticity" in ranges  # present for some samples
 
     def test_inconsistent_dims_rejected(self):
         rng = make_rng(17)
-        a = _dataset(rng, n=2, dim=4).samples
-        b = _dataset(make_rng(18), n=2, dim=6).samples
-        fixed = [Sample("x0", "g", "p", b[0].features, b[0].labels)]
+        a = _dataset(rng, n=2, dim=4)
+        b = _dataset(make_rng(18), n=2, dim=6)
+        # Two rows of dim 4 and a third row, of dim 6, that cannot join the block.
         with pytest.raises(DataError, match="dims"):
-            Dataset(a + fixed)
+            _rows(a, [0, 1], ids=a.ids + ["x0"], generators=a.generators + ["g"], prompts=a.prompts + ["p"],
+                  labels=np.concatenate([a.labels, b.labels[:1]]))
+
+    @pytest.mark.parametrize(
+        "replace, match",
+        [
+            ({"generators": ["a"]}, "generators"),
+            ({"features": np.zeros((2, 3, 6))}, "dims"),
+            ({"features": np.full((2, 4, 6), np.inf)}, "record 0: non-finite values in f_text"),
+            ({"labels": np.array([[1.0, np.nan, 0.5], [1.0, -np.inf, 0.5]])}, "infinite label"),
+        ],
+    )
+    def test_columns_validated(self, replace, match):
+        ds = _dataset(make_rng(19), n=2)
+        with pytest.raises(DataError, match=match):
+            _rows(ds, [0, 1], **replace)
+
+
+class TestCsvCells:
+    def _write(self, path, ds, edit):
+        write_feature_records_csv(ds, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = edit(lines[2])
+        path.write_text("".join(lines), encoding="utf-8")
+
+    def test_explicit_nan_label_is_an_error(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        ds = _dataset(make_rng(20), n=3)
+        self._write(path, ds, lambda line: line.replace(f",{float(ds.labels[1, 0])!r},", ",nan,", 1))
+        with pytest.raises(DataError, match="record 1: label q_v is non-finite"):
+            read_feature_records_csv(path)
+
+    def test_oversized_cell_is_a_format_error(self, tmp_path):
+        path = tmp_path / "long.csv"
+        self._write(path, _dataset(make_rng(21), n=3), lambda line: line.replace(
+            "a prompt, with commas 1", "x" * 200_000, 1))
+        with pytest.raises(FormatError, match="malformed CSV"):
+            read_feature_records_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Codec fuzzing.
+# ---------------------------------------------------------------------------
+
+_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 5))
+    return Dataset(
+        ids=draw(st.lists(_TEXT, min_size=n, max_size=n, unique=True)),
+        generators=draw(st.lists(_TEXT, min_size=n, max_size=n)),
+        prompts=draw(st.lists(_TEXT, min_size=n, max_size=n)),
+        features=draw(arrays(np.float64, (n, 4, dim), elements=_F32)),
+        labels=draw(arrays(np.float64, (n, 3), elements=st.just(np.nan) | _F32)),
+    )
+
+
+_FUZZ_SET = _dataset(make_rng(22), n=3, dim=2)
+
+
+def _fuzz_bytes(tmp_path_factory, write):
+    path = tmp_path_factory.getbasetemp() / "seed.records"
+    write(_FUZZ_SET, path)
+    return path.read_bytes()
+
+
+def _read_or_amff_error(tmp_path_factory, read, data: bytes) -> None:
+    path = tmp_path_factory.getbasetemp() / "fuzz.records"
+    path.write_bytes(data)
+    try:
+        read(path)
+    except AmffError:
+        pass
+
+
+_CODECS = pytest.mark.parametrize(
+    "write, read",
+    [(write_feature_records, read_feature_records), (write_feature_records_csv, read_feature_records_csv)],
+    ids=["binary", "csv"],
+)
+
+
+class TestCodecFuzz:
+    """Round trips are exact; whatever a file holds, reading it succeeds or raises an AmffError."""
+
+    @_CODECS
+    @settings(max_examples=150, deadline=None)
+    @given(ds=_datasets())
+    def test_round_trip(self, tmp_path_factory, write, read, ds):
+        path = tmp_path_factory.getbasetemp() / "round.records"
+        write(ds, path)
+        assert datasets_equal(read(path), ds)
+
+    @_CODECS
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_byte_flips(self, tmp_path_factory, write, read, data):
+        blob = bytearray(_fuzz_bytes(tmp_path_factory, write))
+        for pos, mask in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)),
+                                            min_size=1, max_size=4)):
+            blob[pos] ^= mask
+        _read_or_amff_error(tmp_path_factory, read, bytes(blob))
+
+    @_CODECS
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncations(self, tmp_path_factory, write, read, data):
+        blob = _fuzz_bytes(tmp_path_factory, write)
+        _read_or_amff_error(tmp_path_factory, read, blob[: data.draw(st.integers(0, len(blob) - 1))])
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(0, 2**32 - 1), count=st.integers(0, 2**64 - 1))
+    def test_binary_header_edits(self, tmp_path_factory, dim, count):
+        blob = _fuzz_bytes(tmp_path_factory, write_feature_records)
+        edited = blob[:8] + struct.pack("<IQ", dim, count) + blob[20:]
+        _read_or_amff_error(tmp_path_factory, read_feature_records, edited)
+
+    @settings(max_examples=100, deadline=None)
+    @given(count=st.integers(0, 10))
+    def test_csv_record_count_edits(self, tmp_path_factory, count):
+        lines = _fuzz_bytes(tmp_path_factory, write_feature_records_csv).splitlines(keepends=True)
+        body = (lines[1:] * 4)[:count]  # fewer records, or repeated ones with duplicate ids
+        _read_or_amff_error(tmp_path_factory, read_feature_records_csv, b"".join(lines[:1] + body))
+
+    def test_oversized_count_header(self, tmp_path):
+        path = tmp_path / "huge.amff"
+        path.write_bytes(b"AMFF" + struct.pack("<IIQ", 1, 2**31, 2**40))
+        with pytest.raises(FormatError, match="truncated"):
+            read_feature_records(path)

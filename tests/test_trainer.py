@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amff.dataio import Dataset, Labels, Sample, read_feature_records
+from amff.dataio import Dataset, read_feature_records
 from amff.errors import AmffError, ConfigError, DataError, NumericError
 from amff.losses import BatchScores, total_loss
 from amff.scoring import init_model_params, model_backward, model_forward
@@ -113,6 +113,16 @@ class TestAdamW:
                 assert np.array_equal(a, want[name]), name
 
 
+def _with_labels(dataset, rows, **columns):
+    """The given rows of ``dataset`` with label columns (q_v, q_a, q_c) overwritten by value."""
+    part = dataset.subset(list(rows))
+    labels = part.labels.copy()
+    for k, name in enumerate(("q_v", "q_a", "q_c")):
+        if name in columns:
+            labels[:, k] = columns[name]
+    return Dataset(part.ids, part.generators, part.prompts, part.features, labels)
+
+
 class TestTrain:
     def test_deterministic_reports(self, tiny_dataset):
         a = train(tiny_dataset, fast_config())
@@ -124,12 +134,12 @@ class TestTrain:
         cfg = fast_config()
         params = init_model_params(tiny_dataset.dim, make_rng(0), hidden_aff=8, hidden_head=8)
         rows = range(8)
-        features = tiny_dataset.features(rows)
+        features = tiny_dataset.features[rows]
 
         def batch_loss(p):
             scores, cache = model_forward(features, p)
-            cons = BatchScores(scores.s_c, tiny_dataset.labels("consistency")[:8])
-            qual = BatchScores(scores.s_v, tiny_dataset.labels("quality")[:8])
+            cons = BatchScores(scores.s_c, tiny_dataset.label("consistency")[:8])
+            qual = BatchScores(scores.s_v, tiny_dataset.label("quality")[:8])
             return total_loss(cons, qual, None), cache
 
         bundle, cache = batch_loss(params)
@@ -157,13 +167,7 @@ class TestTrain:
         assert lrs[2:] == [5e-5, 5e-5]
 
     def test_masked_task_is_skipped(self, tiny_dataset):
-        stripped = Dataset(
-            [
-                Sample(s.id, s.generator_id, s.prompt, s.features,
-                       Labels(q_v=s.labels.q_v, q_a=None, q_c=s.labels.q_c))
-                for s in tiny_dataset.samples
-            ]
-        )
+        stripped = _with_labels(tiny_dataset, range(len(tiny_dataset)), q_a=np.nan)
         outcome = train(stripped, fast_config(max_epochs=2))
         for stats in outcome.report.epochs:
             assert stats.loss_a == 0.0
@@ -172,28 +176,21 @@ class TestTrain:
     def test_consistency_only_with_singleton_tail_batch(self, tiny_dataset):
         # 19 samples, val 2, core 17: batch 16 + a singleton that the
         # pairwise loss cannot use and must be skipped, not fatal
-        only_c = Dataset(
-            [
-                Sample(s.id, s.generator_id, s.prompt, s.features, Labels(q_c=s.labels.q_c))
-                for s in tiny_dataset.samples[:19]
-            ]
-        )
+        only_c = _with_labels(tiny_dataset, range(19), q_v=np.nan, q_a=np.nan)
         outcome = train(only_c, fast_config(max_epochs=2, val_fraction=0.1))
         assert outcome.last_epoch == 2
         for stats in outcome.report.epochs:
             assert stats.loss_v == 0.0 and stats.loss_a == 0.0
 
     def test_requires_some_labels(self, tiny_dataset):
-        unlabeled = Dataset(
-            [
-                Sample(s.id, s.generator_id, s.prompt, s.features, Labels(q_v=1.0))
-                for s in tiny_dataset.samples[:8]
-            ]
-        )
+        unlabeled = _with_labels(tiny_dataset, range(8), q_v=1.0, q_a=np.nan, q_c=np.nan)
         # one sample missing the label makes the task not fully present
         broken = Dataset(
-            unlabeled.samples[:-1]
-            + [Sample("odd", "g", "p", unlabeled.samples[0].features, Labels())]
+            unlabeled.ids[:-1] + ["odd"],
+            unlabeled.generators[:-1] + ["g"],
+            unlabeled.prompts[:-1] + ["p"],
+            np.concatenate([unlabeled.features[:-1], unlabeled.features[:1]]),
+            np.concatenate([unlabeled.labels[:-1], np.full((1, 3), np.nan)]),
         )
         with pytest.raises(DataError):
             train(broken, fast_config())
@@ -220,7 +217,7 @@ class TestAblationVariantForward:
 
     def test_variants_differ_from_full(self, tiny_dataset):
         params = _params(dim=tiny_dataset.dim, seed=22)
-        features = tiny_dataset.features([0])
+        features = tiny_dataset.features[[0]]
         full, _ = model_forward(features, params)
         no_msi, _ = model_forward(features, params, use_msi=False)
         assert full.s_v[0] != no_msi.s_v[0]  # scale features genuinely differ

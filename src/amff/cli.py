@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import json
 import sys
@@ -31,6 +32,16 @@ from .gradcheck import format_gradcheck, run_gradcheck
 from .tensor import make_rng
 
 _TAG_OUTER_SPLIT = 21
+
+# glibc's malloc_trim, or None on other C libraries.  Heap pages a command
+# frees stay resident below any small allocation that outlives it, and how
+# many do depends on where such allocations landed; trimming after every
+# command keeps the peak RSS of a process that runs several commands from
+# varying with heap layout.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 _ERROR_CODES = {
     ConfigError: "E_CONFIG",
@@ -438,6 +449,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ERROR E_IO: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
 
 
 if __name__ == "__main__":

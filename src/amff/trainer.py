@@ -470,14 +470,12 @@ def save_checkpoint(path, outcome: TrainOutcome) -> None:
         "tensors": _tensor_table(outcome.dim, cfg.hidden_aff, cfg.hidden_head),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    out = bytearray()
-    out += _CKPT_MAGIC
-    out += struct.pack("<I", _CKPT_VERSION)
-    out += struct.pack("<Q", len(blob))
-    out += blob
-    for container in (outcome.params, outcome.final_params, opt.m, opt.v):
-        out += np.asarray(container.flat, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(out))
+    # Each buffer is written as it stands, so no copy of the payload is built.
+    with open(path, "wb") as fh:
+        fh.write(_CKPT_MAGIC + struct.pack("<I", _CKPT_VERSION) + struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for container in (outcome.params, outcome.final_params, opt.m, opt.v):
+            fh.write(np.ascontiguousarray(container.flat, dtype="<f8"))
 
 
 def _is_int(x) -> bool:

@@ -123,6 +123,16 @@ class TestMalformedInput:
         assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1, err
 
 
+class TestHeapTrim:
+    def test_every_command_trims_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_malloc_trim", calls.append)
+        assert _run(["synth", "--out", tmp_path / "a.amff", "--n", 8, "--dim", 8, "--seed", 1]) == 0
+        assert _run(["predict", "--data", tmp_path / "absent.amff", "--ckpt", tmp_path / "absent.ckpt",
+                     "--out", tmp_path / "p.jsonl"]) == 1
+        assert calls == [0, 0]
+
+
 class TestTrainEval:
     def test_pipeline_outputs(self, tmp_path, data_file):
         out = tmp_path / "run"

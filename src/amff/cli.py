@@ -202,15 +202,15 @@ def _cmd_extract(args) -> int:
 def _cmd_train(args) -> int:
     dataset = _load_dataset(args.data)
     train_set, _ = _apply_split(dataset, args.split, args.seed)
-    cfg = _train_config(args)
-    outcome = trainer.train(train_set, cfg)
+    ckpt = trainer.train(train_set, _train_config(args))
     dirs = _out_dirs(args.out)
     ckpt_path = dirs["checkpoints"] / "model.ckpt"
-    trainer.save_checkpoint(ckpt_path, outcome)
-    (dirs["reports"] / "train_report.json").write_text(outcome.report.to_json())
+    trainer.save_checkpoint(ckpt_path, ckpt)
+    report = ckpt.report
+    (dirs["reports"] / "train_report.json").write_text(report.to_json())
     print(
-        f"trained {outcome.last_epoch} epochs ({outcome.report.stopping_reason}), "
-        f"best epoch {outcome.best_epoch} val mean SRCC {outcome.best_metric:.4f}"
+        f"trained {ckpt.last_epoch} epochs ({report.stopping_reason}), "
+        f"best epoch {ckpt.best_epoch} val mean SRCC {ckpt.best_metric:.4f}"
     )
     print(f"checkpoint: {ckpt_path}")
     return 0
@@ -218,15 +218,8 @@ def _cmd_train(args) -> int:
 
 def _run_trial(dataset, args, seed: int) -> metrics.EvalResult:
     train_set, test_set = _apply_split(dataset, args.split, seed)
-    cfg = dataclasses.replace(_train_config(args), seed=seed)
-    outcome = trainer.train(train_set, cfg)
-    result, _ = trainer.evaluate_model(
-        outcome.params,
-        test_set,
-        use_msi=cfg.use_msi,
-        use_aff=cfg.use_aff,
-        label_ranges=outcome.label_ranges,
-    )
+    ckpt = trainer.train(train_set, dataclasses.replace(_train_config(args), seed=seed))
+    result, _ = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
     return result
 
 
@@ -243,13 +236,7 @@ def _cmd_eval(args) -> int:
                 f"dimension mismatch: checkpoint dim {ckpt.dim} vs data dim {dataset.dim}"
             )
         _, test_set = _apply_split(dataset, args.split, args.seed)
-        result, scatter = trainer.evaluate_model(
-            ckpt.params,
-            test_set,
-            use_msi=ckpt.config.use_msi,
-            use_aff=ckpt.config.use_aff,
-            label_ranges=ckpt.label_ranges,
-        )
+        result, scatter = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
         _write_eval_reports(dirs, result, scatter, "evaluation")
         print(metrics.format_table(result, "evaluation"), end="")
         return 0
@@ -282,13 +269,7 @@ def _cmd_predict(args) -> int:
     ckpt = trainer.load_checkpoint(args.ckpt)
     if ckpt.dim != dataset.dim:
         raise ShapeError(f"dimension mismatch: checkpoint dim {ckpt.dim} vs data dim {dataset.dim}")
-    scores = trainer.score_dataset(
-        ckpt.params,
-        dataset,
-        use_msi=ckpt.config.use_msi,
-        use_aff=ckpt.config.use_aff,
-        label_ranges=ckpt.label_ranges,
-    )
+    scores = trainer.score_dataset(ckpt.params, dataset, label_ranges=ckpt.label_ranges)
     lines = [
         json.dumps({"id": sid, "s_c": s_c, "s_v": s_v, "s_a": s_a}, sort_keys=True)
         for sid, (s_c, s_v, s_a) in zip(dataset.ids, scores.tolist())
@@ -317,16 +298,8 @@ def _cmd_ablate(args) -> int:
 
     results: dict[str, metrics.EvalResult] = {}
     for name, overrides in _ABLATION_VARIANTS:
-        cfg = dataclasses.replace(_train_config(args), **overrides)
-        outcome = trainer.train(train_set, cfg)
-        result, _ = trainer.evaluate_model(
-            outcome.params,
-            test_set,
-            use_msi=cfg.use_msi,
-            use_aff=cfg.use_aff,
-            label_ranges=outcome.label_ranges,
-        )
-        results[name] = result
+        ckpt = trainer.train(train_set, dataclasses.replace(_train_config(args), **overrides))
+        results[name], _ = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
 
     tasks = list(results["full"].tasks)
     lines = ["# architecture ablations (SRCC per task)"]

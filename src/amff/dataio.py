@@ -35,6 +35,7 @@ TASKS = ("consistency", "quality", "authenticity")
 _FEATURES = ("f_text", "f_05", "f_10", "f_15")  # rows of a sample's (4, D) block
 _LABELS = ("q_v", "q_a", "q_c")  # columns of the label block, in file order
 _LABEL_COLUMN = {"quality": 0, "authenticity": 1, "consistency": 2}
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _first_nonfinite(features: Array) -> str | None:
@@ -149,8 +150,15 @@ def write_feature_records(dataset: Dataset, path) -> None:
 
     Every record's strings and labels are encoded before the file is
     opened; its vectors are converted to f32 one record at a time as it
-    is written, so no f32 copy of the whole block is held.
+    is written, so no f32 copy of the whole block is held.  A value
+    beyond the f32 range raises ``FormatError`` before the file is opened.
     """
+    features, labels = dataset.features, dataset.labels
+    # max and min scan the block without a full-size temporary; only a refusal builds one.
+    if max(features.max(), -features.min()) > _F32_MAX or np.any(np.abs(labels) > _F32_MAX):
+        beyond = np.concatenate([np.abs(features).max(axis=2), np.abs(labels)], axis=1) > _F32_MAX
+        i, k = np.argwhere(beyond)[0]
+        raise FormatError(f"record {dataset.ids[i]!r}: {(_FEATURES + _LABELS)[k]} is beyond the f32 range")
     present = ~np.isnan(dataset.labels)
     heads = []
     for sid, gen, prompt, mask, labels in zip(

@@ -210,8 +210,8 @@ def toy_encode(msi: MultiScaleImage, dim: int) -> tuple[Array, Array, Array]:
     Each scale is summarized by 16x16 grid cell means and stds, then
     projected through a fixed seeded random matrix and L2-normalized.
     """
-    if dim % 4 != 0:
-        raise ConfigError(f"toy_encode: dim must be divisible by 4, got {dim}")
+    if dim <= 0 or dim % 4 != 0:
+        raise ConfigError(f"toy_encode: dim must be a positive multiple of 4, got {dim}")
     return (
         _encode_one_scale(msi.i_05, dim),
         _encode_one_scale(msi.i_10, dim),
@@ -223,8 +223,8 @@ def toy_encode_text(prompt: str, dim: int) -> Array:
     """Hashed bag of character trigrams, signed, L2-normalized."""
     if not prompt:
         raise DataError("toy_encode_text: empty prompt")
-    if dim % 4 != 0:
-        raise ConfigError(f"toy_encode_text: dim must be divisible by 4, got {dim}")
+    if dim <= 0 or dim % 4 != 0:
+        raise ConfigError(f"toy_encode_text: dim must be a positive multiple of 4, got {dim}")
     grams = [prompt[i : i + 3] for i in range(len(prompt) - 2)] or [prompt]
     vec = np.zeros(dim)
     for gram in grams:

@@ -150,9 +150,9 @@ def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
     batch are checked together.
     """
     results = {}
-    for k, (name, similarity, use_msi, use_aff) in enumerate(MODEL_VARIANTS):
+    for k, (name, *variant) in enumerate(MODEL_VARIANTS):
         rng = make_rng((seed, 206, k))
-        params = init_model_params(dim, rng, hidden, hidden, similarity)
+        params = init_model_params(dim, rng, hidden, hidden, *variant)
         for _, arr in params.named_arrays():
             if arr.ndim == 1:  # nonzero biases exercise the ReLUs off-center
                 arr[:] = 0.1 * rng.standard_normal(arr.shape)
@@ -160,7 +160,7 @@ def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
         gts = rng.uniform(-2.0, 2.0, size=(3, PROBE_BATCH))
 
         def objective(p):
-            scores, cache = model_forward(features, p, use_msi=use_msi, use_aff=use_aff)
+            scores, cache = model_forward(features, p)
             loss = total_loss(
                 BatchScores(scores.s_c, gts[0]),
                 BatchScores(scores.s_v, gts[1]),

@@ -125,9 +125,22 @@ class ModelParams:
     through a view writes the buffer.  Gradients and optimizer moments
     are containers of the same layout (``zeros_like``), which makes every
     whole-model update one operation on ``flat``.
+
+    The container also names the model variant ``model_forward`` runs:
+    the similarity kind, ``use_msi=False`` (the original-scale feature in
+    all three fusion slots) and ``use_aff=False`` (the plain mean in
+    place of the learned fusion).
     """
 
-    def __init__(self, dim: int, hidden_aff: int, hidden_head: int, similarity: str = "cosine"):
+    def __init__(
+        self,
+        dim: int,
+        hidden_aff: int,
+        hidden_head: int,
+        similarity: str = "cosine",
+        use_msi: bool = True,
+        use_aff: bool = True,
+    ):
         if similarity not in SIMILARITY_KINDS:
             raise ConfigError(f"ModelParams: unknown similarity {similarity!r}")
         layout = param_layout(dim, hidden_aff, hidden_head)
@@ -141,7 +154,7 @@ class ModelParams:
         for _, shape in layout:
             views.append(self.flat[pos : pos + math.prod(shape)].reshape(shape))
             pos += math.prod(shape)
-        self.similarity = similarity
+        self.similarity, self.use_msi, self.use_aff = similarity, use_msi, use_aff
         self.aff, self.head_v, self.head_a = (Block(*views[k : k + 4]) for k in (0, 4, 8))
 
     @property
@@ -159,7 +172,9 @@ class ModelParams:
         return out
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(self.dim, self.aff.hidden, self.head_v.hidden, self.similarity)
+        return ModelParams(
+            self.dim, self.aff.hidden, self.head_v.hidden, self.similarity, self.use_msi, self.use_aff
+        )
 
     def add_(self, other: "ModelParams") -> None:
         self.flat += other.flat
@@ -176,9 +191,11 @@ def init_model_params(
     hidden_aff: int = 256,
     hidden_head: int = 256,
     similarity: str = "cosine",
+    use_msi: bool = True,
+    use_aff: bool = True,
 ) -> ModelParams:
     """Glorot-uniform weights and zero biases, drawn block by block in layout order."""
-    params = ModelParams(dim, hidden_aff, hidden_head, similarity)
+    params = ModelParams(dim, hidden_aff, hidden_head, similarity, use_msi, use_aff)
     for block in (params.aff, params.head_v, params.head_a):
         block.w1[...] = glorot_uniform(rng, *block.w1.shape)
         block.w2[...] = glorot_uniform(rng, *block.w2.shape)
@@ -192,30 +209,20 @@ class ModelCache:
     cache_v: MlpCache
     cache_a: MlpCache
     sim_grad: Array             # (B, D)
-    use_msi: bool
-    use_aff: bool
 
 
-def model_forward(
-    features: Array,
-    params: ModelParams,
-    *,
-    use_msi: bool = True,
-    use_aff: bool = True,
-) -> tuple[ScoreTriple, ModelCache]:
-    """Full forward pass: fuse scales, run both heads, score similarity.
+def model_forward(features: Array, params: ModelParams) -> tuple[ScoreTriple, ModelCache]:
+    """Full forward pass of the variant ``params`` names: fuse scales, run both heads, score similarity.
 
     ``features`` is a (B, 4, D) block whose rows are f_text, f_05, f_10
-    and f_15.  ``use_msi=False`` feeds the original-scale feature into
-    all three fusion slots; ``use_aff=False`` replaces the learned
-    fusion with the plain mean of the three features.
+    and f_15.
     """
     if features.ndim != 3 or features.shape[1:] != (4, params.dim):
         raise ShapeError(f"model_forward: expected (B, 4, {params.dim}) features, got {features.shape}")
     f_text = features[:, 0]
-    trio = features[:, 1:] if use_msi else features[:, (2, 2, 2)]
+    trio = features[:, 1:] if params.use_msi else features[:, (2, 2, 2)]
 
-    if use_aff:
+    if params.use_aff:
         fused, aff_cache = aff_forward(trio, params.aff)
     else:
         fused = (trio[:, 0] + trio[:, 1] + trio[:, 2]) / 3.0
@@ -224,7 +231,7 @@ def model_forward(
     s_v, cache_v = mlp_forward(params.head_v, fused)
     s_a, cache_a = mlp_forward(params.head_a, fused)
     s_c, sim_grad = similarity_score(fused, f_text, params.similarity)
-    cache = ModelCache(fused, aff_cache, cache_v, cache_a, sim_grad, use_msi, use_aff)
+    cache = ModelCache(fused, aff_cache, cache_v, cache_a, sim_grad)
     return ScoreTriple(s_c, s_v, s_a), cache
 
 
@@ -244,10 +251,10 @@ def model_backward(
     grads_a, d_fused_a = mlp_backward(cache.cache_a, params.head_a, ds_a)
     d_fused = d_fused_v + d_fused_a + ds_c[:, None] * cache.sim_grad
 
-    if cache.use_aff:
-        aff_grads, _ = aff_backward(cache.aff_cache, params.aff, d_fused)
-    else:
+    if cache.aff_cache is None:
         aff_grads = [np.zeros_like(a) for a in params.aff]
+    else:
+        aff_grads, _ = aff_backward(cache.aff_cache, params.aff, d_fused)
     grads = params.zeros_like()
     np.concatenate([g.ravel() for g in (*aff_grads, *grads_v, *grads_a)], out=grads.flat)
     return grads

@@ -22,8 +22,13 @@ def make_rng(seed) -> np.random.Generator:
 
     ``seed`` may be an int or a tuple of ints, the latter deriving an
     independent substream (used for per-epoch shuffling and similar).
+    A negative or non-integer seed raises ``ConfigError``.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    try:
+        sequence = np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed {seed!r}: {exc}") from None
+    return np.random.Generator(np.random.PCG64(sequence))
 
 
 def as_vector(x, name: str = "vector") -> Array:

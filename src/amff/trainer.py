@@ -67,8 +67,8 @@ class TrainConfig:
     hidden_head: int = 256
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_epochs < 1 or self.lr_drop_epoch < 1:
-            raise ConfigError("TrainConfig: counts must be positive")
+        if min(self.batch_size, self.max_epochs, self.lr_drop_epoch, self.hidden_aff, self.hidden_head) < 1:
+            raise ConfigError("TrainConfig: counts and hidden sizes must be positive")
         # lr == 0 is allowed for diagnostics (freezes parameters).
         if self.lr < 0 or (self.lr_after_drop is not None and self.lr_after_drop < 0):
             raise ConfigError("TrainConfig: learning rates must be >= 0")
@@ -168,20 +168,6 @@ class TrainReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-@dataclass
-class TrainOutcome:
-    params: ModelParams          # best-validation snapshot
-    report: TrainReport
-    final_params: ModelParams
-    opt_state: OptimizerState
-    label_ranges: dict[str, tuple[float, float] | None]
-    dim: int
-    config: TrainConfig
-    best_epoch: int
-    best_metric: float
-    last_epoch: int
-
-
 def params_checksum(params: ModelParams) -> str:
     h = hashlib.blake2b(digest_size=16)
     for name, a in params.named_arrays():
@@ -202,15 +188,8 @@ def _denormalize(values: Array, lo: float, hi: float) -> Array:
     return lo + values * span if span > 0.0 else np.full_like(values, lo)
 
 
-def score_dataset(
-    params: ModelParams,
-    dataset: Dataset,
-    *,
-    use_msi: bool = True,
-    use_aff: bool = True,
-    label_ranges: dict | None = None,
-) -> Array:
-    """(N, 3) scores of every row, columns in ``TASKS`` order.
+def score_dataset(params: ModelParams, dataset: Dataset, *, label_ranges: dict | None = None) -> Array:
+    """(N, 3) scores of every row by the model ``params``, columns in ``TASKS`` order.
 
     Rows are scored ``SCORE_CHUNK`` at a time.  Head scores are
     denormalized through ``label_ranges`` (the training-time label
@@ -219,7 +198,7 @@ def score_dataset(
     scores = np.empty((len(dataset), len(TASKS)))
     for lo in range(0, len(dataset), SCORE_CHUNK):
         chunk = dataset.features[lo : lo + SCORE_CHUNK]
-        out, _ = model_forward(chunk, params, use_msi=use_msi, use_aff=use_aff)
+        out, _ = model_forward(chunk, params)
         scores[lo : lo + len(chunk)] = np.stack((out.s_c, out.s_v, out.s_a), axis=1)
     for k, task in enumerate(TASKS):
         if task != "consistency" and label_ranges and label_ranges.get(task):
@@ -227,10 +206,8 @@ def score_dataset(
     return scores
 
 
-def _validation_srcc(
-    params: ModelParams, dataset: Dataset, gts: dict[str, Array], use_msi: bool, use_aff: bool
-) -> dict[str, float]:
-    scores = score_dataset(params, dataset, use_msi=use_msi, use_aff=use_aff)
+def _validation_srcc(params: ModelParams, dataset: Dataset, gts: dict[str, Array]) -> dict[str, float]:
+    scores = score_dataset(params, dataset)
     out: dict[str, float] = {}
     for k, task in enumerate(TASKS):
         if task not in gts:
@@ -242,11 +219,12 @@ def _validation_srcc(
     return out
 
 
-def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
+def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
     """Train on ``dataset`` (internally held-out validation for early stop).
 
-    Returns the best-validation parameters along with the per-epoch
-    report.  ``resume_from`` restores a checkpoint written by
+    Returns the trained model as the ``Checkpoint`` that ``save_checkpoint``
+    writes: best-validation and final parameters, optimizer state and the
+    per-epoch history.  ``resume_from`` restores a checkpoint written by
     ``save_checkpoint`` and continues under the same schedule.
     """
     dim = dataset.dim
@@ -277,6 +255,8 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
             hidden_aff=cfg.hidden_aff,
             hidden_head=cfg.hidden_head,
             similarity=cfg.similarity,
+            use_msi=cfg.use_msi,
+            use_aff=cfg.use_aff,
         )
         opt = OptimizerState.zeros_like(params)
         best_params = params.copy()
@@ -293,7 +273,6 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
             targets[task] = _normalize(core.label(task), *ranges[task])
     val_gts = {task: val.label(task) for task in TASKS if present[task]}
 
-    stopping_reason = "max_epochs"
     epoch = start_epoch - 1
     for epoch in range(start_epoch, cfg.max_epochs + 1):
         lr_e = cfg.lr if epoch < cfg.lr_drop_epoch else cfg.dropped_lr
@@ -302,9 +281,7 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
         n_batches = 0
         for b0 in range(0, len(perm), cfg.batch_size):
             rows = perm[b0 : b0 + cfg.batch_size]
-            scores, cache = model_forward(
-                core.features[rows], params, use_msi=cfg.use_msi, use_aff=cfg.use_aff
-            )
+            scores, cache = model_forward(core.features[rows], params)
             cons = qual = auth = None
             if fidelity_present and rows.size >= 2:
                 cons = BatchScores(scores.s_c, targets["consistency"][rows])
@@ -333,7 +310,7 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
             raise DataError(
                 "train: no trainable batches (pairwise loss needs at least 2 samples per batch)"
             )
-        val_srcc = _validation_srcc(params, val, val_gts, cfg.use_msi, cfg.use_aff)
+        val_srcc = _validation_srcc(params, val, val_gts)
         val_mean = float(np.mean(list(val_srcc.values()))) if val_srcc else -1.0
         history.append(
             EpochStats(
@@ -352,27 +329,18 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> TrainOutcome:
             best_epoch = epoch
             best_params = params.copy()
         if epoch - best_epoch >= cfg.early_stop_patience:
-            stopping_reason = "early_stop"
             break
 
-    report = TrainReport(
-        epochs=history,
-        best_epoch=best_epoch,
-        best_metric=best_metric,
-        stopping_reason=stopping_reason,
-        params_checksum=params_checksum(best_params),
-    )
-    return TrainOutcome(
+    return Checkpoint(
         params=best_params,
-        report=report,
         final_params=params,
         opt_state=opt,
-        label_ranges=ranges,
-        dim=dim,
         config=cfg,
+        label_ranges=ranges,
         best_epoch=best_epoch,
         best_metric=best_metric,
         last_epoch=epoch,
+        history=history,
     )
 
 
@@ -389,21 +357,14 @@ class ScatterData:
 
 
 def evaluate_model(
-    params: ModelParams,
-    dataset: Dataset,
-    *,
-    use_msi: bool = True,
-    use_aff: bool = True,
-    label_ranges: dict | None = None,
+    params: ModelParams, dataset: Dataset, *, label_ranges: dict | None = None
 ) -> tuple[EvalResult, dict[str, ScatterData]]:
-    """Full metric protocol on a dataset: SRCC, KRCC, and mapped PLCC.
+    """Full metric protocol of the model ``params`` on a dataset: SRCC, KRCC, and mapped PLCC.
 
     Head predictions are denormalized through ``label_ranges`` (the
     training-time label min/max) so scatter files live on the label scale.
     """
-    scores = score_dataset(
-        params, dataset, use_msi=use_msi, use_aff=use_aff, label_ranges=label_ranges
-    )
+    scores = score_dataset(params, dataset, label_ranges=label_ranges)
     tasks: dict[str, TaskMetrics] = {}
     scatter: dict[str, ScatterData] = {}
     for k, task in enumerate(TASKS):
@@ -433,16 +394,33 @@ def evaluate_model(
 
 @dataclass
 class Checkpoint:
+    """One trained model: what ``train`` returns, ``save_checkpoint`` writes and ``load_checkpoint`` reads."""
+
     params: ModelParams           # best-validation parameters
     final_params: ModelParams
     opt_state: OptimizerState
     config: TrainConfig
     label_ranges: dict[str, tuple[float, float] | None]
-    dim: int
     best_epoch: int
     best_metric: float
     last_epoch: int
     history: list[EpochStats]
+
+    @property
+    def dim(self) -> int:
+        return self.params.dim
+
+    @property
+    def report(self) -> TrainReport:
+        # Training stops early exactly when the best epoch is this far behind.
+        early = self.last_epoch - self.best_epoch >= self.config.early_stop_patience
+        return TrainReport(
+            epochs=self.history,
+            best_epoch=self.best_epoch,
+            best_metric=self.best_metric,
+            stopping_reason="early_stop" if early else "max_epochs",
+            params_checksum=params_checksum(self.params),
+        )
 
 
 # Parameter containers of a checkpoint, in file order; each is written as
@@ -455,26 +433,26 @@ def _tensor_table(dim: int, hidden_aff: int, hidden_head: int) -> list[dict]:
     return [{"name": f"{p}.{name}", "shape": list(shape)} for p in _CKPT_CONTAINERS for name, shape in layout]
 
 
-def save_checkpoint(path, outcome: TrainOutcome) -> None:
+def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Versioned binary checkpoint: JSON header plus little-endian f64 tensors."""
-    cfg, opt = outcome.config, outcome.opt_state
+    cfg, opt = ckpt.config, ckpt.opt_state
     header = {
-        "dim": outcome.dim,
+        "dim": ckpt.dim,
         "config": asdict(cfg),
-        "label_ranges": {k: list(v) if v else None for k, v in outcome.label_ranges.items()},
-        "best_epoch": outcome.best_epoch,
-        "best_metric": outcome.best_metric,
-        "last_epoch": outcome.last_epoch,
+        "label_ranges": {k: list(v) if v else None for k, v in ckpt.label_ranges.items()},
+        "best_epoch": ckpt.best_epoch,
+        "best_metric": ckpt.best_metric,
+        "last_epoch": ckpt.last_epoch,
         "opt_step": opt.step,
-        "history": [asdict(e) for e in outcome.report.epochs],
-        "tensors": _tensor_table(outcome.dim, cfg.hidden_aff, cfg.hidden_head),
+        "history": [asdict(e) for e in ckpt.history],
+        "tensors": _tensor_table(ckpt.dim, cfg.hidden_aff, cfg.hidden_head),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     # Each buffer is written as it stands, so no copy of the payload is built.
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC + struct.pack("<I", _CKPT_VERSION) + struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for container in (outcome.params, outcome.final_params, opt.m, opt.v):
+        for container in (ckpt.params, ckpt.final_params, opt.m, opt.v):
             fh.write(np.ascontiguousarray(container.flat, dtype="<f8"))
 
 
@@ -529,10 +507,7 @@ def load_checkpoint(path) -> Checkpoint:
         bad_field = _mistyped_config_field(cfg)
         need(bad_field is None, f"config field {bad_field!r} has the wrong type")
         dim = header["dim"]
-        need(
-            _is_int(dim) and min(dim, cfg.hidden_aff, cfg.hidden_head) > 0,
-            f"dim {dim!r}, hidden_aff {cfg.hidden_aff} and hidden_head {cfg.hidden_head} must be positive",
-        )
+        need(_is_int(dim) and dim > 0, f"dim {dim!r} must be a positive integer")
         for name in ("opt_step", "best_epoch", "last_epoch"):
             need(_is_int(header[name]) and header[name] >= 0, f"{name} must be an integer >= 0")
         need(_is_real(header["best_metric"]), "best_metric is not a finite number")
@@ -561,7 +536,7 @@ def load_checkpoint(path) -> Checkpoint:
     need(payload == 8 * size * len(_CKPT_CONTAINERS), "trailing bytes after tensors")
     containers = []
     for k, prefix in enumerate(_CKPT_CONTAINERS):
-        container = ModelParams(dim, cfg.hidden_aff, cfg.hidden_head, cfg.similarity)
+        container = ModelParams(dim, cfg.hidden_aff, cfg.hidden_head, cfg.similarity, cfg.use_msi, cfg.use_aff)
         container.flat[:] = np.frombuffer(data, dtype="<f8", count=size, offset=16 + hlen + 8 * size * k)
         for name, a in container.named_arrays():
             need(bool(np.all(np.isfinite(a))), f"non-finite value in {prefix}.{name}")
@@ -574,7 +549,6 @@ def load_checkpoint(path) -> Checkpoint:
         opt_state=OptimizerState(m, v, header["opt_step"]),
         config=cfg,
         label_ranges=label_ranges,
-        dim=dim,
         best_epoch=header["best_epoch"],
         best_metric=header["best_metric"],
         last_epoch=header["last_epoch"],
@@ -585,11 +559,8 @@ def load_checkpoint(path) -> Checkpoint:
 def _check_resume_compat(ckpt: Checkpoint, cfg: TrainConfig, dim: int) -> None:
     if ckpt.dim != dim:
         raise ConfigError(f"resume: checkpoint dim {ckpt.dim} vs dataset dim {dim}")
-    frozen = (
-        "batch_size", "lr", "lr_drop_epoch", "lr_after_drop", "weight_decay",
-        "seed", "similarity", "use_msi", "use_aff", "fidelity_label",
-        "val_fraction", "hidden_aff", "hidden_head",
-    )
+    # Every field but the stopping rule shapes the run, so it must not change on resume.
+    frozen = [f.name for f in fields(TrainConfig) if f.name not in ("max_epochs", "early_stop_patience")]
     for name in frozen:
         if getattr(ckpt.config, name) != getattr(cfg, name):
             raise ConfigError(

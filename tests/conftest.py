@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from amff.dataio import synth_generate
+from amff.scoring import ModelParams
 from amff.tensor import make_rng
 from amff.trainer import TrainConfig
 
@@ -29,6 +30,14 @@ def fast_config(**overrides) -> TrainConfig:
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def as_variant(params: ModelParams, **variant) -> ModelParams:
+    """The weights of ``params`` as another model variant (``similarity``, ``use_msi``, ``use_aff``)."""
+    kinds = {"similarity": params.similarity, "use_msi": params.use_msi, "use_aff": params.use_aff, **variant}
+    out = ModelParams(params.dim, params.aff.hidden, params.head_v.hidden, **kinds)
+    out.flat[:] = params.flat
+    return out
 
 
 def split_checkpoint(data: bytes) -> tuple[bytes, dict, bytes]:

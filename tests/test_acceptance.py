@@ -113,9 +113,9 @@ def test_criterion_3_aff_identity_and_no_msi_weights():
     assert dev <= 1e-12
     assert np.all(cache.weights == 1.0 / 3.0)
 
-    model = init_model_params(24, make_rng(304), hidden_aff=12, hidden_head=12)
+    model = init_model_params(24, make_rng(304), hidden_aff=12, hidden_head=12, use_msi=False)
     features = rng.standard_normal((1, 4, 24))  # f_text, f_05, f_10, f_15
-    _, cache = model_forward(features, model, use_msi=False)
+    _, cache = model_forward(features, model)
     assert np.all(cache.aff_cache.weights == 1.0 / 3.0)
     print(f"\nACCEPTANCE 3 PASS: identity fusion dev {dev:.2e}, w/o-MSI weights exactly 1/3")
 

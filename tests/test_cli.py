@@ -105,6 +105,24 @@ def _manifest(body: bytes):
     return command
 
 
+def _args(*argv):
+    """A command whose "{data}" is the dataset written to a file and "{out}" an output directory."""
+    def command(tmp_path, dataset):
+        write_feature_records(dataset, tmp_path / "d.amff")
+        return [a.format(data=tmp_path / "d.amff", out=tmp_path / "out") for a in argv]
+
+    return command
+
+
+def _extract_dim(dim: str):
+    def command(tmp_path, dataset):
+        argv = _manifest(b"a,g,p,x.ppm,1\n")(tmp_path, dataset)
+        write_image(tmp_path / "x.ppm", Image(np.full((40, 40, 3), 0.5)))  # every scale covers the grid
+        return [*argv, "--dim", dim]
+
+    return command
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "command, code",
@@ -114,8 +132,16 @@ class TestMalformedInput:
             (_manifest(b"a,g,\xff\xfe prompt,x.ppm,1\n"), "E_FORMAT"),
             (_manifest(b"a,g,p\n"), "E_FORMAT"),
             (_manifest(b"a,g,p,x.ppm,nan\n"), "E_DATA"),
+            (_args("train", "--data", "{data}", "--out", "{out}", "--seed", "-1"), "E_CONFIG"),
+            (_args("gradcheck", "--seed", "-1"), "E_CONFIG"),
+            (_args("synth", "--out", "{out}/s.amff", "--seed", "-2"), "E_CONFIG"),
+            (_args("eval", "--data", "{data}", "--out", "{out}", "--trials", "2", "--seed", "-1"), "E_CONFIG"),
+            (_extract_dim("-4"), "E_CONFIG"),
+            (_extract_dim("0"), "E_CONFIG"),
         ],
-        ids=["long_csv_cell", "oversized_header", "non_utf8_manifest", "short_manifest_row", "nan_manifest_label"],
+        ids=["long_csv_cell", "oversized_header", "non_utf8_manifest", "short_manifest_row", "nan_manifest_label",
+             "train_negative_seed", "gradcheck_negative_seed", "synth_negative_seed", "trials_negative_seed",
+             "extract_negative_dim", "extract_zero_dim"],
     )
     def test_one_error_line(self, tmp_path, capsys, tiny_dataset, command, code):
         assert _run(command(tmp_path, tiny_dataset)) == 1

@@ -153,6 +153,19 @@ class TestBinaryCodec:
         with pytest.raises(FormatError, match="UTF-8"):
             read_feature_records(path)
 
+    @pytest.mark.parametrize("row, column", [(1, "f_10"), (3, "q_v")])
+    def test_value_beyond_f32_refused_before_writing(self, tmp_path, row, column):
+        ds = _dataset(make_rng(6), n=4, dim=4)
+        features, labels = ds.features.copy(), ds.labels.copy()
+        if column == "f_10":
+            features[row, 2, 1] = -1e39
+        else:
+            labels[row, 0] = 1e39
+        path = tmp_path / "data.amff"
+        with pytest.raises(FormatError, match=f"record 's{row}': {column} is beyond the f32 range"):
+            write_feature_records(_rows(ds, range(4), features=features, labels=labels), path)
+        assert not path.exists()
+
     def test_empty_dataset_refused(self):
         with pytest.raises(DataError):
             Dataset([], [], [], np.empty((0, 4, 1)), np.empty((0, 3)))

@@ -15,6 +15,7 @@ from amff.scoring import (
     similarity_score,
 )
 from amff.tensor import finite_diff_check, make_rng
+from conftest import as_variant
 
 
 def _features(rng, dim=10, batch=1):
@@ -210,16 +211,16 @@ class TestModelForward:
         features = _features(rng, 8, batch=2)
         f_05, f_10, f_15 = features[:, 1], features[:, 2], features[:, 3]
         # no_aff: fused feature is the plain mean
-        _, cache = model_forward(features, params, use_aff=False)
+        _, cache = model_forward(features, as_variant(params, use_aff=False))
         mean = (f_05 + f_10 + f_15) / 3.0
         assert np.allclose(cache.fused, mean, atol=1e-15, rtol=0)
         assert cache.aff_cache is None
         # no_msi with learned fusion: equal rows give exact 1/3 weights
-        _, cache = model_forward(features, params, use_msi=False)
+        _, cache = model_forward(features, as_variant(params, use_msi=False))
         assert np.all(cache.aff_cache.weights == 1.0 / 3.0)
         assert np.allclose(cache.fused, f_10, atol=1e-12, rtol=0)
         # both off: fused is exactly the original-scale feature
-        _, cache = model_forward(features, params, use_msi=False, use_aff=False)
+        _, cache = model_forward(features, as_variant(params, use_msi=False, use_aff=False))
         assert np.allclose(cache.fused, f_10, atol=1e-15, rtol=0)
 
     def test_dim_mismatch(self):
@@ -237,13 +238,11 @@ class TestModelForward:
     )
     def test_batch_equals_single_rows_bit_for_bit(self, flags):
         rng = make_rng(17)
-        params = init_model_params(16, rng, hidden_aff=12, hidden_head=12,
-                                   similarity=flags.get("similarity", "cosine"))
-        switches = {k: v for k, v in flags.items() if k != "similarity"}
+        params = init_model_params(16, rng, hidden_aff=12, hidden_head=12, **flags)
         features = _features(rng, 16, batch=9)
-        scores, cache = model_forward(features, params, **switches)
+        scores, cache = model_forward(features, params)
         for r in range(9):
-            one, one_cache = model_forward(features[r : r + 1], params, **switches)
+            one, one_cache = model_forward(features[r : r + 1], params)
             for name in ("s_c", "s_v", "s_a"):
                 assert np.array_equal(getattr(one, name), getattr(scores, name)[r : r + 1]), name
             assert np.array_equal(one_cache.fused[0], cache.fused[r])
@@ -253,18 +252,18 @@ class TestModelBackward:
     @pytest.mark.parametrize("use_aff", [True, False])
     def test_param_grads_match_finite_differences(self, use_aff):
         rng = make_rng(14)
-        params = init_model_params(6, rng, hidden_aff=5, hidden_head=5)
+        params = init_model_params(6, rng, hidden_aff=5, hidden_head=5, use_aff=use_aff)
         features = _features(rng, 6, batch=3)
         ds = rng.standard_normal((3, 3))
 
-        _, cache = model_forward(features, params, use_aff=use_aff)
+        _, cache = model_forward(features, params)
         grads = model_backward(cache, params, *ds)
 
         def loss_with(name, flat):
             p2 = params.copy()
             target = dict(p2.named_arrays())[name]
             target[...] = flat.reshape(target.shape)
-            scores, _ = model_forward(features, p2, use_aff=use_aff)
+            scores, _ = model_forward(features, p2)
             return float(ds[0] @ scores.s_c + ds[1] @ scores.s_v + ds[2] @ scores.s_a)
 
         grad_map = dict(grads.named_arrays())
@@ -279,14 +278,15 @@ class TestModelBackward:
     def test_batch_equals_sum_of_single_rows(self, similarity, use_msi, use_aff):
         # the per-row backward passes, summed, are the loop oracle
         rng = make_rng(18)
-        params = init_model_params(10, rng, hidden_aff=7, hidden_head=7, similarity=similarity)
+        params = init_model_params(10, rng, hidden_aff=7, hidden_head=7, similarity=similarity,
+                                   use_msi=use_msi, use_aff=use_aff)
         features = _features(rng, 10, batch=6)
         ds = rng.standard_normal((3, 6))
-        _, cache = model_forward(features, params, use_msi=use_msi, use_aff=use_aff)
+        _, cache = model_forward(features, params)
         grads = model_backward(cache, params, *ds)
         total = params.zeros_like()
         for r in range(6):
-            _, one = model_forward(features[r : r + 1], params, use_msi=use_msi, use_aff=use_aff)
+            _, one = model_forward(features[r : r + 1], params)
             total.add_(model_backward(one, params, *ds[:, r : r + 1]))
         want = dict(total.named_arrays())
         for name, got in grads.named_arrays():
@@ -294,8 +294,8 @@ class TestModelBackward:
 
     def test_no_aff_leaves_fusion_grads_zero(self):
         rng = make_rng(15)
-        params = init_model_params(6, rng, hidden_aff=5, hidden_head=5)
-        _, cache = model_forward(_features(rng, 6, batch=2), params, use_aff=False)
+        params = init_model_params(6, rng, hidden_aff=5, hidden_head=5, use_aff=False)
+        _, cache = model_forward(_features(rng, 6, batch=2), params)
         grads = model_backward(cache, params, np.ones(2), np.ones(2), np.ones(2))
         for leaf in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(grads.aff, leaf), np.zeros_like(getattr(grads.aff, leaf)))

@@ -26,13 +26,13 @@ from amff.trainer import (
     score_dataset,
     train,
 )
-from conftest import fast_config, join_checkpoint, split_checkpoint
+from conftest import as_variant, fast_config, join_checkpoint, split_checkpoint
 
 DATA = Path(__file__).parent / "data"
 
 
-def _params(dim=6, seed=0):
-    return init_model_params(dim, make_rng(seed), hidden_aff=4, hidden_head=4)
+def _params(dim=6, seed=0, **variant):
+    return init_model_params(dim, make_rng(seed), hidden_aff=4, hidden_head=4, **variant)
 
 
 def _zero_grads(params):
@@ -202,6 +202,9 @@ class TestTrain:
             TrainConfig(early_stop_patience=0)
         with pytest.raises(ConfigError):
             TrainConfig(similarity="dot")
+        for field in ("hidden_aff", "hidden_head"):
+            with pytest.raises(ConfigError, match="hidden sizes"):
+                TrainConfig(**{field: 0})
 
 
 class TestAblationVariantForward:
@@ -209,17 +212,17 @@ class TestAblationVariantForward:
         from amff.scoring import mlp_forward
 
         rng = make_rng(20)
-        params = _params(dim=8, seed=21)
+        params = _params(dim=8, seed=21, use_aff=False)
         f = rng.standard_normal(8)
         features = np.stack([rng.standard_normal(8), f, f, f])[None]
-        scores, _ = model_forward(features, params, use_aff=False)
+        scores, _ = model_forward(features, params)
         assert scores.s_v[0] == pytest.approx(mlp_forward(params.head_v, f[None])[0][0], abs=1e-12)
 
     def test_variants_differ_from_full(self, tiny_dataset):
         params = _params(dim=tiny_dataset.dim, seed=22)
         features = tiny_dataset.features[[0]]
         full, _ = model_forward(features, params)
-        no_msi, _ = model_forward(features, params, use_msi=False)
+        no_msi, _ = model_forward(features, as_variant(params, use_msi=False))
         assert full.s_v[0] != no_msi.s_v[0]  # scale features genuinely differ
 
 
@@ -276,6 +279,41 @@ class TestCheckpoint:
         save_checkpoint(path, half)
         with pytest.raises(ConfigError, match="seed"):
             train(tiny_dataset, fast_config(max_epochs=4, seed=99), resume_from=path)
+        with pytest.raises(ConfigError, match="use_aff"):
+            train(tiny_dataset, fast_config(max_epochs=4, use_aff=False), resume_from=path)
+
+    def test_save_load_save_is_byte_identical(self, tiny_dataset, tmp_path):
+        outcome = train(tiny_dataset, fast_config(max_epochs=3, use_msi=False, similarity="manhattan"))
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        save_checkpoint(first, outcome)
+        save_checkpoint(second, load_checkpoint(first))
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            ({"lr": 0.0, "weight_decay": 0.0, "early_stop_patience": 1, "max_epochs": 50}, "early_stop"),
+            ({"max_epochs": 3}, "max_epochs"),
+        ],
+        ids=["early_stop", "max_epochs"],
+    )
+    def test_loaded_report_equals_trained_report(self, tiny_dataset, tmp_path, overrides, reason):
+        outcome = train(tiny_dataset, fast_config(**overrides))
+        assert outcome.report.stopping_reason == reason
+        save_checkpoint(tmp_path / "model.ckpt", outcome)
+        assert load_checkpoint(tmp_path / "model.ckpt").report.to_json() == outcome.report.to_json()
+
+    @pytest.mark.parametrize("variant", [{"use_aff": False}, {"use_msi": False}], ids=["no_aff", "no_msi"])
+    def test_ablated_model_scores_the_same_after_loading(self, tiny_dataset, tmp_path, variant):
+        outcome = train(tiny_dataset, fast_config(max_epochs=2, **variant))
+        before = score_dataset(outcome.params, tiny_dataset, label_ranges=outcome.label_ranges)
+        save_checkpoint(tmp_path / "model.ckpt", outcome)
+        loaded = load_checkpoint(tmp_path / "model.ckpt")
+        after = score_dataset(loaded.params, tiny_dataset, label_ranges=loaded.label_ranges)
+        assert np.array_equal(after, before)
+        # The same weights run as the full model give other scores.
+        full = as_variant(loaded.params, use_msi=True, use_aff=True)
+        assert not np.allclose(score_dataset(full, tiny_dataset, label_ranges=loaded.label_ranges), before)
 
     def test_truncated_checkpoint_rejected(self, tiny_dataset, tmp_path):
         outcome = train(tiny_dataset, fast_config(max_epochs=2))

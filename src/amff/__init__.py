@@ -7,7 +7,7 @@ and MSE losses with hand-derived gradients, and the full
 SRCC/PLCC/KRCC evaluation protocol.
 """
 
-from .aff import aff_backward, aff_forward, init_aff_params
+from .aff import aff_backward, aff_forward, mlp_backward, mlp_forward
 from .dataio import (
     Dataset,
     read_feature_records,
@@ -48,8 +48,6 @@ from .scoring import (
     ModelParams,
     ScoreTriple,
     init_model_params,
-    mlp_backward,
-    mlp_forward,
     model_backward,
     model_forward,
     similarity_score,

@@ -1,13 +1,17 @@
-"""Adaptive fusion of the three scale features.
+"""The two-layer perceptron and the adaptive fusion of the three scale features.
+
+One perceptron (linear, ReLU, linear) serves the fusion's weights
+generator and both score heads; only its output width differs.  It maps
+every vector along the last axis of its input, and its backward sums the
+shared-weight gradients over every leading index.
 
 Each sample's three feature vectors form a (3, D) stack; a batch is a
-(B, 3, D) tensor.  Every row goes through a shared two-layer perceptron
-(linear, ReLU, linear), and a softmax across the scale axis turns each
-feature channel's three logits into convex weights.  The fused feature
-is the per-channel weighted sum, so it always lies inside the min/max
-envelope of its inputs.  Both passes are hand-derived; the backward
-includes the softmax Jacobian and sums the shared-weight gradients over
-the three rows of every sample in the batch.
+(B, 3, D) tensor.  The weights generator maps every row to D logits,
+and a softmax across the scale axis turns each feature channel's three
+logits into convex weights.  The fused feature is the per-channel
+weighted sum, so it always lies inside the min/max envelope of its
+inputs.  Both passes are hand-derived; the fusion backward includes the
+softmax Jacobian.
 """
 
 from __future__ import annotations
@@ -44,13 +48,20 @@ class Block(NamedTuple):
 
 
 @dataclass(frozen=True)
+class MlpCache:
+    """Perceptron forward intermediates required by the backward pass."""
+
+    x: Array       # (..., dim) input
+    pre1: Array    # (..., hidden) first-layer pre-activations
+    hidden: Array  # (..., hidden) ReLU outputs
+
+
+@dataclass(frozen=True)
 class AffCache:
     """Forward intermediates required by the backward pass."""
 
-    stacked: Array  # (B, 3, dim) rows: 0.5x, 1.0x, 1.5x features
-    pre1: Array     # (B, 3, hidden) first-layer pre-activations
-    hidden: Array   # (B, 3, hidden) ReLU outputs
-    weights: Array  # (B, 3, dim) per-channel simplex over the scale axis
+    generator: MlpCache  # x holds the (B, 3, dim) rows: 0.5x, 1.0x, 1.5x features
+    weights: Array       # (B, 3, dim) per-channel simplex over the scale axis
 
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Array:
@@ -58,16 +69,47 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Array:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def init_aff_params(dim: int, hidden: int = 256, rng: np.random.Generator | None = None) -> Block:
-    """Glorot-uniform weights, zero biases; initial fusion weights ~ 1/3."""
-    if rng is None:
-        raise ValueError("init_aff_params requires an explicit rng")
+def init_block(dim: int, hidden: int, out: int, rng: np.random.Generator) -> Block:
+    """Glorot-uniform weights (``w1`` drawn first), zero biases."""
     return Block(
         w1=glorot_uniform(rng, hidden, dim),
         b1=np.zeros(hidden),
-        w2=glorot_uniform(rng, dim, hidden),
-        b2=np.zeros(dim),
+        w2=glorot_uniform(rng, out, hidden),
+        b2=np.zeros(out),
     )
+
+
+def mlp_forward(params: Block, x: Array) -> tuple[Array, MlpCache]:
+    """Map every ``dim`` vector along the last axis of ``x`` to an ``out`` vector.
+
+    ``x`` is ``(..., dim)`` with samples on the leading axis; the output is
+    ``(..., out)``.
+    """
+    if x.shape[-1:] != (params.dim,):
+        raise ShapeError(f"mlp_forward: expected (..., {params.dim}) input, got {x.shape}")
+    pre1 = affine_forward(params.w1, params.b1, x)
+    hidden = np.maximum(pre1, 0.0)
+    return affine_forward(params.w2, params.b2, hidden), MlpCache(x, pre1, hidden)
+
+
+def mlp_backward(cache: MlpCache, params: Block, dy: Array) -> tuple[Block, Array]:
+    """Gradients for the upstream ``dy`` of the output's shape, including the ReLU mask.
+
+    Parameter gradients are summed over every leading index (each one is
+    another use of the shared weights); the input gradient has the
+    input's shape.
+    """
+    x = cache.x
+    if x.shape[-1] != params.dim or dy.shape != (*x.shape[:-1], params.w2.shape[0]):
+        raise ShapeError(f"mlp_backward: dy {dy.shape} or cache {x.shape} does not match params")
+    dy_flat = dy.reshape(-1, dy.shape[-1])
+    db2 = dy_flat.sum(axis=0)
+    dw2 = dy_flat.T @ cache.hidden.reshape(-1, params.hidden)      # (out, h)
+    d_pre1 = (dy @ params.w2) * (cache.pre1 > 0.0)                  # (..., h)
+    d_pre1_flat = d_pre1.reshape(-1, params.hidden)
+    db1 = d_pre1_flat.sum(axis=0)
+    dw1 = d_pre1_flat.T @ x.reshape(-1, params.dim)                 # (h, dim)
+    return Block(dw1, db1, dw2, db2), d_pre1 @ params.w1
 
 
 def aff_forward(stacked: Array, params: Block) -> tuple[Array, AffCache]:
@@ -80,9 +122,7 @@ def aff_forward(stacked: Array, params: Block) -> tuple[Array, AffCache]:
         raise ShapeError(
             f"aff_forward: expected (B, 3, {params.dim}) scale features, got {stacked.shape}"
         )
-    pre1 = affine_forward(params.w1, params.b1, stacked)     # (B, 3, h)
-    hidden = np.maximum(pre1, 0.0)
-    logits = affine_forward(params.w2, params.b2, hidden)    # (B, 3, D)
+    logits, generator = mlp_forward(params, stacked)    # (B, 3, D)
     weights = softmax(logits, axis=1)
 
     col_sums = weights.sum(axis=1)
@@ -90,7 +130,7 @@ def aff_forward(stacked: Array, params: Block) -> tuple[Array, AffCache]:
         raise NumericError("aff_forward: scale weights left the simplex")
 
     fused = (weights * stacked).sum(axis=1)
-    return fused, AffCache(stacked, pre1, hidden, weights)
+    return fused, AffCache(generator, weights)
 
 
 def aff_backward(cache: AffCache, params: Block, d_fused: Array) -> tuple[Block, Array]:
@@ -102,7 +142,7 @@ def aff_backward(cache: AffCache, params: Block, d_fused: Array) -> tuple[Block,
     fusion weight times the upstream gradient) plus the path back
     through the weights generator.
     """
-    stacked, weights = cache.stacked, cache.weights
+    stacked, weights = cache.generator.x, cache.weights
     if d_fused.shape != (stacked.shape[0], params.dim) or stacked.shape[2] != params.dim:
         raise ShapeError(
             f"aff_backward: d_fused {d_fused.shape} does not match cache {stacked.shape} "
@@ -114,15 +154,5 @@ def aff_backward(cache: AffCache, params: Block, d_fused: Array) -> tuple[Block,
     inner = (weights * d_weights).sum(axis=1, keepdims=True)
     d_logits = weights * (d_weights - inner)
 
-    # Shared weights: every (sample, row) pair is one more use of the layer.
-    d_logits_flat = d_logits.reshape(-1, params.dim)
-    db2 = d_logits_flat.sum(axis=0)
-    dw2 = d_logits_flat.T @ cache.hidden.reshape(-1, params.hidden)  # (D, h)
-    d_pre1 = (d_logits @ params.w2) * (cache.pre1 > 0.0)             # (B, 3, h)
-    d_pre1_flat = d_pre1.reshape(-1, params.hidden)
-    db1 = d_pre1_flat.sum(axis=0)
-    dw1 = d_pre1_flat.T @ stacked.reshape(-1, params.dim)            # (h, D)
-    d_stacked = d_pre1 @ params.w1                                   # weights-generator path
-
-    d_inputs = weights * d_fused[:, None, :] + d_stacked
-    return Block(dw1, db1, dw2, db2), d_inputs
+    grads, d_stacked = mlp_backward(cache.generator, params, d_logits)
+    return grads, weights * d_fused[:, None, :] + d_stacked

@@ -224,6 +224,8 @@ def _run_trial(dataset, args, seed: int) -> metrics.EvalResult:
 
 
 def _cmd_eval(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     dataset = _load_dataset(args.data)
     dirs = _out_dirs(args.out)
 

@@ -412,8 +412,8 @@ def synth_generate_with_latents(
         raise DataError(f"synth_generate: need n >= 4, got {n}")
     if dim < 8:
         raise DataError(f"synth_generate: need dim >= 8, got {dim}")
-    if noise_sigma < 0:
-        raise DataError(f"synth_generate: noise_sigma must be >= 0, got {noise_sigma}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise DataError(f"synth_generate: noise_sigma must be finite and >= 0, got {noise_sigma}")
 
     # Orthonormal mixing columns keep the latent-to-feature map well
     # conditioned, so planted labels are recoverable from few samples.

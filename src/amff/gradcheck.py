@@ -9,17 +9,9 @@ relative error per block.
 
 from __future__ import annotations
 
-from .aff import aff_backward, aff_forward, init_aff_params
+from .aff import Block, aff_backward, aff_forward, init_block, mlp_backward, mlp_forward
 from .losses import BatchScores, fidelity_loss, mse_loss, total_loss
-from .scoring import (
-    init_mlp_params,
-    init_model_params,
-    mlp_backward,
-    mlp_forward,
-    model_backward,
-    model_forward,
-    similarity_score,
-)
+from .scoring import init_model_params, model_backward, model_forward, similarity_score
 from .tensor import Array, finite_diff_check, make_rng
 
 DEFAULT_EPS = 1e-5
@@ -29,30 +21,28 @@ DEFAULT_EPS = 1e-5
 PROBE_BATCH = 3
 
 
+def _check_leaves(tag: str, params: Block, grads: Block, loss_of) -> dict[str, float]:
+    """Check each of a perceptron's four gradient leaves against ``loss_of(trial params)``."""
+    results = {}
+    for leaf in Block._fields:
+        def loss_at(flat: Array, leaf=leaf) -> float:
+            return loss_of(params._replace(**{leaf: flat.reshape(getattr(params, leaf).shape)}))
+
+        results[f"{tag}.{leaf}"] = finite_diff_check(
+            loss_at, getattr(params, leaf).ravel(), getattr(grads, leaf).ravel(), DEFAULT_EPS
+        )
+    return results
+
+
 def _check_aff(seed: int, dim: int = 12, hidden: int = 7) -> dict[str, float]:
     rng = make_rng((seed, 201))
-    params = init_aff_params(dim, hidden, rng)
+    params = init_block(dim, hidden, dim, rng)
     stacked = rng.standard_normal((PROBE_BATCH, 3, dim))
     probe = rng.standard_normal((PROBE_BATCH, dim))
 
     _, cache = aff_forward(stacked, params)
     grads, d_stacked = aff_backward(cache, params, probe)
-
-    results = {}
-
-    def loss_with(block: str, flat: Array) -> float:
-        trial = params._replace(**{block: flat.reshape(getattr(params, block).shape)})
-        fused, _ = aff_forward(stacked, trial)
-        return float((probe * fused).sum())
-
-    for block in ("w1", "b1", "w2", "b2"):
-        analytic = getattr(grads, block).ravel()
-        results[f"aff.{block}"] = finite_diff_check(
-            lambda flat, b=block: loss_with(b, flat),
-            getattr(params, block).ravel(),
-            analytic,
-            DEFAULT_EPS,
-        )
+    results = _check_leaves("aff", params, grads, lambda p: float((probe * aff_forward(stacked, p)[0]).sum()))
 
     for slot, name in enumerate(("f05", "f10", "f15")):
         def loss_input(flat, s=slot):
@@ -69,27 +59,15 @@ def _check_aff(seed: int, dim: int = 12, hidden: int = 7) -> dict[str, float]:
 
 def _check_head(seed: int, tag: str, salt: int, dim: int = 12, hidden: int = 9) -> dict[str, float]:
     rng = make_rng((seed, salt))
-    params = init_mlp_params(dim, hidden, rng)
+    params = init_block(dim, hidden, 1, rng)
     x = rng.standard_normal((PROBE_BATCH, dim))
     dy = rng.standard_normal(PROBE_BATCH)
     _, cache = mlp_forward(params, x)
-    grads, dx = mlp_backward(cache, params, dy)
+    grads, dx = mlp_backward(cache, params, dy[:, None])
 
-    results = {}
-
-    def y_with(block: str, flat: Array) -> float:
-        trial = params._replace(**{block: flat.reshape(getattr(params, block).shape)})
-        return float(dy @ mlp_forward(trial, x)[0])
-
-    for block in ("w1", "b1", "w2", "b2"):
-        results[f"{tag}.{block}"] = finite_diff_check(
-            lambda flat, b=block: y_with(b, flat),
-            getattr(params, block).ravel(),
-            getattr(grads, block).ravel(),
-            DEFAULT_EPS,
-        )
+    results = _check_leaves(tag, params, grads, lambda p: float(dy @ mlp_forward(p, x)[0][:, 0]))
     results[f"{tag}.x"] = finite_diff_check(
-        lambda flat: float(dy @ mlp_forward(params, flat.reshape(x.shape))[0]),
+        lambda flat: float(dy @ mlp_forward(params, flat.reshape(x.shape))[0][:, 0]),
         x.ravel(),
         dx.ravel(),
         DEFAULT_EPS,

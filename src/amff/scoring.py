@@ -1,8 +1,9 @@
-"""Score heads and the full model forward/backward.
+"""The similarity score and the full model forward/backward.
 
-Two regression heads (D -> 256 -> 1 with a ReLU in between) predict
-visual quality and authenticity from the fused feature; the consistency
-score is the similarity between the fused feature and the text feature.
+Two regression heads, each the ``aff`` perceptron with one output
+(D -> 256 -> 1), predict visual quality and authenticity from the fused
+feature; the consistency score is the similarity between the fused
+feature and the text feature.
 Cosine is the default similarity; negated Euclidean and Manhattan
 distances are available so all three kinds share a higher-is-better
 orientation.  Every function works on a batch: features are (B, D),
@@ -18,56 +19,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .aff import AffCache, Block, aff_backward, aff_forward, glorot_uniform
+from .aff import AffCache, Block, MlpCache, aff_backward, aff_forward, glorot_uniform, mlp_backward, mlp_forward
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Array, affine_forward
+from .tensor import Array
 
 SIMILARITY_KINDS = ("cosine", "euclidean", "manhattan")
-
-
-@dataclass(frozen=True)
-class MlpCache:
-    x: Array
-    pre1: Array
-    hidden: Array
-
-
-def init_mlp_params(dim: int, hidden: int = 256, rng: np.random.Generator | None = None) -> Block:
-    if rng is None:
-        raise ValueError("init_mlp_params requires an explicit rng")
-    return Block(
-        w1=glorot_uniform(rng, hidden, dim),
-        b1=np.zeros(hidden),
-        w2=glorot_uniform(rng, 1, hidden),
-        b2=np.zeros(1),
-    )
-
-
-def mlp_forward(params: Block, x: Array) -> tuple[Array, MlpCache]:
-    """Head scores (B,) for the (B, D) features ``x``."""
-    if x.ndim != 2 or x.shape[1] != params.dim:
-        raise ShapeError(f"mlp_forward: expected (B, {params.dim}) input, got {x.shape}")
-    pre1 = affine_forward(params.w1, params.b1, x)
-    hidden = np.maximum(pre1, 0.0)
-    y = affine_forward(params.w2, params.b2, hidden)[:, 0]
-    return y, MlpCache(x, pre1, hidden)
-
-
-def mlp_backward(cache: MlpCache, params: Block, dy: Array) -> tuple[Block, Array]:
-    """Gradients for the (B,) upstream ``dy``, including the ReLU mask.
-
-    Parameter gradients are summed over the batch; the input gradient
-    is (B, D).
-    """
-    if cache.x.shape[1] != params.dim or dy.shape != (cache.x.shape[0],):
-        raise ShapeError(f"mlp_backward: dy {dy.shape} or cache {cache.x.shape} does not match params")
-    dw2 = (dy @ cache.hidden)[None, :]
-    db2 = np.array([dy.sum()])
-    d_pre1 = dy[:, None] * params.w2[0] * (cache.pre1 > 0.0)   # (B, h)
-    db1 = d_pre1.sum(axis=0)
-    dw1 = d_pre1.T @ cache.x
-    dx = d_pre1 @ params.w1
-    return Block(dw1, db1, dw2, db2), dx
 
 
 def similarity_score(f_img: Array, f_text: Array, kind: str = "cosine") -> tuple[Array, Array]:
@@ -232,7 +188,7 @@ def model_forward(features: Array, params: ModelParams) -> tuple[ScoreTriple, Mo
     s_a, cache_a = mlp_forward(params.head_a, fused)
     s_c, sim_grad = similarity_score(fused, f_text, params.similarity)
     cache = ModelCache(fused, aff_cache, cache_v, cache_a, sim_grad)
-    return ScoreTriple(s_c, s_v, s_a), cache
+    return ScoreTriple(s_c, s_v[:, 0], s_a[:, 0]), cache
 
 
 def model_backward(
@@ -247,8 +203,8 @@ def model_backward(
     The upstream gradients are (B,), one entry per row of the forward's
     batch; the parameter gradients are summed over the batch.
     """
-    grads_v, d_fused_v = mlp_backward(cache.cache_v, params.head_v, ds_v)
-    grads_a, d_fused_a = mlp_backward(cache.cache_a, params.head_a, ds_a)
+    grads_v, d_fused_v = mlp_backward(cache.cache_v, params.head_v, ds_v[:, None])
+    grads_a, d_fused_a = mlp_backward(cache.cache_a, params.head_a, ds_a[:, None])
     d_fused = d_fused_v + d_fused_a + ds_c[:, None] * cache.sim_grad
 
     if cache.aff_cache is None:

@@ -70,10 +70,10 @@ class TrainConfig:
         if min(self.batch_size, self.max_epochs, self.lr_drop_epoch, self.hidden_aff, self.hidden_head) < 1:
             raise ConfigError("TrainConfig: counts and hidden sizes must be positive")
         # lr == 0 is allowed for diagnostics (freezes parameters).
-        if self.lr < 0 or (self.lr_after_drop is not None and self.lr_after_drop < 0):
-            raise ConfigError("TrainConfig: learning rates must be >= 0")
-        if self.weight_decay < 0:
-            raise ConfigError("TrainConfig: weight_decay must be >= 0")
+        for name in ("lr", "lr_after_drop", "weight_decay"):
+            x = getattr(self, name)
+            if x is not None and not (math.isfinite(x) and x >= 0):
+                raise ConfigError(f"TrainConfig: {name} must be finite and >= 0, got {x}")
         if self.early_stop_patience < 1:
             raise ConfigError("TrainConfig: early_stop_patience must be >= 1")
         if not 0.0 < self.val_fraction < 1.0:

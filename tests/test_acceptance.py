@@ -15,7 +15,7 @@ import pytest
 from scipy.special import erf
 
 from amff import cli
-from amff.aff import aff_forward, init_aff_params
+from amff.aff import aff_forward, init_block
 from amff.dataio import synth_generate, split_per_generator, split_random
 from amff.gradcheck import run_gradcheck
 from amff.losses import BatchScores, fidelity_loss
@@ -86,7 +86,7 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_aff_simplex_and_envelope():
     rng = make_rng(202)
-    params = init_aff_params(16, 8, rng)
+    params = init_block(16, 8, 16, rng)
     params.b1[:] = 0.1 * rng.standard_normal(8)
     params.b2[:] = 0.1 * rng.standard_normal(16)
     # 1000 samples, each scale vector drawn at its own magnitude, in one batch
@@ -105,7 +105,7 @@ def test_criterion_2_aff_simplex_and_envelope():
 
 def test_criterion_3_aff_identity_and_no_msi_weights():
     rng = make_rng(303)
-    params = init_aff_params(24, 12, rng)
+    params = init_block(24, 12, 24, rng)
     params.b1[:] = 0.2 * rng.standard_normal(12)
     f = rng.standard_normal(24)
     fused, cache = aff_forward(np.tile(f, (1, 3, 1)), params)

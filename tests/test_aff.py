@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from amff.aff import Block, aff_backward, aff_forward, init_aff_params
+from amff.aff import Block, aff_backward, aff_forward, init_block
 from amff.errors import ShapeError
 from amff.tensor import finite_diff_check, make_rng
 
 
 def _params(dim=10, hidden=6, seed=0):
-    return init_aff_params(dim, hidden, make_rng((seed, 77)))
+    return init_block(dim, hidden, dim, make_rng((seed, 77)))
 
 
 def _random_params(dim, hidden, rng):
     # nonzero biases so the weights generator is exercised off-center
-    p = init_aff_params(dim, hidden, rng)
+    p = init_block(dim, hidden, dim, rng)
     p.b1[:] = 0.1 * rng.standard_normal(hidden)
     p.b2[:] = 0.1 * rng.standard_normal(dim)
     return p
@@ -187,7 +187,7 @@ class TestAffBackward:
 
 def test_init_weights_unsaturated():
     rng = make_rng(10)
-    p = init_aff_params(32, 16, rng)
+    p = init_block(32, 16, 32, rng)
     _, cache = aff_forward(rng.standard_normal((1, 3, 32)), p)
     # zero biases and Glorot weights: no scale dominates or vanishes at init
     assert np.all(cache.weights > 0.01) and np.all(cache.weights < 0.95)

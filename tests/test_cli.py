@@ -97,7 +97,7 @@ def _oversized_header(tmp_path, dataset):
 
 def _manifest(body: bytes):
     def command(tmp_path, dataset):
-        write_image(tmp_path / "x.ppm", Image(np.full((20, 20, 3), 0.5)))
+        write_image(tmp_path / "x.ppm", Image(np.full((40, 40, 3), 0.5)))  # every scale covers the grid
         manifest = tmp_path / "manifest.csv"
         manifest.write_bytes(b"id,generator,prompt,image,q_v\n" + body)
         return ["extract", "--images", tmp_path, "--manifest", manifest, "--out", tmp_path / "f.amff"]
@@ -116,37 +116,42 @@ def _args(*argv):
 
 def _extract_dim(dim: str):
     def command(tmp_path, dataset):
-        argv = _manifest(b"a,g,p,x.ppm,1\n")(tmp_path, dataset)
-        write_image(tmp_path / "x.ppm", Image(np.full((40, 40, 3), 0.5)))  # every scale covers the grid
-        return [*argv, "--dim", dim]
+        return [*_manifest(b"a,g,p,x.ppm,1\n")(tmp_path, dataset), "--dim", dim]
 
     return command
 
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "command, code",
+        "command, code, named",
         [
-            (_long_csv_cell, "E_FORMAT"),
-            (_oversized_header, "E_FORMAT"),
-            (_manifest(b"a,g,\xff\xfe prompt,x.ppm,1\n"), "E_FORMAT"),
-            (_manifest(b"a,g,p\n"), "E_FORMAT"),
-            (_manifest(b"a,g,p,x.ppm,nan\n"), "E_DATA"),
-            (_args("train", "--data", "{data}", "--out", "{out}", "--seed", "-1"), "E_CONFIG"),
-            (_args("gradcheck", "--seed", "-1"), "E_CONFIG"),
-            (_args("synth", "--out", "{out}/s.amff", "--seed", "-2"), "E_CONFIG"),
-            (_args("eval", "--data", "{data}", "--out", "{out}", "--trials", "2", "--seed", "-1"), "E_CONFIG"),
-            (_extract_dim("-4"), "E_CONFIG"),
-            (_extract_dim("0"), "E_CONFIG"),
+            (_long_csv_cell, "E_FORMAT", "malformed CSV"),
+            (_oversized_header, "E_FORMAT", "truncated file"),
+            (_manifest(b"a,g,\xff\xfe prompt,x.ppm,1\n"), "E_FORMAT", "not UTF-8"),
+            (_manifest(b"a,g,p\n"), "E_FORMAT", "manifest row 1"),
+            (_manifest(b"a,g,p,x.ppm,nan\n"), "E_DATA", "label q_v"),
+            (_args("train", "--data", "{data}", "--out", "{out}", "--seed", "-1"), "E_CONFIG", "seed"),
+            (_args("gradcheck", "--seed", "-1"), "E_CONFIG", "seed"),
+            (_args("synth", "--out", "{out}/s.amff", "--seed", "-2"), "E_CONFIG", "seed"),
+            (_args("eval", "--data", "{data}", "--out", "{out}", "--trials", "2", "--seed", "-1"), "E_CONFIG", "seed"),
+            (_extract_dim("-4"), "E_CONFIG", "dim"),
+            (_extract_dim("0"), "E_CONFIG", "dim"),
+            *[(_args("train", "--data", "{data}", "--out", "{out}", flag, value), "E_CONFIG", name)
+              for flag, name in (("--lr", "lr"), ("--weight-decay", "weight_decay")) for value in ("nan", "inf")],
+            *[(_args("synth", "--out", "{out}/s.amff", "--noise", value), "E_DATA", "noise_sigma")
+              for value in ("nan", "inf")],
+            *[(_args("eval", "--data", "{data}", "--out", "{out}", "--trials", value), "E_CONFIG", "--trials")
+              for value in ("0", "-2")],
         ],
         ids=["long_csv_cell", "oversized_header", "non_utf8_manifest", "short_manifest_row", "nan_manifest_label",
              "train_negative_seed", "gradcheck_negative_seed", "synth_negative_seed", "trials_negative_seed",
-             "extract_negative_dim", "extract_zero_dim"],
+             "extract_negative_dim", "extract_zero_dim", "nan_lr", "inf_lr", "nan_weight_decay",
+             "inf_weight_decay", "nan_noise", "inf_noise", "zero_trials", "negative_trials"],
     )
-    def test_one_error_line(self, tmp_path, capsys, tiny_dataset, command, code):
+    def test_one_error_line(self, tmp_path, capsys, tiny_dataset, command, code, named):
         assert _run(command(tmp_path, tiny_dataset)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1, err
+        assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1 and named in err, err
 
 
 class TestHeapTrim:

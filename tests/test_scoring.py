@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from amff.aff import Block
+from amff.aff import Block, init_block
 from amff.errors import ConfigError, NumericError, ShapeError
 from amff.scoring import (
-    init_mlp_params,
     init_model_params,
     mlp_backward,
     mlp_forward,
@@ -33,38 +32,42 @@ class TestMlp:
     def test_zero_params_zero_output(self):
         p = Block(np.zeros((4, 3)), np.zeros(4), np.zeros((1, 4)), np.zeros(1))
         y, _ = mlp_forward(p, np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]]))
-        assert np.array_equal(y, np.zeros(2))
+        assert np.array_equal(y, np.zeros((2, 1)))
 
     def test_relu_inactive_on_nonnegative_input(self):
         # identity-like first layer, summing second layer
         p = Block(np.eye(4), np.zeros(4), np.ones((1, 4)), np.zeros(1))
         x = np.array([[0.5, 1.0, 0.0, 2.5], [3.0, 0.0, 0.25, 1.0]])
         y, _ = mlp_forward(p, x)
-        assert np.allclose(y, x.sum(axis=1), atol=1e-15, rtol=0)
+        assert np.allclose(y[:, 0], x.sum(axis=1), atol=1e-15, rtol=0)
 
     def test_matches_loop_oracle(self):
         rng = make_rng(1)
-        p = init_mlp_params(6, 5, rng)
+        p = init_block(6, 5, 1, rng)
         x = rng.standard_normal((3, 6))
         y, _ = mlp_forward(p, x)
-        for row, got in zip(x, y):
+        for row, got in zip(x, y[:, 0]):
             hidden = [max(sum(p.w1[i, j] * row[j] for j in range(6)) + p.b1[i], 0.0) for i in range(5)]
             oracle = sum(p.w2[0, i] * hidden[i] for i in range(5)) + p.b2[0]
             assert got == pytest.approx(oracle, abs=1e-12)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_backward_matches_finite_differences(self, seed):
+    @pytest.mark.parametrize(
+        "seed, lead, out",
+        [pytest.param(0, (3,), 1, id="0"), pytest.param(1, (3,), 1, id="1"),
+         pytest.param(2, (3, 3), 7, id="generator")],  # (B, 3, D) rows to D logits, as in the fusion
+    )
+    def test_backward_matches_finite_differences(self, seed, lead, out):
         rng = make_rng((seed, 50))
-        p = init_mlp_params(7, 5, rng)
-        x = rng.standard_normal((3, 7))
-        dy = rng.standard_normal(3)
+        p = init_block(7, 5, out, rng)
+        x = rng.standard_normal((*lead, 7))
+        dy = rng.standard_normal((*lead, out))
         _, cache = mlp_forward(p, x)
         grads, dx = mlp_backward(cache, p, dy)
 
         def y_with(block, flat):
             kw = {k: getattr(p, k) for k in ("w1", "b1", "w2", "b2")}
             kw[block] = flat.reshape(kw[block].shape)
-            return float(dy @ mlp_forward(Block(**kw), x)[0])
+            return float((dy * mlp_forward(Block(**kw), x)[0]).sum())
 
         for block in ("w1", "b1", "w2", "b2"):
             err = finite_diff_check(
@@ -74,33 +77,41 @@ class TestMlp:
             )
             assert err < 1e-4, block
         err = finite_diff_check(
-            lambda v: float(dy @ mlp_forward(p, v.reshape(x.shape))[0]), x.ravel(), dx.ravel()
+            lambda v: float((dy * mlp_forward(p, v.reshape(x.shape))[0]).sum()), x.ravel(), dx.ravel()
         )
         assert err < 1e-4
 
+    def test_backward_rejects_upstream_of_another_shape(self):
+        rng = make_rng(5)
+        p = init_block(5, 4, 1, rng)
+        _, cache = mlp_forward(p, rng.standard_normal((3, 5)))
+        for dy in (np.ones(3), np.ones((2, 1)), np.ones((3, 5))):
+            with pytest.raises(ShapeError):
+                mlp_backward(cache, p, dy)
+
     def test_zero_upstream_zero_grads(self):
         rng = make_rng(2)
-        p = init_mlp_params(5, 4, rng)
+        p = init_block(5, 4, 1, rng)
         _, cache = mlp_forward(p, rng.standard_normal((3, 5)))
-        grads, dx = mlp_backward(cache, p, np.zeros(3))
+        grads, dx = mlp_backward(cache, p, np.zeros((3, 1)))
         for g in (grads.w1, grads.b1, grads.w2, grads.b2, dx):
             assert np.array_equal(g, np.zeros_like(g))
 
     def test_dead_relu_blocks_input_grads(self):
         rng = make_rng(3)
-        p = init_mlp_params(5, 4, rng)
+        p = init_block(5, 4, 1, rng)
         p.b1[:] = -100.0  # every unit dead for moderate inputs
         x = rng.standard_normal((2, 5))
         y, cache = mlp_forward(p, x)
-        grads, dx = mlp_backward(cache, p, np.ones(2))
-        assert np.array_equal(y, np.full(2, p.b2[0]))
+        grads, dx = mlp_backward(cache, p, np.ones((2, 1)))
+        assert np.array_equal(y, np.full((2, 1), p.b2[0]))
         assert np.array_equal(dx, np.zeros((2, 5)))
         assert np.array_equal(grads.w1, np.zeros_like(grads.w1))
         assert grads.b2[0] == 2.0  # bias path stays alive, once per row
 
     def test_piecewise_linearity_on_fixed_pattern(self):
         rng = make_rng(4)
-        p = init_mlp_params(6, 5, rng)
+        p = init_block(6, 5, 1, rng)
         x = rng.standard_normal((1, 6))
         d = rng.standard_normal((1, 6))
         t = 1e-4  # small enough to keep the activation pattern fixed
@@ -110,7 +121,7 @@ class TestMlp:
         y0, _ = mlp_forward(p, x)
         y1, _ = mlp_forward(p, x + t * d)
         y2, _ = mlp_forward(p, x + 2 * t * d)
-        assert (y2 - y0)[0] == pytest.approx(2 * (y1 - y0)[0], abs=1e-10)
+        assert (y2 - y0)[0, 0] == pytest.approx(2 * (y1 - y0)[0, 0], abs=1e-10)
 
 
 class TestSimilarity:
@@ -189,8 +200,8 @@ class TestModelForward:
         features = _features(rng, 7, batch=3)
         scores, _ = model_forward(features, params)
         fused, _ = aff_forward(features[:, 1:], params.aff)
-        assert np.allclose(scores.s_v, mlp_forward(params.head_v, fused)[0], atol=1e-12, rtol=0)
-        assert np.allclose(scores.s_a, mlp_forward(params.head_a, fused)[0], atol=1e-12, rtol=0)
+        assert np.allclose(scores.s_v, mlp_forward(params.head_v, fused)[0][:, 0], atol=1e-12, rtol=0)
+        assert np.allclose(scores.s_a, mlp_forward(params.head_a, fused)[0][:, 0], atol=1e-12, rtol=0)
         assert np.allclose(
             scores.s_c, similarity_score(fused, features[:, 0], "cosine")[0], atol=1e-12, rtol=0
         )

@@ -216,7 +216,7 @@ class TestAblationVariantForward:
         f = rng.standard_normal(8)
         features = np.stack([rng.standard_normal(8), f, f, f])[None]
         scores, _ = model_forward(features, params)
-        assert scores.s_v[0] == pytest.approx(mlp_forward(params.head_v, f[None])[0][0], abs=1e-12)
+        assert scores.s_v[0] == pytest.approx(mlp_forward(params.head_v, f[None])[0][0, 0], abs=1e-12)
 
     def test_variants_differ_from_full(self, tiny_dataset):
         params = _params(dim=tiny_dataset.dim, seed=22)

@@ -46,7 +46,6 @@ from .metrics import (
 )
 from .scoring import (
     ModelParams,
-    ScoreTriple,
     init_model_params,
     model_backward,
     model_forward,

@@ -29,6 +29,7 @@ from .errors import (
     ShapeError,
 )
 from .gradcheck import format_gradcheck, run_gradcheck
+from .scoring import SIMILARITY_KINDS
 from .tensor import make_rng
 
 _TAG_OUTER_SPLIT = 21
@@ -130,7 +131,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr-drop-epoch", type=int, default=80)
     p.add_argument("--patience", type=int, default=20)
     p.add_argument("--weight-decay", type=float, default=1e-2)
-    p.add_argument("--similarity", choices=("cosine", "euclidean", "manhattan"), default="cosine")
+    p.add_argument("--similarity", choices=SIMILARITY_KINDS, default="cosine")
     p.add_argument("--no-msi", action="store_true", help="feed the original scale into all fusion slots")
     p.add_argument("--no-aff", action="store_true", help="replace learned fusion with the plain mean")
 
@@ -174,17 +175,20 @@ def _cmd_extract(args) -> int:
         raise FormatError(f"manifest {manifest} is not UTF-8 text") from None
     except csv.Error as exc:
         raise FormatError(f"manifest {manifest}: malformed CSV at line {reader.reader.line_num} ({exc})") from None
-    features, labels = [], []
+    # Every row's cells and labels are checked before any image is encoded.
+    labels = []
     for k, row in enumerate(rows, start=1):
         if any(row[name] is None for name in required):
             raise FormatError(f"manifest row {k} has no cell for one of {', '.join(required)}")
-        msi = encoder.make_multiscale(encoder.read_image(images_dir / row["image"]))
-        f_05, f_10, f_15 = encoder.toy_encode(msi, args.dim)
-        features.append((encoder.toy_encode_text(row["prompt"], args.dim), f_05, f_10, f_15))
         where = f"manifest row {row['id']!r}"
         labels.append(
             [dataio.parse_label_cell((row.get(name) or "").strip(), name, where) for name in ("q_v", "q_a", "q_c")]
         )
+    features = []
+    for row in rows:
+        msi = encoder.make_multiscale(encoder.read_image(images_dir / row["image"]))
+        f_05, f_10, f_15 = encoder.toy_encode(msi, args.dim)
+        features.append((encoder.toy_encode_text(row["prompt"], args.dim), f_05, f_10, f_15))
     dataset = dataio.Dataset(
         [row["id"] for row in rows],
         [row["generator"] for row in rows],
@@ -260,8 +264,7 @@ def _cmd_eval(args) -> int:
             )
     (dirs["reports"] / "trials.jsonl").write_text("\n".join(trial_lines) + "\n")
     title = f"median of {len(seeds)} trials"
-    (dirs["reports"] / "eval.txt").write_text(metrics.format_table(median, title))
-    (dirs["reports"] / "eval.jsonl").write_text(metrics.to_jsonl(median))
+    _write_eval_reports(dirs, median, {}, title)
     print(metrics.format_table(median, title), end="")
     return 0
 

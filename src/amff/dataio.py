@@ -40,6 +40,12 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 def _first_nonfinite(features: Array) -> str | None:
     """Where the first non-finite feature value of an (N, 4, D) block is, or None."""
+    # A finite sum has only finite terms, and it needs no (N, 4, D) temporary;
+    # the exact check below runs only when some term is not finite or the sum
+    # of finite terms overflowed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(features.sum()):
+            return None
     finite = np.isfinite(features).all(axis=2)
     if finite.all():
         return None

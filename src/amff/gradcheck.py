@@ -139,15 +139,10 @@ def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
 
         def objective(p):
             scores, cache = model_forward(features, p)
-            loss = total_loss(
-                BatchScores(scores.s_c, gts[0]),
-                BatchScores(scores.s_v, gts[1]),
-                BatchScores(scores.s_a, gts[2]),
-            )
-            return loss, cache
+            return total_loss(scores, gts.T, (True, True, True)), cache
 
         loss, cache = objective(params)
-        grads = model_backward(cache, params, loss.d_consistency, loss.d_quality, loss.d_authenticity)
+        grads = model_backward(cache, params, loss.grad)
 
         def loss_at(flat: Array) -> float:
             trial = params.zeros_like()

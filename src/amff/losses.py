@@ -1,8 +1,11 @@
-"""Training objectives: pairwise fidelity loss and per-task MSE.
+"""Training objectives: pairwise fidelity loss, per-task MSE and their sum.
 
 The fidelity loss compares every ordered pair in a mini-batch.  Ground
 truth preferences are binary (`gt_i >= gt_j`), predicted preferences
 come from the Thurstone Case V model, Phi((s_i - s_j) / sqrt(2)).
+``total_loss`` combines them over the model's (B, 3) score block, whose
+columns are in ``dataio.TASKS`` order: fidelity for consistency, MSE for
+quality and authenticity, each enabled by a task mask.
 """
 
 from __future__ import annotations
@@ -98,34 +101,37 @@ def mse_loss(batch: BatchScores) -> tuple[float, Array]:
 
 @dataclass(frozen=True)
 class LossBundle:
-    """Combined objective: sum of the present per-task components."""
+    """Combined objective over a (B, 3) score block, tasks in ``TASKS`` order.
 
-    l_c: float
-    l_v: float
-    l_a: float
+    ``losses`` holds the three per-task losses (0 for an inactive task),
+    ``total`` their sum and ``grad`` the (B, 3) gradient w.r.t. the
+    scores, whose inactive columns are exactly 0.
+    """
+
+    losses: Array
     total: float
-    d_consistency: Array | None
-    d_quality: Array | None
-    d_authenticity: Array | None
+    grad: Array
 
 
-def total_loss(
-    consistency: BatchScores | None,
-    quality: BatchScores | None,
-    authenticity: BatchScores | None,
-) -> LossBundle:
-    """Unweighted sum of the per-task losses; masked tasks contribute 0."""
-    present = [b for b in (consistency, quality, authenticity) if b is not None]
-    if not present:
+# The loss of each score column: fidelity ranks consistency, MSE regresses the heads.
+_TASK_LOSSES = (fidelity_loss, mse_loss, mse_loss)
+
+
+def total_loss(scores: Array, targets: Array, active) -> LossBundle:
+    """Unweighted sum of the active tasks' losses; inactive tasks contribute 0.
+
+    ``scores`` and ``targets`` are (B, 3) blocks and ``active`` is a
+    length-3 boolean task mask; an inactive column's targets are not read.
+    """
+    if scores.shape != targets.shape or scores.shape[1:] != (3,) or len(active) != 3:
+        raise DataError(f"total_loss: scores {scores.shape}, targets {targets.shape}, mask of {len(active)}")
+    if not any(active):
         raise DataError("total_loss: all components masked")
-    sizes = {b.n for b in present}
-    if len(sizes) != 1:
-        raise DataError(f"total_loss: mismatched batch sizes {sorted(sizes)}")
-
-    l_c, d_c = fidelity_loss(consistency) if consistency is not None else (0.0, None)
-    l_v, d_v = mse_loss(quality) if quality is not None else (0.0, None)
-    l_a, d_a = mse_loss(authenticity) if authenticity is not None else (0.0, None)
-    total = l_c + l_v + l_a
-    if not np.isfinite(total):
+    losses, grad = np.zeros(3), np.zeros(scores.shape)
+    for k, task_loss in enumerate(_TASK_LOSSES):
+        if active[k]:
+            losses[k], grad[:, k] = task_loss(BatchScores(scores[:, k], targets[:, k]))
+    total = float(losses[0] + losses[1] + losses[2])
+    if not math.isfinite(total):
         raise NumericError("total_loss: non-finite loss")
-    return LossBundle(l_c, l_v, l_a, total, d_c, d_v, d_a)
+    return LossBundle(losses, total, grad)

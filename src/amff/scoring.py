@@ -7,8 +7,10 @@ feature and the text feature.
 Cosine is the default similarity; negated Euclidean and Manhattan
 distances are available so all three kinds share a higher-is-better
 orientation.  Every function works on a batch: features are (B, D),
-scores and their upstream gradients (B,), and parameter gradients are
-summed over the batch.
+similarities (B,), and parameter gradients are summed over the batch.
+The model's three scores travel as one (B, 3) block whose columns are
+in ``dataio.TASKS`` order (consistency, quality, authenticity), and
+their upstream gradient is a block of the same shape.
 """
 
 from __future__ import annotations
@@ -52,15 +54,6 @@ def similarity_score(f_img: Array, f_text: Array, kind: str = "cosine") -> tuple
         diff = f_img - f_text
         return -np.abs(diff).sum(axis=1), -np.sign(diff)
     raise ConfigError(f"similarity: unknown kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class ScoreTriple:
-    """Model outputs, one (B,) array each: consistency, visual quality, authenticity."""
-
-    s_c: Array
-    s_v: Array
-    s_a: Array
 
 
 def param_layout(dim: int, hidden_aff: int, hidden_head: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -167,11 +160,11 @@ class ModelCache:
     sim_grad: Array             # (B, D)
 
 
-def model_forward(features: Array, params: ModelParams) -> tuple[ScoreTriple, ModelCache]:
+def model_forward(features: Array, params: ModelParams) -> tuple[Array, ModelCache]:
     """Full forward pass of the variant ``params`` names: fuse scales, run both heads, score similarity.
 
     ``features`` is a (B, 4, D) block whose rows are f_text, f_05, f_10
-    and f_15.
+    and f_15.  The scores are a (B, 3) block, columns in ``TASKS`` order.
     """
     if features.ndim != 3 or features.shape[1:] != (4, params.dim):
         raise ShapeError(f"model_forward: expected (B, 4, {params.dim}) features, got {features.shape}")
@@ -188,21 +181,21 @@ def model_forward(features: Array, params: ModelParams) -> tuple[ScoreTriple, Mo
     s_a, cache_a = mlp_forward(params.head_a, fused)
     s_c, sim_grad = similarity_score(fused, f_text, params.similarity)
     cache = ModelCache(fused, aff_cache, cache_v, cache_a, sim_grad)
-    return ScoreTriple(s_c, s_v[:, 0], s_a[:, 0]), cache
+    return np.concatenate((s_c[:, None], s_v, s_a), axis=1), cache
 
 
-def model_backward(
-    cache: ModelCache,
-    params: ModelParams,
-    ds_c: Array,
-    ds_v: Array,
-    ds_a: Array,
-) -> ModelParams:
-    """Gradients of ``sum(ds_c*S_C + ds_v*S_V + ds_a*S_A)`` w.r.t. all params.
+def model_backward(cache: ModelCache, params: ModelParams, d_scores: Array) -> ModelParams:
+    """Gradients of ``sum(d_scores * scores)`` w.r.t. all params.
 
-    The upstream gradients are (B,), one entry per row of the forward's
-    batch; the parameter gradients are summed over the batch.
+    ``d_scores`` is the (B, 3) upstream of the forward's score block,
+    columns in ``TASKS`` order; the parameter gradients are summed over
+    the batch.
     """
+    if d_scores.shape != (cache.fused.shape[0], 3):
+        raise ShapeError(f"model_backward: expected ({cache.fused.shape[0]}, 3) upstream, got {d_scores.shape}")
+    # Contiguous rows: a strided (B, 1) upstream changes the heads' dw2 in
+    # the last bits on some BLAS builds and batch sizes.
+    ds_c, ds_v, ds_a = np.ascontiguousarray(d_scores.T)
     grads_v, d_fused_v = mlp_backward(cache.cache_v, params.head_v, ds_v[:, None])
     grads_a, d_fused_a = mlp_backward(cache.cache_a, params.head_a, ds_a[:, None])
     d_fused = d_fused_v + d_fused_a + ds_c[:, None] * cache.sim_grad

@@ -2,6 +2,9 @@
 
 Labels for the MSE-trained tasks are normalized to [0, 1] by the
 training set's min/max and predictions are denormalized on the way out.
+Targets are one block with a column per task in ``TASKS`` order, like
+the model's scores; a task mask leaves out the tasks whose labels are
+absent, and the pairwise task on a one-row batch.
 All randomness is derived from (seed, purpose-tag) seed sequences, so
 every epoch is reproducible in isolation and training can resume from a
 checkpoint bit-exactly.
@@ -21,7 +24,7 @@ import numpy as np
 
 from .dataio import TASKS, Dataset, split_random
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
-from .losses import BatchScores, total_loss
+from .losses import total_loss
 from .metrics import EvalResult, TaskMetrics, krcc, plcc, srcc
 from .scoring import (
     SIMILARITY_KINDS,
@@ -198,8 +201,7 @@ def score_dataset(params: ModelParams, dataset: Dataset, *, label_ranges: dict |
     scores = np.empty((len(dataset), len(TASKS)))
     for lo in range(0, len(dataset), SCORE_CHUNK):
         chunk = dataset.features[lo : lo + SCORE_CHUNK]
-        out, _ = model_forward(chunk, params)
-        scores[lo : lo + len(chunk)] = np.stack((out.s_c, out.s_v, out.s_a), axis=1)
+        scores[lo : lo + len(chunk)] = model_forward(chunk, params)[0]
     for k, task in enumerate(TASKS):
         if task != "consistency" and label_ranges and label_ranges.get(task):
             scores[:, k] = _denormalize(scores[:, k], *label_ranges[task])
@@ -231,9 +233,10 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
     present = {task: dataset.has_label(task) for task in TASKS}
     if not any(present.values()):
         raise DataError("train: dataset has no fully present label for any task")
-    # The pairwise loss ranks S_C against the configured comparison label,
-    # so it is enabled by that label's presence (q_c by default).
-    fidelity_present = present[cfg.fidelity_label]
+    # The task mask, in TASKS order.  The pairwise loss ranks S_C against the
+    # configured comparison label, so that label's presence enables it (q_c
+    # by default).
+    active = np.array([present[cfg.fidelity_label], present["quality"], present["authenticity"]])
 
     core, val = split_random(dataset, 1.0 - cfg.val_fraction, make_rng((cfg.seed, _TAG_VALSPLIT)))
     ranges = {task: dataset.label_ranges.get(task) for task in TASKS}
@@ -265,45 +268,35 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
         history: list[EpochStats] = []
         start_epoch = 1
 
-    # Per-row targets: the raw label ranks the pairwise loss, the MSE
-    # tasks regress onto labels normalized to [0, 1].
-    targets = {"consistency": core.label(cfg.fidelity_label)}
-    for task in ("quality", "authenticity"):
-        if present[task]:
-            targets[task] = _normalize(core.label(task), *ranges[task])
+    # Per-row targets, columns in TASKS order and NaN where masked: the raw
+    # label ranks the pairwise loss, the MSE tasks regress onto labels
+    # normalized to [0, 1].
+    targets = np.full((len(core), len(TASKS)), np.nan)
+    targets[:, 0] = core.label(cfg.fidelity_label)
+    for k in (1, 2):
+        if active[k]:
+            targets[:, k] = _normalize(core.label(TASKS[k]), *ranges[TASKS[k]])
     val_gts = {task: val.label(task) for task in TASKS if present[task]}
 
     epoch = start_epoch - 1
     for epoch in range(start_epoch, cfg.max_epochs + 1):
         lr_e = cfg.lr if epoch < cfg.lr_drop_epoch else cfg.dropped_lr
         perm = make_rng((cfg.seed, _TAG_EPOCH, epoch)).permutation(len(core))
-        sums = {"total": 0.0, "c": 0.0, "v": 0.0, "a": 0.0}
+        sums = np.zeros(4)  # total loss, then the per-task losses
         n_batches = 0
         for b0 in range(0, len(perm), cfg.batch_size):
             rows = perm[b0 : b0 + cfg.batch_size]
+            batch_active = active & (rows.size >= 2, True, True)
+            if not batch_active.any():
+                continue  # singleton tail batch with only the pairwise task, which needs two rows
             scores, cache = model_forward(core.features[rows], params)
-            cons = qual = auth = None
-            if fidelity_present and rows.size >= 2:
-                cons = BatchScores(scores.s_c, targets["consistency"][rows])
-            if present["quality"]:
-                qual = BatchScores(scores.s_v, targets["quality"][rows])
-            if present["authenticity"]:
-                auth = BatchScores(scores.s_a, targets["authenticity"][rows])
-            if cons is None and qual is None and auth is None:
-                continue  # singleton tail batch with only the pairwise task
             try:
-                bundle = total_loss(cons, qual, auth)
+                bundle = total_loss(scores, targets[rows], batch_active)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {n_batches}: {exc}") from exc
-
-            no_grad = np.zeros(rows.size)  # upstream of a masked task
-            upstream = (bundle.d_consistency, bundle.d_quality, bundle.d_authenticity)
-            grads = model_backward(cache, params, *(no_grad if d is None else d for d in upstream))
+            grads = model_backward(cache, params, bundle.grad)
             adamw_step(params, grads, opt, lr_e, cfg.weight_decay)
-            sums["total"] += bundle.total
-            sums["c"] += bundle.l_c
-            sums["v"] += bundle.l_v
-            sums["a"] += bundle.l_a
+            sums += (bundle.total, *bundle.losses)
             n_batches += 1
 
         if n_batches == 0:
@@ -312,18 +305,7 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
             )
         val_srcc = _validation_srcc(params, val, val_gts)
         val_mean = float(np.mean(list(val_srcc.values()))) if val_srcc else -1.0
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                lr=lr_e,
-                loss_total=sums["total"] / n_batches,
-                loss_c=sums["c"] / n_batches,
-                loss_v=sums["v"] / n_batches,
-                loss_a=sums["a"] / n_batches,
-                val_srcc=val_srcc,
-                val_mean=val_mean,
-            )
-        )
+        history.append(EpochStats(epoch, lr_e, *(sums / n_batches).tolist(), val_srcc, val_mean))
         if val_mean > best_metric:
             best_metric = val_mean
             best_epoch = epoch

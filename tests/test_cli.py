@@ -78,6 +78,18 @@ class TestExtract:
         for vector in ds.features[1]:  # f_text, f_05, f_10, f_15
             assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-5)
 
+    def test_bad_label_stops_before_any_image_is_encoded(self, tmp_path, capsys, tiny_dataset, monkeypatch):
+        from amff import encoder
+
+        reads = []
+        read_image = encoder.read_image
+        monkeypatch.setattr(encoder, "read_image", lambda path: reads.append(path) or read_image(path))
+        command = _manifest(b"a,g,p,x.ppm,1\nb,g,p,x.ppm,2\nc,g,p,x.ppm,nan\n")(tmp_path, tiny_dataset)
+        assert _run(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR E_DATA: ") and err.count("\n") == 1 and "label q_v" in err, err
+        assert reads == []
+
 
 def _long_csv_cell(tmp_path, dataset):
     from amff.dataio import write_feature_records_csv

@@ -47,6 +47,12 @@ def _dataset(rng, n=5, dim=6, generators=("a", "b")):
     )
 
 
+def _poisoned(shape, index, value):
+    block = np.ones(shape)
+    block[index] = value
+    return block
+
+
 def _rows(ds, rows, **replace):
     """A dataset of the given rows of ``ds``, with whole columns replaced by keyword."""
     columns = {
@@ -102,12 +108,28 @@ class TestBinaryCodec:
         path = tmp_path / "data.amff"
         ds = _dataset(make_rng(5), n=4, dim=4)
         write_feature_records(ds, path)
-        blob = bytearray(path.read_bytes())
-        # last 4 bytes of the final record are the tail of f_15: poison them
-        blob[-4:] = struct.pack("<f", float("nan"))
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="record 3"):
-            read_feature_records(path)
+        for value in (np.nan, np.inf, -np.inf):
+            blob = bytearray(path.read_bytes())
+            # last 4 bytes of the final record are the tail of f_15: poison them
+            blob[-4:] = struct.pack("<f", value)
+            (tmp_path / "bad.amff").write_bytes(bytes(blob))
+            with pytest.raises(FormatError, match="record 3: non-finite values in f_15"):
+                read_feature_records(tmp_path / "bad.amff")
+
+    def test_reading_a_finite_block_builds_no_mask_of_it(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "data.amff"
+        write_feature_records(synth_generate(64, 512, 0.01, make_rng(6)), path)
+        tracemalloc.start()
+        try:
+            ds = read_feature_records(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The file's bytes and the float64 block, plus far less than a
+        # one-byte-per-value finiteness mask of the block.
+        assert peak < path.stat().st_size + ds.features.nbytes + ds.features.size // 4
 
     def test_handcrafted_file(self, tmp_path):
         # build a 3-sample file by hand, byte for byte, per the documented layout
@@ -324,12 +346,20 @@ class TestDatasetModel:
             ({"features": np.zeros((2, 3, 6))}, "dims"),
             ({"features": np.full((2, 4, 6), np.inf)}, "record 0: non-finite values in f_text"),
             ({"labels": np.array([[1.0, np.nan, 0.5], [1.0, -np.inf, 0.5]])}, "infinite label"),
+            *[({"features": _poisoned((2, 4, 6), (1, 1, 3), v)}, "record 1: non-finite values in f_05")
+              for v in (np.nan, np.inf, -np.inf)],
         ],
     )
     def test_columns_validated(self, replace, match):
         ds = _dataset(make_rng(19), n=2)
         with pytest.raises(DataError, match=match):
             _rows(ds, [0, 1], **replace)
+
+    def test_finite_block_whose_sum_overflows_is_accepted(self):
+        ds = _dataset(make_rng(19), n=2)
+        block = np.zeros((2, 4, 6))
+        block[0, 1, :3] = 1e308  # finite values whose sum is inf
+        assert np.array_equal(_rows(ds, [0, 1], features=block).features, block)
 
 
 class TestCsvCells:

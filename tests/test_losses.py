@@ -149,35 +149,39 @@ class TestMseLoss:
 
 
 class TestTotalLoss:
-    def _batch(self, rng, n=4):
-        return BatchScores(rng.standard_normal(n), rng.standard_normal(n))
+    def _blocks(self, rng, n=4):
+        """(n, 3) scores and targets, drawn task by task as one batch each."""
+        draws = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(3)]
+        return np.column_stack([p for p, _ in draws]), np.column_stack([g for _, g in draws])
 
     def test_all_zero(self):
-        z = BatchScores(np.zeros(3), np.zeros(3))
-        bundle = total_loss(None, z, z)
+        z = np.zeros((3, 3))
+        bundle = total_loss(z, z, (False, True, True))
         assert bundle.total == 0.0
 
     def test_mask_semantics(self):
         rng = make_rng(12)
-        cons, qual = self._batch(rng), self._batch(rng)
-        bundle = total_loss(cons, qual, None)
-        assert bundle.l_a == 0.0
-        assert bundle.d_authenticity is None
-        assert bundle.total == pytest.approx(bundle.l_c + bundle.l_v, abs=1e-12)
+        scores, targets = self._blocks(rng)
+        targets[:, 2] = np.nan  # an inactive task's targets are not read
+        bundle = total_loss(scores, targets, (True, True, False))
+        assert bundle.losses[2] == 0.0
+        assert np.array_equal(bundle.grad[:, 2], np.zeros(4))
+        assert bundle.total == pytest.approx(bundle.losses[0] + bundle.losses[1], abs=1e-12)
 
     def test_equals_component_sum(self):
         rng = make_rng(13)
-        cons, qual, auth = self._batch(rng), self._batch(rng), self._batch(rng)
-        bundle = total_loss(cons, qual, auth)
+        scores, targets = self._blocks(rng)
+        cons, qual, auth = (BatchScores(scores[:, k], targets[:, k]) for k in range(3))
+        bundle = total_loss(scores, targets, (True, True, True))
         assert bundle.total == pytest.approx(
             fidelity_loss(cons)[0] + mse_loss(qual)[0] + mse_loss(auth)[0], abs=1e-12
         )
 
     def test_all_masked_errors(self):
         with pytest.raises(DataError):
-            total_loss(None, None, None)
+            total_loss(np.zeros((3, 3)), np.zeros((3, 3)), (False, False, False))
 
     def test_mismatched_sizes_error(self):
         rng = make_rng(14)
         with pytest.raises(DataError):
-            total_loss(None, self._batch(rng, 4), self._batch(rng, 5))
+            total_loss(self._blocks(rng, 4)[0], self._blocks(rng, 5)[1], (False, True, True))

@@ -181,7 +181,7 @@ class TestModelForward:
         f = rng.standard_normal(8)
         f /= np.linalg.norm(f)
         scores, _ = model_forward(np.tile(f, (1, 4, 1)), params)
-        assert scores.s_c[0] == pytest.approx(1.0, abs=1e-12)
+        assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_heads_zero_scores(self):
         rng = make_rng(8)
@@ -190,7 +190,7 @@ class TestModelForward:
             for leaf in ("w1", "b1", "w2", "b2"):
                 getattr(head, leaf)[:] = 0.0
         scores, _ = model_forward(_features(make_rng(9), 6, batch=3), params)
-        assert np.array_equal(scores.s_v, np.zeros(3)) and np.array_equal(scores.s_a, np.zeros(3))
+        assert np.array_equal(scores[:, 1], np.zeros(3)) and np.array_equal(scores[:, 2], np.zeros(3))
 
     def test_composes_component_oracles(self):
         from amff.aff import aff_forward
@@ -200,10 +200,11 @@ class TestModelForward:
         features = _features(rng, 7, batch=3)
         scores, _ = model_forward(features, params)
         fused, _ = aff_forward(features[:, 1:], params.aff)
-        assert np.allclose(scores.s_v, mlp_forward(params.head_v, fused)[0][:, 0], atol=1e-12, rtol=0)
-        assert np.allclose(scores.s_a, mlp_forward(params.head_a, fused)[0][:, 0], atol=1e-12, rtol=0)
+        assert scores.shape == (3, 3)
+        assert np.allclose(scores[:, 1], mlp_forward(params.head_v, fused)[0][:, 0], atol=1e-12, rtol=0)
+        assert np.allclose(scores[:, 2], mlp_forward(params.head_a, fused)[0][:, 0], atol=1e-12, rtol=0)
         assert np.allclose(
-            scores.s_c, similarity_score(fused, features[:, 0], "cosine")[0], atol=1e-12, rtol=0
+            scores[:, 0], similarity_score(fused, features[:, 0], "cosine")[0], atol=1e-12, rtol=0
         )
 
     def test_zeroing_a_scale_changes_outputs(self):
@@ -214,7 +215,7 @@ class TestModelForward:
         zeroed = features.copy()
         zeroed[:, 1] = 0.0
         changed, _ = model_forward(zeroed, params)
-        assert changed.s_v[0] != base.s_v[0]  # f_05 participates in the fusion
+        assert changed[0, 1] != base[0, 1]  # f_05 participates in the fusion
 
     def test_ablation_flags(self):
         rng = make_rng(12)
@@ -254,8 +255,8 @@ class TestModelForward:
         scores, cache = model_forward(features, params)
         for r in range(9):
             one, one_cache = model_forward(features[r : r + 1], params)
-            for name in ("s_c", "s_v", "s_a"):
-                assert np.array_equal(getattr(one, name), getattr(scores, name)[r : r + 1]), name
+            for k in range(3):
+                assert np.array_equal(one[:, k], scores[r : r + 1, k]), k
             assert np.array_equal(one_cache.fused[0], cache.fused[r])
 
 
@@ -268,14 +269,14 @@ class TestModelBackward:
         ds = rng.standard_normal((3, 3))
 
         _, cache = model_forward(features, params)
-        grads = model_backward(cache, params, *ds)
+        grads = model_backward(cache, params, ds.T)
 
         def loss_with(name, flat):
             p2 = params.copy()
             target = dict(p2.named_arrays())[name]
             target[...] = flat.reshape(target.shape)
             scores, _ = model_forward(features, p2)
-            return float(ds[0] @ scores.s_c + ds[1] @ scores.s_v + ds[2] @ scores.s_a)
+            return float(ds[0] @ scores[:, 0] + ds[1] @ scores[:, 1] + ds[2] @ scores[:, 2])
 
         grad_map = dict(grads.named_arrays())
         for name, arr in params.named_arrays():
@@ -294,11 +295,11 @@ class TestModelBackward:
         features = _features(rng, 10, batch=6)
         ds = rng.standard_normal((3, 6))
         _, cache = model_forward(features, params)
-        grads = model_backward(cache, params, *ds)
+        grads = model_backward(cache, params, ds.T)
         total = params.zeros_like()
         for r in range(6):
             _, one = model_forward(features[r : r + 1], params)
-            total.add_(model_backward(one, params, *ds[:, r : r + 1]))
+            total.add_(model_backward(one, params, ds[:, r : r + 1].T))
         want = dict(total.named_arrays())
         for name, got in grads.named_arrays():
             assert np.max(np.abs(got - want[name])) <= 1e-13, name
@@ -307,7 +308,7 @@ class TestModelBackward:
         rng = make_rng(15)
         params = init_model_params(6, rng, hidden_aff=5, hidden_head=5, use_aff=False)
         _, cache = model_forward(_features(rng, 6, batch=2), params)
-        grads = model_backward(cache, params, np.ones(2), np.ones(2), np.ones(2))
+        grads = model_backward(cache, params, np.ones((2, 3)))
         for leaf in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(grads.aff, leaf), np.zeros_like(getattr(grads.aff, leaf)))
 
@@ -315,8 +316,27 @@ class TestModelBackward:
         rng = make_rng(16)
         params = init_model_params(5, rng, hidden_aff=4, hidden_head=4)
         _, cache = model_forward(_features(rng, 5), params)
-        g1 = model_backward(cache, params, np.array([1.0]), np.array([0.5]), np.array([-0.5]))
+        g1 = model_backward(cache, params, np.array([[1.0, 0.5, -0.5]]))
         total = params.zeros_like()
         total.add_(g1)
         total.add_(g1)
         assert np.allclose(total.head_v.w1, 2 * g1.head_v.w1, atol=1e-15)
+
+    def test_layout_of_upstream_does_not_change_bits(self):
+        # Column slices of a C-ordered upstream are strided, an F-ordered
+        # one's are contiguous; BLAS may round the two differently.
+        rng = make_rng(19)
+        params = init_model_params(12, rng, hidden_aff=9, hidden_head=9)
+        _, cache = model_forward(_features(rng, 12, batch=7), params)
+        ds = rng.standard_normal((7, 3))
+        c_order = model_backward(cache, params, ds)
+        f_order = model_backward(cache, params, np.asfortranarray(ds))
+        assert np.array_equal(c_order.flat, f_order.flat)
+
+    def test_rejects_upstream_of_another_shape(self):
+        rng = make_rng(20)
+        params = init_model_params(5, rng, hidden_aff=4, hidden_head=4)
+        _, cache = model_forward(_features(rng, 5, batch=2), params)
+        for ds in (np.ones((2, 2)), np.ones((3, 3)), np.ones(6)):
+            with pytest.raises(ShapeError):
+                model_backward(cache, params, ds)

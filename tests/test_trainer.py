@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from amff.dataio import Dataset, read_feature_records
 from amff.errors import AmffError, ConfigError, DataError, NumericError
-from amff.losses import BatchScores, total_loss
+from amff.losses import total_loss
 from amff.scoring import init_model_params, model_backward, model_forward
 from amff.tensor import make_rng
 from amff.trainer import (
@@ -135,15 +135,16 @@ class TestTrain:
         params = init_model_params(tiny_dataset.dim, make_rng(0), hidden_aff=8, hidden_head=8)
         rows = range(8)
         features = tiny_dataset.features[rows]
+        targets = np.column_stack(
+            (tiny_dataset.label("consistency")[:8], tiny_dataset.label("quality")[:8], np.full(8, np.nan))
+        )
 
         def batch_loss(p):
             scores, cache = model_forward(features, p)
-            cons = BatchScores(scores.s_c, tiny_dataset.label("consistency")[:8])
-            qual = BatchScores(scores.s_v, tiny_dataset.label("quality")[:8])
-            return total_loss(cons, qual, None), cache
+            return total_loss(scores, targets, (True, True, False)), cache
 
         bundle, cache = batch_loss(params)
-        grads = model_backward(cache, params, bundle.d_consistency, bundle.d_quality, np.zeros(8))
+        grads = model_backward(cache, params, bundle.grad)
         adamw_step(params, grads, OptimizerState.zeros_like(params), lr=1e-6, weight_decay=0.0)
         after, _ = batch_loss(params)
         assert after.total < bundle.total + 1e-12
@@ -216,14 +217,14 @@ class TestAblationVariantForward:
         f = rng.standard_normal(8)
         features = np.stack([rng.standard_normal(8), f, f, f])[None]
         scores, _ = model_forward(features, params)
-        assert scores.s_v[0] == pytest.approx(mlp_forward(params.head_v, f[None])[0][0, 0], abs=1e-12)
+        assert scores[0, 1] == pytest.approx(mlp_forward(params.head_v, f[None])[0][0, 0], abs=1e-12)
 
     def test_variants_differ_from_full(self, tiny_dataset):
         params = _params(dim=tiny_dataset.dim, seed=22)
         features = tiny_dataset.features[[0]]
         full, _ = model_forward(features, params)
         no_msi, _ = model_forward(features, as_variant(params, use_msi=False))
-        assert full.s_v[0] != no_msi.s_v[0]  # scale features genuinely differ
+        assert full[0, 1] != no_msi[0, 1]  # scale features genuinely differ
 
 
 class TestEvaluateModel:

@@ -92,24 +92,29 @@ def mlp_forward(params: Block, x: Array) -> tuple[Array, MlpCache]:
     return affine_forward(params.w2, params.b2, hidden), MlpCache(x, pre1, hidden)
 
 
-def mlp_backward(cache: MlpCache, params: Block, dy: Array) -> tuple[Block, Array]:
+def mlp_backward(cache: MlpCache, params: Block, dy: Array, out: Block | None = None) -> tuple[Block, Array]:
     """Gradients for the upstream ``dy`` of the output's shape, including the ReLU mask.
 
     Parameter gradients are summed over every leading index (each one is
-    another use of the shared weights); the input gradient has the
-    input's shape.
+    another use of the shared weights) and written into ``out`` when it is
+    given, fresh arrays otherwise; the input gradient has the input's
+    shape.  ``dy`` is made contiguous first: BLAS rounds a strided upstream
+    differently in the last bits for some batch sizes.
     """
     x = cache.x
     if x.shape[-1] != params.dim or dy.shape != (*x.shape[:-1], params.w2.shape[0]):
         raise ShapeError(f"mlp_backward: dy {dy.shape} or cache {x.shape} does not match params")
+    if out is None:
+        out = Block(*map(np.empty_like, params))
+    dy = np.ascontiguousarray(dy)
     dy_flat = dy.reshape(-1, dy.shape[-1])
-    db2 = dy_flat.sum(axis=0)
-    dw2 = dy_flat.T @ cache.hidden.reshape(-1, params.hidden)      # (out, h)
+    np.sum(dy_flat, axis=0, out=out.b2)
+    np.matmul(dy_flat.T, cache.hidden.reshape(-1, params.hidden), out=out.w2)
     d_pre1 = (dy @ params.w2) * (cache.pre1 > 0.0)                  # (..., h)
     d_pre1_flat = d_pre1.reshape(-1, params.hidden)
-    db1 = d_pre1_flat.sum(axis=0)
-    dw1 = d_pre1_flat.T @ x.reshape(-1, params.dim)                 # (h, dim)
-    return Block(dw1, db1, dw2, db2), d_pre1 @ params.w1
+    np.sum(d_pre1_flat, axis=0, out=out.b1)
+    np.matmul(d_pre1_flat.T, x.reshape(-1, params.dim), out=out.w1)
+    return out, d_pre1 @ params.w1
 
 
 def aff_forward(stacked: Array, params: Block) -> tuple[Array, AffCache]:
@@ -133,11 +138,12 @@ def aff_forward(stacked: Array, params: Block) -> tuple[Array, AffCache]:
     return fused, AffCache(generator, weights)
 
 
-def aff_backward(cache: AffCache, params: Block, d_fused: Array) -> tuple[Block, Array]:
+def aff_backward(cache: AffCache, params: Block, d_fused: Array, out: Block | None = None) -> tuple[Block, Array]:
     """Exact gradients of a scalar loss w.r.t. params and the inputs.
 
     ``d_fused`` is the (B, D) upstream gradient w.r.t. the fused
-    features.  Parameter gradients are summed over the batch; the
+    features.  Parameter gradients are summed over the batch and written
+    into ``out`` as ``mlp_backward`` does; the
     (B, 3, D) input gradient gives each row a direct mixing term (its
     fusion weight times the upstream gradient) plus the path back
     through the weights generator.
@@ -154,5 +160,5 @@ def aff_backward(cache: AffCache, params: Block, d_fused: Array) -> tuple[Block,
     inner = (weights * d_weights).sum(axis=1, keepdims=True)
     d_logits = weights * (d_weights - inner)
 
-    grads, d_stacked = mlp_backward(cache.generator, params, d_logits)
+    grads, d_stacked = mlp_backward(cache.generator, params, d_logits, out)
     return grads, weights * d_fused[:, None, :] + d_stacked

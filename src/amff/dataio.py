@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -55,15 +55,20 @@ def _first_nonfinite(features: Array) -> str | None:
 
 @dataclass(eq=False)
 class Dataset:
-    """Samples held column-wise, validated once when built."""
+    """Samples held column-wise, validated once when built.
+
+    ``check_finite=False`` skips the pass over the feature block, for a
+    builder that has just checked it with ``_first_nonfinite`` itself.
+    """
 
     ids: list[str]
     generators: list[str]
     prompts: list[str]
     features: Array  # (N, 4, D): f_text, f_05, f_10, f_15
     labels: Array  # (N, 3): q_v, q_a, q_c; NaN marks an absent label
+    check_finite: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check_finite: bool):
         n = len(self.ids)
         if n == 0:
             raise DataError("Dataset: refusing to build an empty dataset")
@@ -80,7 +85,7 @@ class Dataset:
             raise DataError(
                 f"Dataset: feature dims {f} and label dims {lab} for {n} ids, expected (N, 4, D) and (N, 3)"
             )
-        bad = _first_nonfinite(self.features)
+        bad = check_finite and _first_nonfinite(self.features)
         if bad:
             raise DataError(f"Dataset: {bad}")
         if np.isinf(self.labels).any():
@@ -261,7 +266,7 @@ def read_feature_records(path) -> Dataset:
         raise FormatError(bad)
     if pos != end:
         raise FormatError(f"{path}: {end - pos} trailing bytes after last record")
-    return Dataset(ids, generators, prompts, features, labels)
+    return Dataset(ids, generators, prompts, features, labels, check_finite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +330,7 @@ def read_feature_records_csv(path) -> Dataset:
     bad = _first_nonfinite(block)
     if bad:
         raise FormatError(bad)
-    return Dataset(ids, generators, prompts, block, np.array(labels))
+    return Dataset(ids, generators, prompts, block, np.array(labels), check_finite=False)
 
 
 # ---------------------------------------------------------------------------

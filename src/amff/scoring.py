@@ -189,21 +189,15 @@ def model_backward(cache: ModelCache, params: ModelParams, d_scores: Array) -> M
 
     ``d_scores`` is the (B, 3) upstream of the forward's score block,
     columns in ``TASKS`` order; the parameter gradients are summed over
-    the batch.
+    the batch and written straight into a fresh container, whose fusion
+    block stays zero for the plain-mean variant.
     """
     if d_scores.shape != (cache.fused.shape[0], 3):
         raise ShapeError(f"model_backward: expected ({cache.fused.shape[0]}, 3) upstream, got {d_scores.shape}")
-    # Contiguous rows: a strided (B, 1) upstream changes the heads' dw2 in
-    # the last bits on some BLAS builds and batch sizes.
-    ds_c, ds_v, ds_a = np.ascontiguousarray(d_scores.T)
-    grads_v, d_fused_v = mlp_backward(cache.cache_v, params.head_v, ds_v[:, None])
-    grads_a, d_fused_a = mlp_backward(cache.cache_a, params.head_a, ds_a[:, None])
-    d_fused = d_fused_v + d_fused_a + ds_c[:, None] * cache.sim_grad
-
-    if cache.aff_cache is None:
-        aff_grads = [np.zeros_like(a) for a in params.aff]
-    else:
-        aff_grads, _ = aff_backward(cache.aff_cache, params.aff, d_fused)
     grads = params.zeros_like()
-    np.concatenate([g.ravel() for g in (*aff_grads, *grads_v, *grads_a)], out=grads.flat)
+    _, d_fused_v = mlp_backward(cache.cache_v, params.head_v, d_scores[:, 1:2], grads.head_v)
+    _, d_fused_a = mlp_backward(cache.cache_a, params.head_a, d_scores[:, 2:3], grads.head_a)
+    d_fused = d_fused_v + d_fused_a + d_scores[:, :1] * cache.sim_grad
+    if cache.aff_cache is not None:
+        aff_backward(cache.aff_cache, params.aff, d_fused, grads.aff)
     return grads

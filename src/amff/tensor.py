@@ -8,6 +8,7 @@ checker here is the single source of truth for their correctness.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -15,6 +16,9 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 
 Array = np.ndarray
+
+# Every GEMM that ``affine_forward`` runs multiplies exactly this many rows.
+_BLOCK_ROWS = 64
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -45,17 +49,27 @@ def affine_forward(w: Array, b: Array, x: Array) -> Array:
     """Return ``w @ v + b`` for every vector ``v`` along the last axis of ``x``.
 
     ``x`` is one vector ``(n,)``, a batch of vectors ``(B, n)`` or a batch
-    of stacks ``(B, k, n)``; the leading axis indexes samples.  Each
-    sample goes through its own small matrix product rather than one
-    product over the whole batch, so a sample's result is bit-identical
-    whatever else is batched with it.
+    of stacks ``(B, k, n)``; the leading axes index samples.  The vectors
+    are flattened to rows, zero-padded to a whole number of
+    ``_BLOCK_ROWS``-row blocks and multiplied block by block, so every
+    BLAS call has the one shape ``(_BLOCK_ROWS, n) @ (n, out)`` whatever
+    the batch size.  A row's result is then bit-identical whatever else is
+    batched with it on any BLAS whose fixed-shape GEMM computes each row
+    independently of its neighbours; the batch-invariance property test
+    in ``tests/test_scoring.py`` checks that on the BLAS at hand.  A
+    minimum pad is not enough: OpenBLAS picks its kernel by size, and the
+    size at which rows start to differ depends on the layer's shape.
     """
     if w.ndim != 2 or b.shape != (w.shape[0],):
         raise ShapeError(f"affine: w {w.shape} and b {b.shape} do not form a layer")
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"affine: w has {w.shape[1]} columns but x has length {x.shape[-1]}")
-    per_sample = x[:, None, :] if x.ndim == 2 else x
-    return (per_sample @ w.T).reshape(*x.shape[:-1], w.shape[0]) + b
+    out, n = w.shape
+    rows = math.prod(x.shape[:-1])
+    padded = np.zeros((-(-rows // _BLOCK_ROWS) * _BLOCK_ROWS, n))
+    padded[:rows] = x.reshape(rows, n)
+    y = (padded.reshape(-1, _BLOCK_ROWS, n) @ w.T).reshape(-1, out)[:rows]
+    return y.reshape(*x.shape[:-1], out) + b
 
 
 def softmax(v: Array, axis: int = -1) -> Array:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from amff import dataio
 from amff.dataio import (
     Dataset,
     datasets_equal,
@@ -115,6 +116,18 @@ class TestBinaryCodec:
             (tmp_path / "bad.amff").write_bytes(bytes(blob))
             with pytest.raises(FormatError, match="record 3: non-finite values in f_15"):
                 read_feature_records(tmp_path / "bad.amff")
+
+    @pytest.mark.parametrize("write, read", [(write_feature_records, read_feature_records),
+                                             (write_feature_records_csv, read_feature_records_csv)],
+                             ids=["binary", "csv"])
+    def test_one_finiteness_pass_per_read(self, tmp_path, monkeypatch, write, read):
+        path = tmp_path / "data"
+        write(_dataset(make_rng(5), n=4, dim=4), path)
+        calls = []
+        checker = dataio._first_nonfinite
+        monkeypatch.setattr(dataio, "_first_nonfinite", lambda block: calls.append(1) or checker(block))
+        read(path)
+        assert len(calls) == 1
 
     def test_reading_a_finite_block_builds_no_mask_of_it(self, tmp_path):
         import tracemalloc

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import amff
 
 from amff.aff import Block, init_block
 from amff.errors import ConfigError, NumericError, ShapeError
@@ -88,6 +94,19 @@ class TestMlp:
         for dy in (np.ones(3), np.ones((2, 1)), np.ones((3, 5))):
             with pytest.raises(ShapeError):
                 mlp_backward(cache, p, dy)
+
+    @pytest.mark.parametrize("dim", [64, 512])
+    @pytest.mark.parametrize("batch", [2, 3, 7])
+    def test_backward_does_not_depend_on_upstream_layout(self, batch, dim):
+        # A column of a C-ordered (B, 3) block is a strided (B, 1) upstream.
+        rng = make_rng((batch, dim))
+        p = init_block(dim, 256, 1, rng)
+        _, cache = mlp_forward(p, rng.standard_normal((batch, dim)))
+        block = rng.standard_normal((batch, 3))
+        strided = mlp_backward(cache, p, block[:, 1:2])
+        contiguous = mlp_backward(cache, p, block[:, 1:2].copy())
+        for got, want in zip((*strided[0], strided[1]), (*contiguous[0], contiguous[1])):
+            assert np.array_equal(got, want)
 
     def test_zero_upstream_zero_grads(self):
         rng = make_rng(2)
@@ -258,6 +277,46 @@ class TestModelForward:
             for k in range(3):
                 assert np.array_equal(one[:, k], scores[r : r + 1, k]), k
             assert np.array_equal(one_cache.fused[0], cache.fused[r])
+
+
+def _batch_variant_sizes(dim, hidden, sizes):
+    """The batch sizes B whose scores differ from the same B rows scored one at a time."""
+    rng = make_rng((dim, hidden))
+    params = init_model_params(dim, rng, hidden_aff=hidden, hidden_head=hidden)
+    features = _features(rng, dim, batch=max(sizes))
+    alone = np.concatenate([model_forward(features[r : r + 1], params)[0] for r in range(len(features))])
+    return [b for b in sizes if not np.array_equal(model_forward(features[:b], params)[0], alone[:b])]
+
+
+class TestBatchInvariance:
+    """A row's scores do not depend on what is batched with it, for every B up to 300.
+
+    BLAS libraries pick their kernels by matrix size, so a product over the
+    whole batch rounds a row differently as B changes; only a fixed block
+    shape keeps the rows apart.  The BLAS thread count is fixed when NumPy
+    loads, so the one-thread case runs in a fresh interpreter.
+    """
+
+    # Every B at small D; at D=512 every B up to two blocks, then a stride, to stay fast.
+    CASES = [
+        pytest.param(16, 256, range(1, 301), id="d16-h256"),
+        pytest.param(64, 256, range(1, 301), id="d64-h256"),
+        pytest.param(512, 256, [*range(1, 130), *range(130, 301, 9), 300], id="d512-h256"),
+        pytest.param(8, 5, range(1, 301), id="d8-h5"),
+    ]
+
+    @pytest.mark.parametrize("dim, hidden, sizes", CASES)
+    def test_scores_do_not_depend_on_the_batch(self, dim, hidden, sizes):
+        assert _batch_variant_sizes(dim, hidden, sizes) == []
+
+    def test_scores_do_not_depend_on_the_batch_at_one_blas_thread(self):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(amff.__file__).parents[1])}
+        node = f"{__file__}::TestBatchInvariance::test_scores_do_not_depend_on_the_batch"
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+            cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stdout[-3000:]
 
 
 class TestModelBackward:

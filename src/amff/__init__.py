@@ -19,11 +19,8 @@ from .dataio import (
     write_feature_records_csv,
 )
 from .encoder import (
-    FeatureMap,
     Image,
     MultiScaleImage,
-    adaptive_max_pool,
-    bilinear_upsample,
     make_multiscale,
     read_image,
     rescale_bilinear,

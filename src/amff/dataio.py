@@ -126,6 +126,7 @@ class Dataset:
             [self.prompts[i] for i in pick],
             self.features[rows],
             self.labels[rows],
+            check_finite=False,  # rows of a block validated when this dataset was built
         )
 
 

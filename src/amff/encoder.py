@@ -1,10 +1,9 @@
 """Image preprocessing and a deterministic stand-in feature encoder.
 
 Covers the multi-scale input pipeline (bilinear rescaling with
-half-pixel-centered sampling), the two feature-map size adapters
-(adaptive max pooling down, bilinear interpolation up), and toy
-encoders for images and prompts so the end-to-end pipeline runs on raw
-PGM/PPM files without any pretrained weights.
+half-pixel-centered sampling) and toy encoders for images and prompts,
+so the end-to-end pipeline runs on raw PGM/PPM files without any
+pretrained weights.
 """
 
 from __future__ import annotations
@@ -64,33 +63,6 @@ class MultiScaleImage:
     i_05: Image
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureMap:
-    """Dense activation block, shape (channels, height, width)."""
-
-    data: Array
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 3 or min(d.shape) < 1:
-            raise ShapeError(f"FeatureMap: expected (c, h, w), got {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise NumericError("FeatureMap: non-finite entries")
-        object.__setattr__(self, "data", d)
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-
 def _axis_coords(n_in: int, n_out: int) -> tuple[Array, Array, Array]:
     """Half-pixel-centered source coordinates for bilinear sampling."""
     pos = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
@@ -102,19 +74,25 @@ def _axis_coords(n_in: int, n_out: int) -> tuple[Array, Array, Array]:
 
 
 def _bilinear_grid(grid: Array, out_h: int, out_w: int) -> Array:
-    """Sample an (h, w, ...) grid at out_h x out_w half-pixel centers."""
+    """Sample an (h, w, c) grid at out_h x out_w half-pixel centers."""
     lo_y, hi_y, fy = _axis_coords(grid.shape[0], out_h)
     lo_x, hi_x, fx = _axis_coords(grid.shape[1], out_w)
-    a = grid[np.ix_(lo_y, lo_x)]
-    b = grid[np.ix_(lo_y, hi_x)]
-    c = grid[np.ix_(hi_y, lo_x)]
-    d = grid[np.ix_(hi_y, hi_x)]
-    # Difference form keeps constants (and the factor-1 identity) bit-exact.
-    fx_col = fx.reshape(1, -1, *([1] * (grid.ndim - 2)))
-    fy_col = fy.reshape(-1, 1, *([1] * (grid.ndim - 2)))
-    top = a + fx_col * (b - a)
-    bot = c + fx_col * (d - c)
-    return top + fy_col * (bot - top)
+    # Separable: blend columns once per input row, then blend rows of that.
+    # Each pixel still gets lo + f * (hi - lo) on the same four corners, and
+    # IEEE + and * commute, so the result equals the four-corner form bit for
+    # bit; the difference form keeps constants (and the factor-1 identity)
+    # bit-exact.
+    left = np.take(grid, lo_x, axis=1)
+    rows = np.take(grid, hi_x, axis=1)
+    rows -= left
+    rows *= fx[:, None]
+    rows += left
+    top = np.take(rows, lo_y, axis=0)
+    out = np.take(rows, hi_y, axis=0)
+    out -= top
+    out *= fy[:, None, None]
+    out += top
+    return out
 
 
 def rescale_bilinear(img: Image, factor: float) -> Image:
@@ -137,34 +115,6 @@ def make_multiscale(img: Image) -> MultiScaleImage:
     )
 
 
-def adaptive_max_pool(fm: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
-    """Per-channel max over windows [floor(i*H/oh), ceil((i+1)*H/oh))."""
-    if not (1 <= out_h <= fm.height and 1 <= out_w <= fm.width):
-        raise ShapeError(
-            f"adaptive_max_pool: invalid target {out_h}x{out_w} for input {fm.height}x{fm.width}"
-        )
-    data = fm.data
-    out = np.empty((fm.channels, out_h, out_w))
-    for i in range(out_h):
-        r0 = (i * fm.height) // out_h
-        r1 = -((-(i + 1) * fm.height) // out_h)  # ceil division
-        for j in range(out_w):
-            c0 = (j * fm.width) // out_w
-            c1 = -((-(j + 1) * fm.width) // out_w)
-            out[:, i, j] = data[:, r0:r1, c0:c1].max(axis=(1, 2))
-    return FeatureMap(out)
-
-
-def bilinear_upsample(fm: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
-    """Per-channel bilinear interpolation to a larger spatial size."""
-    if out_h < fm.height or out_w < fm.width:
-        raise ShapeError(
-            f"bilinear_upsample: target {out_h}x{out_w} smaller than input {fm.height}x{fm.width}"
-        )
-    grid = np.moveaxis(fm.data, 0, -1)  # (h, w, c)
-    return FeatureMap(np.moveaxis(_bilinear_grid(grid, out_h, out_w), -1, 0))
-
-
 # ---------------------------------------------------------------------------
 # Toy encoders.
 # ---------------------------------------------------------------------------
@@ -172,19 +122,27 @@ def bilinear_upsample(fm: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
 
 def grid_cell_stats(img: Image) -> tuple[Array, Array]:
     """Per-cell mean and population std over a 16x16 partition."""
-    h, w = img.height, img.width
+    h, w, c = img.pixels.shape
     if h < _GRID or w < _GRID:
         raise DataError(f"grid_cell_stats: image {h}x{w} smaller than the {_GRID}x{_GRID} grid")
-    means = np.empty(_GRID * _GRID)
-    stds = np.empty(_GRID * _GRID)
-    for i in range(_GRID):
-        r0, r1 = (i * h) // _GRID, ((i + 1) * h) // _GRID
-        for j in range(_GRID):
-            c0, c1 = (j * w) // _GRID, ((j + 1) * w) // _GRID
-            cell = img.pixels[r0:r1, c0:c1, :]
-            means[i * _GRID + j] = cell.mean()
-            stds[i * _GRID + j] = cell.std()
-    return means, stds
+    # Cell bounds (i * h) // 16 strictly increase because h >= 16, so no
+    # reduceat segment is empty. Rows of the (h, w*c) view hold a row's
+    # channels side by side, so a cell's columns are c times its pixels.
+    rows = np.arange(_GRID) * h // _GRID
+    cols = np.arange(_GRID) * w // _GRID * c
+    row_len = np.diff(rows, append=h)
+    col_len = np.diff(cols, append=w * c)
+    count = np.outer(row_len, col_len)
+    flat = img.pixels.reshape(h, w * c)
+
+    def cell_sums(x: Array) -> Array:
+        return np.add.reduceat(np.add.reduceat(x, rows, axis=0), cols, axis=1)
+
+    means = cell_sums(flat) / count
+    dev = flat - np.repeat(np.repeat(means, row_len, axis=0), col_len, axis=1)
+    dev *= dev
+    stds = np.sqrt(cell_sums(dev) / count)
+    return means.ravel(), stds.ravel()
 
 
 def _projection(dim: int) -> Array:
@@ -263,7 +221,10 @@ def _tokenize_header(data: bytes, count: int, start: int = 2) -> tuple[list[int]
             j = i
             while j < len(data) and data[j : j + 1].isdigit():
                 j += 1
-            tokens.append(int(data[i:j]))
+            try:
+                tokens.append(int(data[i:j]))
+            except ValueError:  # more digits than int() converts
+                raise FormatError("image header number too long") from None
             i = j
         else:
             raise FormatError(f"unexpected byte {ch!r} in image header")
@@ -288,10 +249,15 @@ def read_image(path) -> Image:
         text = data[pos:].split()
         if len(text) < n_samples:
             raise FormatError(f"{path}: expected {n_samples} samples, got {len(text)}")
+        samples = text[:n_samples]
+        # bytes.isdigit is ASCII-only; int() alone would take "+7", "-5" and "1_0".
+        if not all(t.isdigit() for t in samples):
+            raise FormatError(f"{path}: non-integer sample in ASCII raster")
         try:
-            values = np.array([int(t) for t in text[:n_samples]], dtype=np.float64)
-        except ValueError:
-            raise FormatError(f"{path}: non-integer sample in ASCII raster") from None
+            # Clamped so a token too long for float64 still fails the maxval check.
+            values = np.array([min(int(t), maxval + 1) for t in samples], dtype=np.float64)
+        except ValueError:  # more digits than int() converts
+            raise FormatError(f"{path}: sample exceeds maxval {maxval}") from None
     else:
         pos += 1  # exactly one whitespace byte separates header from raster
         if maxval < 256:

@@ -249,6 +249,15 @@ class TestSplits:
         train, test = split_random(ds, 0.8, make_rng(0))
         assert (len(train), len(test)) == (2386, 596)
 
+    def test_splits_do_not_recheck_finite_features(self, monkeypatch):
+        ds = _dataset(make_rng(10), n=20)
+        calls = []
+        monkeypatch.setattr(dataio, "_first_nonfinite", lambda block: calls.append(block.shape))
+        train, test = split_random(ds, 0.8, make_rng(0))
+        train.subset([0, 2, 4])
+        test.subset(np.arange(len(test)))
+        assert calls == []
+
     def test_per_generator_counts(self):
         ds = _dataset(make_rng(11), n=16, generators=("g1", "g2"))
         train, test = split_per_generator(ds, 0.75, make_rng(0))

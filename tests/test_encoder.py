@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amff.encoder import (
-    FeatureMap,
     Image,
-    adaptive_max_pool,
-    bilinear_upsample,
+    _axis_coords,
+    _bilinear_grid,
     grid_cell_stats,
     make_multiscale,
     read_image,
@@ -14,12 +15,41 @@ from amff.encoder import (
     toy_encode_text,
     write_image,
 )
-from amff.errors import ConfigError, DataError, FormatError, NumericError, ShapeError
-from amff.tensor import make_rng
+from amff.errors import AmffError, ConfigError, DataError, FormatError, NumericError, ShapeError
+from amff.tensor import _round_half_up, make_rng
 
 
 def _image(rng, h=32, w=32, c=1):
     return Image(rng.uniform(0, 1, size=(h, w, c)))
+
+
+def _four_corner_grid(grid, out_h, out_w):
+    """Reference bilinear sampling: blend the four gathered corners of every output pixel."""
+    lo_y, hi_y, fy = _axis_coords(grid.shape[0], out_h)
+    lo_x, hi_x, fx = _axis_coords(grid.shape[1], out_w)
+    a = grid[np.ix_(lo_y, lo_x)]
+    b = grid[np.ix_(lo_y, hi_x)]
+    c = grid[np.ix_(hi_y, lo_x)]
+    d = grid[np.ix_(hi_y, hi_x)]
+    fx_col = fx.reshape(1, -1, 1)
+    fy_col = fy.reshape(-1, 1, 1)
+    top = a + fx_col * (b - a)
+    bot = c + fx_col * (d - c)
+    return top + fy_col * (bot - top)
+
+
+def _cell_stats_loop(img):
+    """Reference grid statistics: numpy mean and std of each of the 16x16 cells in turn."""
+    h, w = img.height, img.width
+    means, stds = np.empty(256), np.empty(256)
+    for i in range(16):
+        r0, r1 = (i * h) // 16, ((i + 1) * h) // 16
+        for j in range(16):
+            c0, c1 = (j * w) // 16, ((j + 1) * w) // 16
+            cell = img.pixels[r0:r1, c0:c1, :]
+            means[i * 16 + j] = cell.mean()
+            stds[i * 16 + j] = cell.std()
+    return means, stds
 
 
 class TestRescaleBilinear:
@@ -59,88 +89,21 @@ class TestRescaleBilinear:
         with pytest.raises(ConfigError):
             rescale_bilinear(img, -1.0)
 
+    def test_separable_equals_four_corner_form_bit_for_bit(self):
+        rng = make_rng(20)
+        for shape in ((256, 256, 3), (226, 290, 1), (290, 226, 3), (17, 23, 3), (5, 5, 1)):
+            grid = rng.uniform(0, 1, size=shape)
+            for factor in (0.5, 1.0, 1.5, 2.0, 0.37):
+                out_h, out_w = _round_half_up(factor * shape[0]), _round_half_up(factor * shape[1])
+                expected = _four_corner_grid(grid, out_h, out_w)
+                assert np.array_equal(_bilinear_grid(grid, out_h, out_w), expected), (shape, factor)
+
     def test_multiscale_dims(self):
         img = _image(make_rng(1), 20, 30)
         msi = make_multiscale(img)
         assert msi.i_15.pixels.shape[:2] == (30, 45)
         assert msi.i_10.pixels.shape[:2] == (20, 30)
         assert msi.i_05.pixels.shape[:2] == (10, 15)
-
-
-class TestAdaptiveMaxPool:
-    def test_constant_map(self):
-        fm = FeatureMap(np.full((2, 14, 14), 0.4))
-        out = adaptive_max_pool(fm, 7, 7)
-        assert out.data.shape == (2, 7, 7)
-        assert np.all(out.data == 0.4)
-
-    def test_global_max_preserved(self):
-        rng = make_rng(2)
-        fm = FeatureMap(rng.standard_normal((3, 11, 9)))
-        out = adaptive_max_pool(fm, 4, 3)
-        assert out.data.max() == fm.data.max()
-
-    def test_4x4_to_2x2_brute_force(self):
-        data = np.arange(16, dtype=float).reshape(1, 4, 4)
-        out = adaptive_max_pool(FeatureMap(data), 2, 2)
-        expected = np.array([[[5.0, 7.0], [13.0, 15.0]]])
-        assert np.array_equal(out.data, expected)
-
-    def test_identity_when_same_dims(self):
-        rng = make_rng(3)
-        fm = FeatureMap(rng.standard_normal((2, 5, 6)))
-        out = adaptive_max_pool(fm, 5, 6)
-        assert np.array_equal(out.data, fm.data)
-
-    def test_output_within_input_range(self):
-        rng = make_rng(4)
-        fm = FeatureMap(rng.standard_normal((1, 10, 10)))
-        out = adaptive_max_pool(fm, 3, 7)
-        assert out.data.min() >= fm.data.min()
-        assert out.data.max() <= fm.data.max()
-
-    def test_windows_tile_input(self):
-        h, w, oh, ow = 10, 13, 4, 5
-        covered = np.zeros((h, w), dtype=bool)
-        for i in range(oh):
-            r0, r1 = (i * h) // oh, -((-(i + 1) * h) // oh)
-            for j in range(ow):
-                c0, c1 = (j * w) // ow, -((-(j + 1) * w) // ow)
-                assert r1 > r0 and c1 > c0
-                covered[r0:r1, c0:c1] = True
-        assert covered.all()
-
-    def test_invalid_target(self):
-        fm = FeatureMap(np.zeros((1, 4, 4)))
-        with pytest.raises(ShapeError):
-            adaptive_max_pool(fm, 5, 4)
-        with pytest.raises(ShapeError):
-            adaptive_max_pool(fm, 0, 2)
-
-
-class TestBilinearUpsample:
-    def test_4x4_to_7x7_shape(self):
-        fm = FeatureMap(np.zeros((2048 // 256, 4, 4)))  # shrunk channel count
-        out = bilinear_upsample(fm, 7, 7)
-        assert out.data.shape == (8, 7, 7)
-
-    def test_constant_map(self):
-        fm = FeatureMap(np.full((3, 3, 3), 1.25))
-        out = bilinear_upsample(fm, 6, 5)
-        assert np.all(out.data == 1.25)
-
-    def test_2x2_to_3x3_hand_values(self):
-        fm = FeatureMap(np.array([[0.0, 1.0], [2.0, 3.0]]).reshape(1, 2, 2))
-        out = bilinear_upsample(fm, 3, 3).data[0]
-        # source positions clamp((i+0.5)*2/3 - 0.5, 0, 1) = (0, 0.5, 1)
-        pos = np.array([0.0, 0.5, 1.0])
-        expected = 2.0 * pos[:, None] + pos[None, :]
-        assert np.allclose(out, expected, atol=1e-12)
-
-    def test_smaller_target_errors(self):
-        fm = FeatureMap(np.zeros((1, 4, 4)))
-        with pytest.raises(ShapeError):
-            bilinear_upsample(fm, 3, 4)
 
 
 class TestToyEncode:
@@ -177,6 +140,16 @@ class TestToyEncode:
             cell = img.pixels[(i * h) // 16 : ((i + 1) * h) // 16, (j * w) // 16 : ((j + 1) * w) // 16]
             assert means[idx] == pytest.approx(cell.mean(), abs=1e-12)
             assert stds[idx] == pytest.approx(cell.std(), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.integers(16, 300), w=st.integers(16, 300), c=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_cell_stats_match_per_cell_loop(self, h, w, c, seed):
+        img = _image(make_rng(seed), h, w, c)
+        means, stds = grid_cell_stats(img)
+        ref_means, ref_stds = _cell_stats_loop(img)
+        # Cells are summed in another order than numpy's pairwise mean: last-bit differences only.
+        assert np.max(np.abs(means - ref_means)) <= 1e-15
+        assert np.max(np.abs(stds - ref_stds)) <= 1e-15
 
     def test_small_image_errors(self):
         msi = make_multiscale(_image(make_rng(9), 20, 20))
@@ -265,6 +238,73 @@ class TestImageIO:
         path.write_text("P2\n2 1\n255\n12 oops\n")
         with pytest.raises(FormatError, match="non-integer"):
             read_image(path)
+
+    @pytest.mark.parametrize("token", ["1_0", "+7", "-5", "١٢"])
+    def test_only_ascii_digit_samples(self, tmp_path, token):
+        path = tmp_path / "signed.pgm"
+        path.write_text(f"P2\n2 1\n255\n12 {token}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"{path}: non-integer sample in ASCII raster"):
+            read_image(path)
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_overlong_ascii_sample(self, tmp_path, digits):
+        path = tmp_path / "long.pgm"
+        path.write_text(f"P2\n2 1\n255\n12 {'9' * digits}\n")
+        with pytest.raises(FormatError, match="exceeds maxval"):
+            read_image(path)
+
+    def test_overlong_header_number(self, tmp_path):
+        path = tmp_path / "wide.pgm"
+        path.write_text(f"P2\n{'9' * 5000} 1\n255\n12\n")
+        with pytest.raises(FormatError, match="header"):
+            read_image(path)
+
+
+def _valid_images() -> list[bytes]:
+    """Small P2, P3, P5 and P6 files at 8 and 16 bits, each decodable as written."""
+    rng = make_rng(13)
+    files = []
+    for channels, (plain, binary) in ((1, (b"P2", b"P5")), (3, (b"P3", b"P6"))):
+        for maxval in (255, 65535):
+            samples = rng.integers(0, maxval + 1, size=(3, 4, channels))
+            header = b"%d %d\n# comment\n%d\n"
+            files.append(plain + b"\n" + header % (4, 3, maxval) + " ".join(map(str, samples.ravel())).encode())
+            raster = samples.astype(np.uint8 if maxval < 256 else ">u2").tobytes()
+            files.append(binary + b"\n" + header % (4, 3, maxval) + raster)
+    return files
+
+
+_VALID_IMAGES = _valid_images()
+
+
+class TestImageFuzz:
+    """Whatever an image file holds, decoding it succeeds or raises an AmffError."""
+
+    def test_seeds_decode(self, tmp_path):
+        for k, blob in enumerate(_VALID_IMAGES):
+            path = tmp_path / f"seed{k}.img"
+            path.write_bytes(blob)
+            assert read_image(path).pixels.shape[:2] == (3, 4)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutations(self, tmp_path_factory, data):
+        blob = bytearray(data.draw(st.sampled_from(_VALID_IMAGES)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            kind = data.draw(st.sampled_from(["flip", "insert", "truncate"]))
+            pos = data.draw(st.integers(0, len(blob)))
+            if kind == "flip" and pos < len(blob):
+                blob[pos] ^= data.draw(st.integers(1, 255))
+            elif kind == "insert":
+                blob[pos:pos] = data.draw(st.binary(min_size=1, max_size=8))
+            else:
+                del blob[pos:]
+        path = tmp_path_factory.getbasetemp() / "fuzz.img"
+        path.write_bytes(bytes(blob))
+        try:
+            read_image(path)
+        except AmffError:
+            pass
 
 
 def test_image_validation():

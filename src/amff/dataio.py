@@ -234,34 +234,37 @@ def read_feature_records(path) -> Dataset:
     def truncated(need: int) -> FormatError:
         return FormatError(f"truncated file in record {idx} (need {need} bytes at offset {pos})")
 
-    for idx in range(count):
-        for column, width, what in ((ids, 2, "id"), (generators, 2, "generator_id"), (prompts, 4, "prompt")):
-            size = int.from_bytes(data[pos : pos + width], "little")
-            if pos + width + size > end:
-                raise truncated(width + size)
-            pos += width
-            try:
-                column.append(data[pos : pos + size].decode("utf-8"))
-            except UnicodeDecodeError:
-                raise FormatError(f"record {idx}: {what} is not valid UTF-8") from None
-            pos += size
-        if pos >= end:
-            raise truncated(1)
-        mask = data[pos]
-        pos += 1
-        for bit, name in enumerate(_LABELS):
-            if mask & (1 << bit):
-                if pos + 4 > end:
-                    raise truncated(4)
-                (value,) = struct.unpack_from("<f", data, pos)
-                if not math.isfinite(value):
-                    raise FormatError(f"record {idx}: non-finite label {name}")
-                labels[idx, bit] = value
-                pos += 4
-        if pos + vector_bytes > end:
-            raise truncated(vector_bytes)
-        features[idx] = np.frombuffer(data, "<f4", 4 * dim, pos).reshape(4, dim)
-        pos += vector_bytes
+    # A flipped byte can make a signalling NaN, whose cast to f64 raises
+    # "invalid"; it lands in the block as a NaN, which the check below reports.
+    with np.errstate(invalid="ignore"):
+        for idx in range(count):
+            for column, width, what in ((ids, 2, "id"), (generators, 2, "generator_id"), (prompts, 4, "prompt")):
+                size = int.from_bytes(data[pos : pos + width], "little")
+                if pos + width + size > end:
+                    raise truncated(width + size)
+                pos += width
+                try:
+                    column.append(data[pos : pos + size].decode("utf-8"))
+                except UnicodeDecodeError:
+                    raise FormatError(f"record {idx}: {what} is not valid UTF-8") from None
+                pos += size
+            if pos >= end:
+                raise truncated(1)
+            mask = data[pos]
+            pos += 1
+            for bit, name in enumerate(_LABELS):
+                if mask & (1 << bit):
+                    if pos + 4 > end:
+                        raise truncated(4)
+                    (value,) = struct.unpack_from("<f", data, pos)
+                    if not math.isfinite(value):
+                        raise FormatError(f"record {idx}: non-finite label {name}")
+                    labels[idx, bit] = value
+                    pos += 4
+            if pos + vector_bytes > end:
+                raise truncated(vector_bytes)
+            features[idx] = np.frombuffer(data, "<f4", 4 * dim, pos).reshape(4, dim)
+            pos += vector_bytes
     bad = _first_nonfinite(features)
     if bad:
         raise FormatError(bad)

@@ -117,6 +117,15 @@ class TestBinaryCodec:
             with pytest.raises(FormatError, match="record 3: non-finite values in f_15"):
                 read_feature_records(tmp_path / "bad.amff")
 
+    def test_signalling_nan_feature_rejected(self, tmp_path):
+        path = tmp_path / "data.amff"
+        write_feature_records(_dataset(make_rng(5), n=4, dim=4), path)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = struct.pack("<I", 0x7F800001)  # f32 NaN with the quiet bit clear
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="record 3: non-finite values in f_15"):
+            read_feature_records(path)
+
     @pytest.mark.parametrize("write, read", [(write_feature_records, read_feature_records),
                                              (write_feature_records_csv, read_feature_records_csv)],
                              ids=["binary", "csv"])

@@ -106,6 +106,27 @@ class TestRescaleBilinear:
         assert msi.i_05.pixels.shape[:2] == (10, 15)
 
 
+class TestBilinearUpsample:
+    """Upsampling an (h, w, c) grid, as the 1.5x input scale does."""
+
+    def test_4x4_to_7x7_shape(self):
+        out = _bilinear_grid(np.zeros((4, 4, 8)), 7, 7)
+        assert out.shape == (7, 7, 8)
+
+    def test_constant_map(self):
+        out = _bilinear_grid(np.full((3, 3, 3), 1.25), 6, 5)
+        assert out.shape == (6, 5, 3)
+        assert np.all(out == 1.25)
+
+    def test_2x2_to_3x3_hand_values(self):
+        grid = np.array([[0.0, 1.0], [2.0, 3.0]]).reshape(2, 2, 1)
+        out = _bilinear_grid(grid, 3, 3)[:, :, 0]
+        # source positions clamp((i+0.5)*2/3 - 0.5, 0, 1) = (0, 0.5, 1)
+        pos = np.array([0.0, 0.5, 1.0])
+        expected = 2.0 * pos[:, None] + pos[None, :]
+        assert np.allclose(out, expected, atol=1e-12)
+
+
 class TestToyEncode:
     def test_deterministic(self):
         img = _image(make_rng(5), 32, 32, 3)

@@ -51,7 +51,6 @@ from .scoring import (
 from .tensor import affine_forward, finite_diff_check, make_rng, softmax
 from .trainer import (
     TrainConfig,
-    TrainReport,
     adamw_step,
     evaluate_model,
     load_checkpoint,

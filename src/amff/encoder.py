@@ -35,9 +35,11 @@ class Image:
             raise ShapeError(f"Image: expected (h, w, c) with c in {{1, 3}}, got {px.shape}")
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ShapeError(f"Image: degenerate size {px.shape}")
-        if not np.all(np.isfinite(px)):
+        # NaN propagates through min and max, and an infinity is one of them.
+        lo, hi = px.min(), px.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NumericError("Image: non-finite pixels")
-        if px.min() < 0.0 or px.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise NumericError("Image: pixels outside [0, 1]")
         object.__setattr__(self, "pixels", px)
 
@@ -204,13 +206,13 @@ def toy_encode_text(prompt: str, dim: int) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def _tokenize_header(data: bytes, count: int, start: int = 2) -> tuple[list[int], int]:
+def _tokenize_header(path, data: bytes, count: int) -> tuple[list[int], int]:
     """Read ``count`` ASCII integers after the magic, honoring # comments."""
     tokens: list[int] = []
-    i = start
+    i = 2
     while len(tokens) < count:
         if i >= len(data):
-            raise FormatError("image header truncated")
+            raise FormatError(f"{path}: image header truncated")
         ch = data[i : i + 1]
         if ch in b" \t\r\n":
             i += 1
@@ -224,10 +226,10 @@ def _tokenize_header(data: bytes, count: int, start: int = 2) -> tuple[list[int]
             try:
                 tokens.append(int(data[i:j]))
             except ValueError:  # more digits than int() converts
-                raise FormatError("image header number too long") from None
+                raise FormatError(f"{path}: image header number too long") from None
             i = j
         else:
-            raise FormatError(f"unexpected byte {ch!r} in image header")
+            raise FormatError(f"{path}: unexpected byte {ch!r} in image header")
     return tokens, i
 
 
@@ -238,7 +240,7 @@ def read_image(path) -> Image:
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise FormatError(f"{path}: unsupported image magic {magic!r}")
     channels = 3 if magic in (b"P3", b"P6") else 1
-    (w, h, maxval), pos = _tokenize_header(data, 3)
+    (w, h, maxval), pos = _tokenize_header(path, data, 3)
     if w < 1 or h < 1:
         raise FormatError(f"{path}: degenerate image size {w}x{h}")
     if not 1 <= maxval <= 65535:

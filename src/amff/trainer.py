@@ -56,15 +56,13 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 120
     lr: float = 5e-4
-    lr_drop_epoch: int = 80
-    lr_after_drop: float | None = None  # defaults to lr / 10
+    lr_drop_epoch: int = 80  # the learning rate is lr / 10 from this epoch on
     weight_decay: float = 1e-2
     early_stop_patience: int = 20
     seed: int = 0
     similarity: str = "cosine"
     use_msi: bool = True
     use_aff: bool = True
-    fidelity_label: str = "consistency"
     val_fraction: float = 0.1
     hidden_aff: int = 256
     hidden_head: int = 256
@@ -73,9 +71,9 @@ class TrainConfig:
         if min(self.batch_size, self.max_epochs, self.lr_drop_epoch, self.hidden_aff, self.hidden_head) < 1:
             raise ConfigError("TrainConfig: counts and hidden sizes must be positive")
         # lr == 0 is allowed for diagnostics (freezes parameters).
-        for name in ("lr", "lr_after_drop", "weight_decay"):
+        for name in ("lr", "weight_decay"):
             x = getattr(self, name)
-            if x is not None and not (math.isfinite(x) and x >= 0):
+            if not (math.isfinite(x) and x >= 0):
                 raise ConfigError(f"TrainConfig: {name} must be finite and >= 0, got {x}")
         if self.early_stop_patience < 1:
             raise ConfigError("TrainConfig: early_stop_patience must be >= 1")
@@ -83,12 +81,6 @@ class TrainConfig:
             raise ConfigError("TrainConfig: val_fraction must be in (0, 1)")
         if self.similarity not in SIMILARITY_KINDS:
             raise ConfigError(f"TrainConfig: unknown similarity {self.similarity!r}")
-        if self.fidelity_label not in TASKS:
-            raise ConfigError(f"TrainConfig: unknown fidelity_label {self.fidelity_label!r}")
-
-    @property
-    def dropped_lr(self) -> float:
-        return self.lr / 10.0 if self.lr_after_drop is None else self.lr_after_drop
 
 
 @dataclass
@@ -152,25 +144,6 @@ class EpochStats:
     val_mean: float
 
 
-@dataclass
-class TrainReport:
-    epochs: list[EpochStats]
-    best_epoch: int
-    best_metric: float
-    stopping_reason: str
-    params_checksum: str
-
-    def to_json(self) -> str:
-        payload = {
-            "epochs": [asdict(e) for e in self.epochs],
-            "best_epoch": self.best_epoch,
-            "best_metric": self.best_metric,
-            "stopping_reason": self.stopping_reason,
-            "params_checksum": self.params_checksum,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def params_checksum(params: ModelParams) -> str:
     h = hashlib.blake2b(digest_size=16)
     for name, a in params.named_arrays():
@@ -224,35 +197,27 @@ def _validation_srcc(params: ModelParams, dataset: Dataset, gts: dict[str, Array
 def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
     """Train on ``dataset`` (internally held-out validation for early stop).
 
-    Returns the trained model as the ``Checkpoint`` that ``save_checkpoint``
-    writes: best-validation and final parameters, optimizer state and the
-    per-epoch history.  ``resume_from`` restores a checkpoint written by
-    ``save_checkpoint`` and continues under the same schedule.
+    The run is one ``Checkpoint`` from its first epoch to its last: a fresh
+    one at the initial parameters, or the one ``save_checkpoint`` wrote to
+    ``resume_from``, which continues under the same schedule.  Each epoch
+    extends its history and, when validation improves, its best
+    parameters; the same record is returned.
     """
     dim = dataset.dim
-    present = {task: dataset.has_label(task) for task in TASKS}
-    if not any(present.values()):
+    # The task mask, in TASKS order; the pairwise loss ranks S_C against q_c.
+    active = np.array([dataset.has_label(task) for task in TASKS])
+    if not active.any():
         raise DataError("train: dataset has no fully present label for any task")
-    # The task mask, in TASKS order.  The pairwise loss ranks S_C against the
-    # configured comparison label, so that label's presence enables it (q_c
-    # by default).
-    active = np.array([present[cfg.fidelity_label], present["quality"], present["authenticity"]])
 
     core, val = split_random(dataset, 1.0 - cfg.val_fraction, make_rng((cfg.seed, _TAG_VALSPLIT)))
     ranges = {task: dataset.label_ranges.get(task) for task in TASKS}
 
     if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        _check_resume_compat(ckpt, cfg, dim)
-        params = ckpt.final_params
-        opt = ckpt.opt_state
-        best_params = ckpt.params
-        best_epoch = ckpt.best_epoch
-        best_metric = ckpt.best_metric
-        history = list(ckpt.history)
-        start_epoch = ckpt.last_epoch + 1
+        run = load_checkpoint(resume_from)
+        _check_resume_compat(run, cfg, dim)
+        run.config, run.label_ranges = cfg, ranges
     else:
-        params = init_model_params(
+        initial = init_model_params(
             dim,
             make_rng((cfg.seed, _TAG_INIT)),
             hidden_aff=cfg.hidden_aff,
@@ -261,26 +226,31 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
             use_msi=cfg.use_msi,
             use_aff=cfg.use_aff,
         )
-        opt = OptimizerState.zeros_like(params)
-        best_params = params.copy()
-        best_epoch = 0
-        best_metric = -np.inf
-        history: list[EpochStats] = []
-        start_epoch = 1
+        run = Checkpoint(
+            params=initial.copy(),
+            final_params=initial,
+            opt_state=OptimizerState.zeros_like(initial),
+            config=cfg,
+            label_ranges=ranges,
+            best_epoch=0,
+            best_metric=-np.inf,
+            last_epoch=0,
+            history=[],
+        )
+    params, opt = run.final_params, run.opt_state
 
     # Per-row targets, columns in TASKS order and NaN where masked: the raw
     # label ranks the pairwise loss, the MSE tasks regress onto labels
     # normalized to [0, 1].
     targets = np.full((len(core), len(TASKS)), np.nan)
-    targets[:, 0] = core.label(cfg.fidelity_label)
+    targets[:, 0] = core.label("consistency")
     for k in (1, 2):
         if active[k]:
             targets[:, k] = _normalize(core.label(TASKS[k]), *ranges[TASKS[k]])
-    val_gts = {task: val.label(task) for task in TASKS if present[task]}
+    val_gts = {task: val.label(task) for task, present in zip(TASKS, active) if present}
 
-    epoch = start_epoch - 1
-    for epoch in range(start_epoch, cfg.max_epochs + 1):
-        lr_e = cfg.lr if epoch < cfg.lr_drop_epoch else cfg.dropped_lr
+    for epoch in range(run.last_epoch + 1, cfg.max_epochs + 1):
+        lr_e = cfg.lr if epoch < cfg.lr_drop_epoch else cfg.lr / 10.0
         perm = make_rng((cfg.seed, _TAG_EPOCH, epoch)).permutation(len(core))
         sums = np.zeros(4)  # total loss, then the per-task losses
         n_batches = 0
@@ -305,25 +275,13 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
             )
         val_srcc = _validation_srcc(params, val, val_gts)
         val_mean = float(np.mean(list(val_srcc.values()))) if val_srcc else -1.0
-        history.append(EpochStats(epoch, lr_e, *(sums / n_batches).tolist(), val_srcc, val_mean))
-        if val_mean > best_metric:
-            best_metric = val_mean
-            best_epoch = epoch
-            best_params = params.copy()
-        if epoch - best_epoch >= cfg.early_stop_patience:
+        run.history.append(EpochStats(epoch, lr_e, *(sums / n_batches).tolist(), val_srcc, val_mean))
+        run.last_epoch = epoch
+        if val_mean > run.best_metric:
+            run.best_metric, run.best_epoch, run.params = val_mean, epoch, params.copy()
+        if epoch - run.best_epoch >= cfg.early_stop_patience:
             break
-
-    return Checkpoint(
-        params=best_params,
-        final_params=params,
-        opt_state=opt,
-        config=cfg,
-        label_ranges=ranges,
-        best_epoch=best_epoch,
-        best_metric=best_metric,
-        last_epoch=epoch,
-        history=history,
-    )
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +351,21 @@ class Checkpoint:
         return self.params.dim
 
     @property
-    def report(self) -> TrainReport:
+    def stopping_reason(self) -> str:
         # Training stops early exactly when the best epoch is this far behind.
         early = self.last_epoch - self.best_epoch >= self.config.early_stop_patience
-        return TrainReport(
-            epochs=self.history,
-            best_epoch=self.best_epoch,
-            best_metric=self.best_metric,
-            stopping_reason="early_stop" if early else "max_epochs",
-            params_checksum=params_checksum(self.params),
-        )
+        return "early_stop" if early else "max_epochs"
+
+    def report_json(self) -> str:
+        """The training report: per-epoch history, best epoch and metric, stopping reason, checksum."""
+        payload = {
+            "epochs": [asdict(e) for e in self.history],
+            "best_epoch": self.best_epoch,
+            "best_metric": self.best_metric,
+            "stopping_reason": self.stopping_reason,
+            "params_checksum": params_checksum(self.params),
+        }
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # Parameter containers of a checkpoint, in file order; each is written as
@@ -438,6 +401,11 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             fh.write(np.ascontiguousarray(container.flat, dtype="<f8"))
 
 
+# Config fields that earlier files carry with the one value every run used;
+# a file that gives them another value describes a run this code cannot repeat.
+_RETIRED_CONFIG = {"lr_after_drop": None, "fidelity_label": "consistency"}
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -450,8 +418,8 @@ def _mistyped_config_field(cfg: TrainConfig) -> str | None:
     """The first config field whose type differs from its default's, or None."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(f.default, float) or f.default is None:  # any finite number (or None)
-            ok = _is_real(value) or value is f.default is None
+        if isinstance(f.default, float):  # any finite number
+            ok = _is_real(value)
         else:
             ok = type(value) is type(f.default)
         if not ok:
@@ -485,6 +453,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"{path}: {what}")
 
     try:
+        for name, only in _RETIRED_CONFIG.items():
+            value = header["config"].pop(name, only)
+            need(value == only, f"config field {name!r} must be {only!r}, got {value!r}")
         cfg = TrainConfig(**header["config"])
         bad_field = _mistyped_config_field(cfg)
         need(bad_field is None, f"config field {bad_field!r} has the wrong type")

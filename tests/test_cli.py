@@ -90,6 +90,24 @@ class TestExtract:
         assert err.startswith("ERROR E_DATA: ") and err.count("\n") == 1 and "label q_v" in err, err
         assert reads == []
 
+    @pytest.mark.parametrize(
+        "write, code",
+        [
+            (lambda path: path.write_bytes(b"P5\n4 "), "E_FORMAT"),
+            # The 0.5x scale of a 20x20 image is 10x10, smaller than the encoder's grid.
+            (lambda path: write_image(path, Image(np.full((20, 20, 1), 0.5))), "E_DATA"),
+        ],
+        ids=["truncated_header", "smaller_than_grid"],
+    )
+    def test_image_error_names_the_image_once(self, tmp_path, capsys, write, code):
+        write(tmp_path / "a.pgm")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("id,generator,prompt,image\na,g,p,a.pgm\n")
+        assert _run(["extract", "--images", tmp_path, "--manifest", manifest, "--out", tmp_path / "f.amff"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1, err
+        assert err.count(str(tmp_path / "a.pgm")) == 1, err
+
 
 def _long_csv_cell(tmp_path, dataset):
     from amff.dataio import write_feature_records_csv
@@ -294,11 +312,21 @@ def _text_hidden_head(header, payload):
     return header, payload
 
 
+def _fidelity_label_quality(header, payload):
+    header["config"]["fidelity_label"] = "quality"
+    return header, payload
+
+
+def _lr_after_drop_set(header, payload):
+    header["config"]["lr_after_drop"] = 1e-5
+    return header, payload
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize(
         "edit",
         [_flat_best_aff_w1, _one_number_label_range, _nan_in_best_head_v_b2,
-         _missing_last_moment, _text_hidden_head],
+         _missing_last_moment, _text_hidden_head, _fidelity_label_quality, _lr_after_drop_set],
     )
     def test_predict_reports_one_format_error(self, tmp_path, capsys, edit):
         prefix, header, payload = split_checkpoint((DATA / "parent_v1.ckpt").read_bytes())

@@ -299,7 +299,7 @@ _VALID_IMAGES = _valid_images()
 
 
 class TestImageFuzz:
-    """Whatever an image file holds, decoding it succeeds or raises an AmffError."""
+    """Whatever an image file holds, decoding it succeeds or raises an AmffError that names the file."""
 
     def test_seeds_decode(self, tmp_path):
         for k, blob in enumerate(_VALID_IMAGES):
@@ -324,8 +324,8 @@ class TestImageFuzz:
         path.write_bytes(bytes(blob))
         try:
             read_image(path)
-        except AmffError:
-            pass
+        except AmffError as exc:
+            assert str(exc).count(str(path)) == 1, exc
 
 
 def test_image_validation():
@@ -333,3 +333,15 @@ def test_image_validation():
         Image(np.full((4, 4, 1), 1.5))
     with pytest.raises(ShapeError):
         Image(np.zeros((4, 4, 2)))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"), (-0.1, r"outside \[0, 1\]")],
+    ids=["nan", "pos_inf", "neg_inf", "negative"],
+)
+def test_image_rejects_pixel(bad, message):
+    px = np.full((4, 4, 3), 0.5)
+    px[2, 1, 0] = bad
+    with pytest.raises(NumericError, match=message):
+        Image(px)

@@ -127,7 +127,7 @@ class TestTrain:
     def test_deterministic_reports(self, tiny_dataset):
         a = train(tiny_dataset, fast_config())
         b = train(tiny_dataset, fast_config())
-        assert a.report.to_json() == b.report.to_json()
+        assert a.report_json() == b.report_json()
         assert params_checksum(a.params) == params_checksum(b.params)
 
     def test_loss_decreases_after_tiny_step(self, tiny_dataset):
@@ -153,24 +153,24 @@ class TestTrain:
         cfg = fast_config(lr=0.0, weight_decay=0.0, early_stop_patience=1, max_epochs=50)
         outcome = train(tiny_dataset, cfg)
         assert outcome.last_epoch == 2
-        assert outcome.report.stopping_reason == "early_stop"
+        assert outcome.stopping_reason == "early_stop"
         assert outcome.best_epoch == 1
 
     def test_best_epoch_never_after_last(self, tiny_dataset):
         outcome = train(tiny_dataset, fast_config(max_epochs=6))
         assert outcome.best_epoch <= outcome.last_epoch
-        assert outcome.report.params_checksum == params_checksum(outcome.params)
+        assert json.loads(outcome.report_json())["params_checksum"] == params_checksum(outcome.params)
 
     def test_lr_drop_applied(self, tiny_dataset):
         outcome = train(tiny_dataset, fast_config(max_epochs=4, lr_drop_epoch=3))
-        lrs = [e.lr for e in outcome.report.epochs]
+        lrs = [e.lr for e in outcome.history]
         assert lrs[:2] == [5e-4, 5e-4]
         assert lrs[2:] == [5e-5, 5e-5]
 
     def test_masked_task_is_skipped(self, tiny_dataset):
         stripped = _with_labels(tiny_dataset, range(len(tiny_dataset)), q_a=np.nan)
         outcome = train(stripped, fast_config(max_epochs=2))
-        for stats in outcome.report.epochs:
+        for stats in outcome.history:
             assert stats.loss_a == 0.0
             assert "authenticity" not in stats.val_srcc
 
@@ -180,7 +180,7 @@ class TestTrain:
         only_c = _with_labels(tiny_dataset, range(19), q_v=np.nan, q_a=np.nan)
         outcome = train(only_c, fast_config(max_epochs=2, val_fraction=0.1))
         assert outcome.last_epoch == 2
-        for stats in outcome.report.epochs:
+        for stats in outcome.history:
             assert stats.loss_v == 0.0 and stats.loss_a == 0.0
 
     def test_requires_some_labels(self, tiny_dataset):
@@ -270,7 +270,7 @@ class TestCheckpoint:
         save_checkpoint(path, half)
         resumed = train(tiny_dataset, fast_config(max_epochs=6), resume_from=path)
         straight = train(tiny_dataset, fast_config(max_epochs=6))
-        assert resumed.report.to_json() == straight.report.to_json()
+        assert resumed.report_json() == straight.report_json()
         assert params_checksum(resumed.params) == params_checksum(straight.params)
         assert params_checksum(resumed.final_params) == params_checksum(straight.final_params)
 
@@ -300,9 +300,9 @@ class TestCheckpoint:
     )
     def test_loaded_report_equals_trained_report(self, tiny_dataset, tmp_path, overrides, reason):
         outcome = train(tiny_dataset, fast_config(**overrides))
-        assert outcome.report.stopping_reason == reason
+        assert outcome.stopping_reason == reason
         save_checkpoint(tmp_path / "model.ckpt", outcome)
-        assert load_checkpoint(tmp_path / "model.ckpt").report.to_json() == outcome.report.to_json()
+        assert load_checkpoint(tmp_path / "model.ckpt").report_json() == outcome.report_json()
 
     @pytest.mark.parametrize("variant", [{"use_aff": False}, {"use_msi": False}], ids=["no_aff", "no_msi"])
     def test_ablated_model_scores_the_same_after_loading(self, tiny_dataset, tmp_path, variant):
@@ -334,7 +334,7 @@ class TestCheckpoint:
         cfg = dataclasses.replace(load_checkpoint(DATA / "parent_v1.ckpt").config, max_epochs=5)
         outcome = train(dataset, cfg, resume_from=DATA / "parent_v1.ckpt")
         want = json.loads((DATA / "parent_v1_resume.json").read_text())
-        losses = {str(e.epoch): e.loss_total for e in outcome.report.epochs if e.epoch >= 4}
+        losses = {str(e.epoch): e.loss_total for e in outcome.history if e.epoch >= 4}
         assert losses.keys() == want["loss_total"].keys()
         for epoch, loss in losses.items():
             assert abs(loss - want["loss_total"][epoch]) <= 1e-12 * abs(want["loss_total"][epoch]), epoch

@@ -13,7 +13,6 @@ import argparse
 import csv
 import ctypes
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .errors import (
     ShapeError,
 )
 from .gradcheck import format_gradcheck, run_gradcheck
-from .scoring import SIMILARITY_KINDS
+from .scoring import SIMILARITY_KINDS, VARIANTS
 from .tensor import make_rng
 
 _TAG_OUTER_SPLIT = 21
@@ -50,16 +49,8 @@ _ERROR_CODES = {
     FormatError: "E_FORMAT",
     NumericError: "E_NUMERIC",
     ShapeError: "E_SHAPE",
+    OSError: "E_IO",
 }
-
-
-def _error_code(exc: Exception) -> str:
-    for cls, code in _ERROR_CODES.items():
-        if isinstance(exc, cls):
-            return code
-    if isinstance(exc, OSError):
-        return "E_IO"
-    return "E_INTERNAL"
 
 
 def _parse_split(spec: str) -> tuple[str, float | None]:
@@ -84,6 +75,14 @@ def _load_dataset(path) -> dataio.Dataset:
     if head == b"AMFF":
         return dataio.read_feature_records(p)
     return dataio.read_feature_records_csv(p)
+
+
+def _load_checkpoint(path, dataset: dataio.Dataset) -> trainer.Checkpoint:
+    """The checkpoint at ``path``, which must score features of ``dataset``'s dim."""
+    ckpt = trainer.load_checkpoint(path)
+    if ckpt.dim != dataset.dim:
+        raise ShapeError(f"dimension mismatch: checkpoint dim {ckpt.dim} vs data dim {dataset.dim}")
+    return ckpt
 
 
 def _apply_split(dataset: dataio.Dataset, spec: str, seed: int):
@@ -125,6 +124,11 @@ def _train_config(args) -> trainer.TrainConfig:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of every command that splits the data and trains: train, eval and ablate."""
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--split", default="random:0.8")
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--epochs", type=int, default=120)
     p.add_argument("--lr", type=float, default=5e-4)
@@ -244,11 +248,7 @@ def _cmd_eval(args) -> int:
     if args.ckpt is not None:
         if args.trials != 1:
             raise ConfigError("--trials requires training per trial; do not pass --ckpt")
-        ckpt = trainer.load_checkpoint(args.ckpt)
-        if ckpt.dim != dataset.dim:
-            raise ShapeError(
-                f"dimension mismatch: checkpoint dim {ckpt.dim} vs data dim {dataset.dim}"
-            )
+        ckpt = _load_checkpoint(args.ckpt, dataset)
         _, test_set = _apply_split(dataset, args.split, args.seed)
         result, scatter = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
         _write_eval_reports(dirs, result, scatter, "evaluation")
@@ -260,17 +260,12 @@ def _cmd_eval(args) -> int:
     results = [_run_trial(dataset, args, s) for s in seeds]
     median = metrics.median_of_trials(results)
 
-    trial_lines = []
-    for seed, result in zip(seeds, results):
-        for task, tm in result.tasks.items():
-            trial_lines.append(
-                json.dumps(
-                    {"seed": seed, "task": task, "srcc": tm.srcc, "plcc": tm.plcc,
-                     "krcc": tm.krcc, "n": tm.n},
-                    sort_keys=True,
-                )
-            )
-    (dirs["reports"] / "trials.jsonl").write_text("\n".join(trial_lines) + "\n")
+    trial_rows = (
+        {"seed": seed, "task": task, "srcc": tm.srcc, "plcc": tm.plcc, "krcc": tm.krcc, "n": tm.n}
+        for seed, result in zip(seeds, results)
+        for task, tm in result.tasks.items()
+    )
+    (dirs["reports"] / "trials.jsonl").write_text(metrics.format_jsonl(trial_rows))
     title = f"median of {len(seeds)} trials"
     _write_eval_reports(dirs, median, {}, title)
     print(metrics.format_table(median, title), end="")
@@ -279,28 +274,18 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     dataset = _load_dataset(args.data)
-    ckpt = trainer.load_checkpoint(args.ckpt)
-    if ckpt.dim != dataset.dim:
-        raise ShapeError(f"dimension mismatch: checkpoint dim {ckpt.dim} vs data dim {dataset.dim}")
+    ckpt = _load_checkpoint(args.ckpt, dataset)
     scores = trainer.score_dataset(ckpt.params, dataset, label_ranges=ckpt.label_ranges)
-    lines = [
-        json.dumps({"id": sid, "s_c": s_c, "s_v": s_v, "s_a": s_a}, sort_keys=True)
-        for sid, (s_c, s_v, s_a) in zip(dataset.ids, scores.tolist())
-    ]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(lines)} predictions to {out}")
+    out.write_text(
+        metrics.format_jsonl(
+            {"id": sid, "s_c": s_c, "s_v": s_v, "s_a": s_a}
+            for sid, (s_c, s_v, s_a) in zip(dataset.ids, scores.tolist())
+        )
+    )
+    print(f"wrote {len(dataset)} predictions to {out}")
     return 0
-
-
-_ABLATION_VARIANTS = (
-    ("full", {"similarity": "cosine", "use_msi": True, "use_aff": True}),
-    ("no_msi", {"similarity": "cosine", "use_msi": False, "use_aff": True}),
-    ("no_aff", {"similarity": "cosine", "use_msi": True, "use_aff": False}),
-    ("euclidean", {"similarity": "euclidean", "use_msi": True, "use_aff": True}),
-    ("manhattan", {"similarity": "manhattan", "use_msi": True, "use_aff": True}),
-)
 
 
 def _cmd_ablate(args) -> int:
@@ -310,44 +295,37 @@ def _cmd_ablate(args) -> int:
     dirs = _out_dirs(args.out)
 
     results: dict[str, metrics.EvalResult] = {}
-    for name, overrides in _ABLATION_VARIANTS:
-        ckpt = trainer.train(train_set, dataclasses.replace(_train_config(args), **overrides))
+    for name, similarity, use_msi, use_aff in VARIANTS:
+        config = dataclasses.replace(_train_config(args), similarity=similarity, use_msi=use_msi, use_aff=use_aff)
+        ckpt = trainer.train(train_set, config)
         results[name], _ = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
 
-    tasks = list(results["full"].tasks)
+    # Fusion variants under cosine similarity, the full model's row labelled
+    # "full"; then similarity kinds under the full fusion.
+    fusion = [(name, results[name]) for name, kind, _, _ in VARIANTS if kind == "cosine"]
+    kinds = [(name, results[name]) for name, _, use_msi, use_aff in VARIANTS if use_msi and use_aff]
+    tasks = list(results["cosine"].tasks)
     lines = ["# architecture ablations (SRCC per task)"]
-    header = f"{'variant':<12}" + "".join(f"{t:>14}" for t in tasks) + f"{'mean':>10}"
-    lines.append(header)
-    jsonl = []
-    for name in ("full", "no_msi", "no_aff"):
-        r = results[name]
-        row = f"{name:<12}" + "".join(f"{r.tasks[t].srcc:>14.4f}" for t in tasks)
-        lines.append(row + f"{r.mean_srcc():>10.4f}")
+    lines.append(f"{'variant':<12}" + "".join(f"{t:>14}" for t in tasks) + f"{'mean':>10}")
+    rows = []
+    for name, r in fusion:
+        label = "full" if name == "cosine" else name
+        srccs = "".join(f"{r.tasks[t].srcc:>14.4f}" for t in tasks)
+        lines.append(f"{label:<12}{srccs}{r.mean_srcc():>10.4f}")
         for t in tasks:
-            jsonl.append(
-                json.dumps(
-                    {"section": "architecture", "variant": name, "task": t,
-                     "srcc": r.tasks[t].srcc, "mean_srcc": r.mean_srcc()},
-                    sort_keys=True,
-                )
-            )
+            rows.append({"section": "architecture", "variant": label, "task": t, "srcc": r.tasks[t].srcc,
+                         "mean_srcc": r.mean_srcc()})
     lines.append("")
     lines.append("# similarity metrics (consistency SRCC)")
     lines.append(f"{'metric':<12}{'consistency':>14}{'mean':>10}")
-    for name, variant in (("cosine", "full"), ("euclidean", "euclidean"), ("manhattan", "manhattan")):
-        r = results[variant]
+    for name, r in kinds:
         cons = r.tasks["consistency"].srcc if "consistency" in r.tasks else float("nan")
         lines.append(f"{name:<12}{cons:>14.4f}{r.mean_srcc():>10.4f}")
-        jsonl.append(
-            json.dumps(
-                {"section": "similarity", "variant": name, "task": "consistency",
-                 "srcc": cons, "mean_srcc": r.mean_srcc()},
-                sort_keys=True,
-            )
-        )
+        rows.append({"section": "similarity", "variant": name, "task": "consistency", "srcc": cons,
+                     "mean_srcc": r.mean_srcc()})
     text = "\n".join(lines) + "\n"
     (dirs["reports"] / "ablate.txt").write_text(text)
-    (dirs["reports"] / "ablate.jsonl").write_text("\n".join(jsonl) + "\n")
+    (dirs["reports"] / "ablate.jsonl").write_text(metrics.format_jsonl(rows))
     print(text, end="")
     return 0
 
@@ -385,19 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("train", help="train on the train side of the split, write a checkpoint")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", default="random:0.8")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint, or run the N-trial median protocol")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--ckpt")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", default="random:0.8")
     p.add_argument("--trials", type=int, default=1)
     _add_train_flags(p)
     p.set_defaults(func=_cmd_eval)
@@ -409,10 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("ablate", help="paired comparison of fusion and similarity variants")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", default="random:0.8")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_ablate)
 
@@ -429,11 +395,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AmffError as exc:
-        print(f"ERROR {_error_code(exc)}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"ERROR E_IO: {exc}", file=sys.stderr)
+    except (AmffError, OSError) as exc:
+        code = next((code for cls, code in _ERROR_CODES.items() if isinstance(exc, cls)), "E_INTERNAL")
+        print(f"ERROR {code}: {exc}", file=sys.stderr)
         return 1
     finally:
         if _malloc_trim is not None:

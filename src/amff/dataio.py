@@ -21,6 +21,7 @@ import struct
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -342,18 +343,35 @@ def read_feature_records_csv(path) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
+def _split_groups(
+    dataset: Dataset, groups: dict[str, Sequence[int]], train_fraction: float, rng: np.random.Generator, who: str
+) -> tuple[Dataset, Dataset]:
+    """Split each group's rows by ``train_fraction``, groups in the order given.
+
+    A group's train size is round-half-up of fraction * size, and its rows
+    are shuffled by the next permutation drawn from ``rng``; both sides
+    come back in row order.  A group that would leave either side empty
+    is an error.
+    """
+    if not 0.0 < train_fraction < 1.0:
+        raise DataError(f"{who}: train_fraction must be in (0, 1), got {train_fraction}")
+    train_idx, test_idx = [], []
+    for name, indices in groups.items():
+        m = len(indices)
+        m_train = _round_half_up(train_fraction * m)
+        if m_train == 0 or m_train == m:
+            raise DataError(
+                f"{who}: group {name!r} of {m} sample(s) leaves an empty side at fraction {train_fraction}"
+            )
+        perm = np.asarray(indices)[rng.permutation(m)]
+        train_idx.append(perm[:m_train])
+        test_idx.append(perm[m_train:])
+    return dataset.subset(np.sort(np.concatenate(train_idx))), dataset.subset(np.sort(np.concatenate(test_idx)))
+
+
 def split_random(dataset: Dataset, train_fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Disjoint random split; train size is round-half-up of fraction*n."""
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError(f"split_random: train_fraction must be in (0, 1), got {train_fraction}")
-    n = len(dataset)
-    if n < 2:
-        raise DataError("split_random: need at least 2 samples")
-    n_train = _round_half_up(train_fraction * n)
-    if n_train == 0 or n_train == n:
-        raise DataError(f"split_random: fraction {train_fraction} leaves an empty side for n={n}")
-    perm = rng.permutation(n)
-    return dataset.subset(np.sort(perm[:n_train])), dataset.subset(np.sort(perm[n_train:]))
+    return _split_groups(dataset, {"all": range(len(dataset))}, train_fraction, rng, "split_random")
 
 
 def split_per_generator(dataset: Dataset, train_fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
@@ -362,23 +380,10 @@ def split_per_generator(dataset: Dataset, train_fraction: float, rng: np.random.
     Groups are split in order of their first row, each with the next
     permutation drawn from ``rng``.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError(f"split_per_generator: train_fraction must be in (0, 1), got {train_fraction}")
     groups: dict[str, list[int]] = {}
     for i, gen in enumerate(dataset.generators):
         groups.setdefault(gen, []).append(i)
-    train_idx, test_idx = [], []
-    for gen, indices in groups.items():
-        m = len(indices)
-        if m < 2:
-            raise DataError(f"split_per_generator: group {gen!r} has only {m} sample(s)")
-        m_train = _round_half_up(train_fraction * m)
-        if m_train == 0 or m_train == m:
-            raise DataError(f"split_per_generator: group {gen!r} too small for fraction {train_fraction}")
-        perm = np.asarray(indices)[rng.permutation(m)]
-        train_idx.append(perm[:m_train])
-        test_idx.append(perm[m_train:])
-    return dataset.subset(np.sort(np.concatenate(train_idx))), dataset.subset(np.sort(np.concatenate(test_idx)))
+    return _split_groups(dataset, groups, train_fraction, rng, "split_per_generator")
 
 
 # ---------------------------------------------------------------------------

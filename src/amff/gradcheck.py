@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .aff import Block, aff_backward, aff_forward, init_block, mlp_backward, mlp_forward
 from .losses import BatchScores, fidelity_loss, mse_loss, total_loss
-from .scoring import init_model_params, model_backward, model_forward, similarity_score
+from .scoring import SIMILARITY_KINDS, VARIANTS, init_model_params, model_backward, model_forward, similarity_score
 from .tensor import Array, finite_diff_check, make_rng
 
 DEFAULT_EPS = 1e-5
@@ -78,7 +78,7 @@ def _check_head(seed: int, tag: str, salt: int, dim: int = 12, hidden: int = 9) 
 def _check_similarity(seed: int, dim: int = 12) -> dict[str, float]:
     rng = make_rng((seed, 204))
     results = {}
-    for kind in ("cosine", "euclidean", "manhattan"):
+    for kind in SIMILARITY_KINDS:
         f_img = rng.standard_normal((PROBE_BATCH, dim))
         f_text = rng.standard_normal((PROBE_BATCH, dim))
         upstream = rng.standard_normal(PROBE_BATCH)
@@ -108,17 +108,6 @@ def _check_losses(seed: int, n: int = 5) -> dict[str, float]:
     }
 
 
-# (report name, similarity, use_msi, use_aff): the three similarity kinds
-# plus the two fusion ablations, as the trainer and ``ablate`` build them.
-MODEL_VARIANTS = (
-    ("cosine", "cosine", True, True),
-    ("euclidean", "euclidean", True, True),
-    ("manhattan", "manhattan", True, True),
-    ("no_msi", "cosine", False, True),
-    ("no_aff", "cosine", True, False),
-)
-
-
 def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
     """Audit the whole mini-batch objective against every model parameter.
 
@@ -128,7 +117,7 @@ def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
     batch are checked together.
     """
     results = {}
-    for k, (name, *variant) in enumerate(MODEL_VARIANTS):
+    for k, (name, *variant) in enumerate(VARIANTS):
         rng = make_rng((seed, 206, k))
         params = init_model_params(dim, rng, hidden, hidden, *variant)
         for _, arr in params.named_arrays():

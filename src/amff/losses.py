@@ -67,23 +67,17 @@ def fidelity_loss(batch: BatchScores) -> tuple[float, Array]:
     preds, gts = batch.preds, batch.gts
 
     diff = preds[:, None] - preds[None, :]
-    p_hat = 0.5 * _erfc(-diff / 2.0)
-    # Accurate 1 - p_hat without a second erfc pass: a - b == -(b - a)
-    # exactly in IEEE arithmetic, so diff is antisymmetric bit for bit and
-    # entry (i, j) of 0.5 * erfc(diff / 2) is entry (j, i) of p_hat.
-    p_hat_c = p_hat.T
-    prefer = gts[:, None] >= gts[None, :]
-
-    term = np.where(prefer, 1.0 - np.sqrt(p_hat), 1.0 - np.sqrt(p_hat_c))
+    # q is the predicted probability of each pair's observed order: p_hat
+    # where gt_i >= gt_j, else 1 - p_hat = 0.5 * erfc(diff / 2), which keeps
+    # its tail accurate without a second erfc pass.
+    sign = np.where(gts[:, None] >= gts[None, :], 1.0, -1.0)
+    q = 0.5 * _erfc(-sign * diff / 2.0)
+    term = 1.0 - np.sqrt(q)
     np.fill_diagonal(term, 0.0)
     loss = float(term.sum()) / (n * n)
 
-    # d(term)/d(p_hat), with the binary preference selecting the branch.
-    dterm = np.where(
-        prefer,
-        -0.5 / np.sqrt(np.maximum(p_hat, _TINY)),
-        0.5 / np.sqrt(np.maximum(p_hat_c, _TINY)),
-    )
+    # d(term)/d(p_hat); dq/dp_hat is the sign.
+    dterm = -sign * 0.5 / np.sqrt(np.maximum(q, _TINY))
     pdf = np.exp(-0.25 * diff * diff) / _SQRT2PI  # N(0,1) pdf at diff/sqrt(2)
     grad_pair = dterm * pdf / _SQRT2
     np.fill_diagonal(grad_pair, 0.0)

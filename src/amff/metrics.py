@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -297,16 +297,12 @@ class EvalResult:
         return float(np.mean([t.srcc for t in self.tasks.values()]))
 
 
-def _median(values: Sequence[float]) -> float:
-    s = sorted(values)
-    mid = len(s) // 2
-    if len(s) % 2 == 1:
-        return float(s[mid])
-    return 0.5 * (s[mid - 1] + s[mid])
-
-
 def median_of_trials(results: Sequence[EvalResult]) -> EvalResult:
     """Per-task, per-metric median across repeated trials."""
+    # Imported here: statistics loads fractions and decimal (about 0.5 MiB of
+    # resident memory), which every other command would carry for nothing.
+    import statistics
+
     if not results:
         raise DataError("median_of_trials: empty result list")
     task_names = list(results[0].tasks)
@@ -316,10 +312,10 @@ def median_of_trials(results: Sequence[EvalResult]) -> EvalResult:
     tasks = {}
     for name in task_names:
         tasks[name] = TaskMetrics(
-            srcc=_median([r.tasks[name].srcc for r in results]),
-            plcc=_median([r.tasks[name].plcc for r in results]),
-            krcc=_median([r.tasks[name].krcc for r in results]),
-            n=int(round(_median([r.tasks[name].n for r in results]))),
+            srcc=statistics.median([r.tasks[name].srcc for r in results]),
+            plcc=statistics.median([r.tasks[name].plcc for r in results]),
+            krcc=statistics.median([r.tasks[name].krcc for r in results]),
+            n=int(round(statistics.median([r.tasks[name].n for r in results]))),
             logistic=None,
         )
     return EvalResult(tasks)
@@ -340,17 +336,17 @@ def format_table(result: EvalResult, title: str = "evaluation") -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_jsonl(rows: Iterable[dict]) -> str:
+    """One JSON object per row, keys sorted, each line newline-terminated."""
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
 def to_jsonl(result: EvalResult) -> str:
     """One JSON object per task: {task, srcc, plcc, krcc, n}."""
-    lines = []
-    for name, tm in result.tasks.items():
-        lines.append(
-            json.dumps(
-                {"task": name, "srcc": tm.srcc, "plcc": tm.plcc, "krcc": tm.krcc, "n": tm.n},
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return format_jsonl(
+        {"task": name, "srcc": tm.srcc, "plcc": tm.plcc, "krcc": tm.krcc, "n": tm.n}
+        for name, tm in result.tasks.items()
+    )
 
 
 def format_scatter(preds: Array, gts: Array, mapped: Array) -> str:

@@ -27,6 +27,17 @@ from .tensor import Array
 
 SIMILARITY_KINDS = ("cosine", "euclidean", "manhattan")
 
+# (name, similarity, use_msi, use_aff) of every model variant: the full
+# model under each similarity kind, then the two fusion ablations.  The
+# ablation protocol trains each one and the gradient audit checks each one.
+VARIANTS = (
+    ("cosine", "cosine", True, True),
+    ("euclidean", "euclidean", True, True),
+    ("manhattan", "manhattan", True, True),
+    ("no_msi", "cosine", False, True),
+    ("no_aff", "cosine", True, False),
+)
+
 
 def similarity_score(f_img: Array, f_text: Array, kind: str = "cosine") -> tuple[Array, Array]:
     """Row-wise similarity of two (B, D) batches plus its gradient w.r.t. ``f_img``.

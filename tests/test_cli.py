@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from amff import cli
+from amff.errors import AmffError
 from amff.dataio import read_feature_records, write_feature_records
 from amff.encoder import Image, write_image
 from amff.tensor import make_rng
@@ -184,6 +186,53 @@ class TestMalformedInput:
         assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1 and named in err, err
 
 
+class TestErrorCodes:
+    def test_missing_checkpoint_is_an_io_error(self, tmp_path, capsys, data_file):
+        out = tmp_path / "preds.jsonl"
+        assert _run(["predict", "--data", data_file, "--ckpt", tmp_path / "absent.ckpt", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR E_IO: ") and err.count("\n") == 1 and "absent.ckpt" in err, err
+        assert not out.exists()
+
+    def test_bare_package_error_is_internal(self, tmp_path, capsys, monkeypatch):
+        def fail(args):
+            raise AmffError("no subclass")
+
+        monkeypatch.setattr(cli, "_cmd_synth", fail)
+        assert _run(["synth", "--out", tmp_path / "a.amff"]) == 1
+        assert capsys.readouterr().err == "ERROR E_INTERNAL: no subclass\n"
+
+
+# Every subcommand's flags: option string -> (default, required).
+_RUN_FLAGS = {
+    "--data": (None, True), "--out": (None, True), "--seed": (0, False), "--split": ("random:0.8", False),
+    "--batch-size": (32, False), "--epochs": (120, False), "--lr": (5e-4, False), "--lr-drop-epoch": (80, False),
+    "--patience": (20, False), "--weight-decay": (1e-2, False), "--similarity": ("cosine", False),
+    "--no-msi": (False, False), "--no-aff": (False, False),
+}
+_SURFACE = {
+    "synth": {"--out": (None, True), "--n": (512, False), "--dim": (64, False), "--noise": (0.01, False),
+              "--seed": (0, False)},
+    "extract": {"--images": (None, True), "--manifest": (None, True), "--out": (None, True), "--dim": (64, False)},
+    "train": _RUN_FLAGS,
+    "eval": {**_RUN_FLAGS, "--ckpt": (None, False), "--trials": (1, False)},
+    "predict": {"--data": (None, True), "--ckpt": (None, True), "--out": (None, True)},
+    "ablate": _RUN_FLAGS,
+    "gradcheck": {"--seed": (0, False), "--out": (None, False)},
+}
+
+
+def test_cli_surface_is_unchanged():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {", ".join(a.option_strings): (a.default, a.required)
+               for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        for name, sub in commands.choices.items()
+    }
+    assert got == _SURFACE
+
+
 class TestHeapTrim:
     def test_every_command_trims_once(self, tmp_path, monkeypatch):
         calls = []
@@ -267,6 +316,13 @@ class TestPredict:
         assert set(row) == {"id", "s_c", "s_v", "s_a"}
         assert -1.0 <= row["s_c"] <= 1.0
 
+    def test_dim_mismatch_exits_nonzero(self, tmp_path, data_file, capsys):
+        out = tmp_path / "preds.jsonl"
+        rc = _run(["predict", "--data", data_file, "--ckpt", DATA / "parent_v1.ckpt", "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "ERROR E_SHAPE: dimension mismatch: checkpoint dim 8 vs data dim 16\n", err
+        assert not out.exists()
 
     def test_earlier_checkpoint_predicts_its_pinned_scores(self, tmp_path):
         # parent_v1.ckpt and parent_v1_preds.jsonl were written by the
@@ -355,13 +411,16 @@ class TestAblate:
         text = (out / "reports" / "ablate.txt").read_text()
         assert "# architecture ablations" in text
         assert "# similarity metrics" in text
+        architecture, similarity = text.split("\n\n")
+        # Each section: a title line, a header line, then one row per variant, labelled first.
+        assert [line.split()[0] for line in architecture.splitlines()[2:]] == ["full", "no_msi", "no_aff"]
+        assert [line.split()[0] for line in similarity.splitlines()[2:]] == ["cosine", "euclidean", "manhattan"]
         rows = [json.loads(l) for l in (out / "reports" / "ablate.jsonl").read_text().splitlines()]
-        variants = {(r["section"], r["variant"]) for r in rows}
-        assert ("architecture", "full") in variants
-        assert ("architecture", "no_msi") in variants
-        assert ("architecture", "no_aff") in variants
-        assert ("similarity", "euclidean") in variants
-        assert ("similarity", "manhattan") in variants
+        variants = [(r["section"], r["variant"]) for r in rows]
+        assert list(dict.fromkeys(variants)) == [
+            ("architecture", "full"), ("architecture", "no_msi"), ("architecture", "no_aff"),
+            ("similarity", "cosine"), ("similarity", "euclidean"), ("similarity", "manhattan"),
+        ]
 
     def test_paired_splits_identical(self, tmp_path, data_file):
         # rerunning ablate with the same seed reproduces identical bytes

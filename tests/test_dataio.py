@@ -283,10 +283,11 @@ class TestSplits:
             assert got == int(np.floor(0.7 * total + 0.5))
 
     def test_single_generator_matches_split_random(self):
-        ds = _dataset(make_rng(13), n=10, generators=("only",))
-        a = split_per_generator(ds, 0.8, make_rng(2))
-        b = split_random(ds, 0.8, make_rng(2))
-        assert a[0].ids == b[0].ids
+        for n, fraction in ((10, 0.8), (2, 0.5), (7, 0.3), (25, 0.75), (101, 0.5), (64, 0.9)):
+            ds = _dataset(make_rng(13), n=n, generators=("only",))
+            a = split_per_generator(ds, fraction, make_rng(2))
+            b = split_random(ds, fraction, make_rng(2))
+            assert (a[0].ids, a[1].ids) == (b[0].ids, b[1].ids), (n, fraction)
 
     def test_small_group_errors(self):
         full = _dataset(make_rng(14), n=5, generators=("a",))
@@ -294,6 +295,24 @@ class TestSplits:
                    prompts=full.prompts[:4] + ["p"])
         with pytest.raises(DataError, match="group"):
             split_per_generator(ds, 0.75, make_rng(0))
+
+    @pytest.mark.parametrize(
+        "split, generators, fraction, message",
+        [
+            (split_random, ("a", "b"), 0.95, "split_random: group 'all' of 4 sample(s) leaves an empty side "
+                                              "at fraction 0.95"),
+            (split_random, ("a", "b"), 0.1, "split_random: group 'all' of 4 sample(s) leaves an empty side "
+                                             "at fraction 0.1"),
+            (split_per_generator, ("a", "a", "a", "b"), 0.75, "split_per_generator: group 'b' of 1 sample(s) "
+                                                              "leaves an empty side at fraction 0.75"),
+        ],
+        ids=["random_empty_test_side", "random_empty_train_side", "per_generator_lone_row"],
+    )
+    def test_empty_side_message_names_group_size_and_fraction(self, split, generators, fraction, message):
+        ds = _dataset(make_rng(15), n=4, generators=generators)
+        with pytest.raises(DataError) as info:
+            split(ds, fraction, make_rng(0))
+        assert str(info.value) == message
 
 
 class TestSynthGenerate:

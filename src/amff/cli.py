@@ -53,30 +53,6 @@ _ERROR_CODES = {
 }
 
 
-def _parse_split(spec: str) -> tuple[str, float | None]:
-    if spec == "all":
-        return "all", None
-    kind, sep, frac = spec.partition(":")
-    if not sep or kind not in ("random", "per-generator"):
-        raise ConfigError(f"--split must be 'random:F', 'per-generator:F', or 'all', got {spec!r}")
-    try:
-        fraction = float(frac)
-    except ValueError:
-        raise ConfigError(f"--split fraction {frac!r} is not a number") from None
-    return kind, fraction
-
-
-def _load_dataset(path) -> dataio.Dataset:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"data file not found: {p}")
-    with open(p, "rb") as fh:
-        head = fh.read(4)
-    if head == b"AMFF":
-        return dataio.read_feature_records(p)
-    return dataio.read_feature_records_csv(p)
-
-
 def _load_checkpoint(path, dataset: dataio.Dataset) -> trainer.Checkpoint:
     """The checkpoint at ``path``, which must score features of ``dataset``'s dim."""
     ckpt = trainer.load_checkpoint(path)
@@ -86,36 +62,42 @@ def _load_checkpoint(path, dataset: dataio.Dataset) -> trainer.Checkpoint:
 
 
 def _apply_split(dataset: dataio.Dataset, spec: str, seed: int):
-    kind, fraction = _parse_split(spec)
-    if kind == "all":
+    if spec == "all":
         return dataset, dataset
-    rng = make_rng((seed, _TAG_OUTER_SPLIT))
-    if kind == "random":
-        return dataio.split_random(dataset, fraction, rng)
-    return dataio.split_per_generator(dataset, fraction, rng)
+    # Looked up per call, so a wrapper installed over a split function is the one called.
+    splits = {"random": dataio.split_random, "per-generator": dataio.split_per_generator}
+    kind, sep, frac = spec.partition(":")
+    if not sep or kind not in splits:
+        raise ConfigError(f"--split must be 'random:F', 'per-generator:F', or 'all', got {spec!r}")
+    try:
+        fraction = float(frac)
+    except ValueError:
+        raise ConfigError(f"--split fraction {frac!r} is not a number") from None
+    return splits[kind](dataset, fraction, make_rng((seed, _TAG_OUTER_SPLIT)))
 
 
-def _out_dirs(out: str) -> dict[str, Path]:
-    root = Path(out)
-    dirs = {
-        "root": root,
-        "checkpoints": root / "checkpoints",
-        "reports": root / "reports",
-        "scatter": root / "scatter",
-    }
-    for d in dirs.values():
-        d.mkdir(parents=True, exist_ok=True)
-    return dirs
+def _output(*parts) -> Path:
+    """The path ``parts`` join to, its directory created: an output tree holds only what is written."""
+    path = Path(*parts)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+# Training flag -> the TrainConfig field that gives its type and default and
+# takes its value (read back under argparse's dest for the flag).
+_TRAIN_FLAGS = {
+    "--batch-size": "batch_size",
+    "--epochs": "max_epochs",
+    "--lr": "lr",
+    "--lr-drop-epoch": "lr_drop_epoch",
+    "--patience": "early_stop_patience",
+    "--weight-decay": "weight_decay",
+}
 
 
 def _train_config(args) -> trainer.TrainConfig:
     return trainer.TrainConfig(
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        lr=args.lr,
-        lr_drop_epoch=args.lr_drop_epoch,
-        weight_decay=args.weight_decay,
-        early_stop_patience=args.patience,
+        **{field: getattr(args, flag[2:].replace("-", "_")) for flag, field in _TRAIN_FLAGS.items()},
         seed=args.seed,
         similarity=args.similarity,
         use_msi=not args.no_msi,
@@ -125,28 +107,24 @@ def _train_config(args) -> trainer.TrainConfig:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     """The flags of every command that splits the data and trains: train, eval and ablate."""
+    defaults = trainer.TrainConfig()
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", default="random:0.8")
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=120)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--lr-drop-epoch", type=int, default=80)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--weight-decay", type=float, default=1e-2)
-    p.add_argument("--similarity", choices=SIMILARITY_KINDS, default="cosine")
+    for flag, field in _TRAIN_FLAGS.items():
+        default = getattr(defaults, field)
+        p.add_argument(flag, type=type(default), default=default)
+    p.add_argument("--similarity", choices=SIMILARITY_KINDS, default=defaults.similarity)
     p.add_argument("--no-msi", action="store_true", help="feed the original scale into all fusion slots")
     p.add_argument("--no-aff", action="store_true", help="replace learned fusion with the plain mean")
 
 
-def _write_eval_reports(dirs, result: metrics.EvalResult, scatter, title: str) -> None:
-    (dirs["reports"] / "eval.txt").write_text(metrics.format_table(result, title))
-    (dirs["reports"] / "eval.jsonl").write_text(metrics.to_jsonl(result))
+def _write_eval_reports(out: str, result: metrics.EvalResult, scatter, title: str) -> None:
+    _output(out, "reports", "eval.txt").write_text(metrics.format_table(result, title))
+    _output(out, "reports", "eval.jsonl").write_text(metrics.to_jsonl(result))
     for task, sd in scatter.items():
-        (dirs["scatter"] / f"{task}.txt").write_text(
-            metrics.format_scatter(sd.preds, sd.gts, sd.mapped)
-        )
+        _output(out, "scatter", f"{task}.txt").write_text(metrics.format_scatter(sd.preds, sd.gts, sd.mapped))
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +134,7 @@ def _write_eval_reports(dirs, result: metrics.EvalResult, scatter, title: str) -
 
 def _cmd_synth(args) -> int:
     dataset = dataio.synth_generate(args.n, args.dim, args.noise, make_rng(args.seed))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output(args.out)
     dataio.write_feature_records(dataset, out)
     print(f"wrote {len(dataset)} samples (dim {dataset.dim}) to {out}")
     return 0
@@ -209,21 +186,19 @@ def _cmd_extract(args) -> int:
         np.array(features),
         np.array(labels),
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output(args.out)
     dataio.write_feature_records(dataset, out)
     print(f"encoded {len(dataset)} images to {out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = dataio.read_dataset(args.data)
     train_set, _ = _apply_split(dataset, args.split, args.seed)
     ckpt = trainer.train(train_set, _train_config(args))
-    dirs = _out_dirs(args.out)
-    ckpt_path = dirs["checkpoints"] / "model.ckpt"
+    ckpt_path = _output(args.out, "checkpoints", "model.ckpt")
     trainer.save_checkpoint(ckpt_path, ckpt)
-    (dirs["reports"] / "train_report.json").write_text(ckpt.report_json())
+    _output(args.out, "reports", "train_report.json").write_text(ckpt.report_json())
     print(
         f"trained {ckpt.last_epoch} epochs ({ckpt.stopping_reason}), "
         f"best epoch {ckpt.best_epoch} val mean SRCC {ckpt.best_metric:.4f}"
@@ -242,16 +217,15 @@ def _run_trial(dataset, args, seed: int) -> metrics.EvalResult:
 def _cmd_eval(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    dataset = _load_dataset(args.data)
-    dirs = _out_dirs(args.out)
+    if args.ckpt is not None and args.trials != 1:
+        raise ConfigError("--trials requires training per trial; do not pass --ckpt")
+    dataset = dataio.read_dataset(args.data)
 
     if args.ckpt is not None:
-        if args.trials != 1:
-            raise ConfigError("--trials requires training per trial; do not pass --ckpt")
         ckpt = _load_checkpoint(args.ckpt, dataset)
         _, test_set = _apply_split(dataset, args.split, args.seed)
         result, scatter = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
-        _write_eval_reports(dirs, result, scatter, "evaluation")
+        _write_eval_reports(args.out, result, scatter, "evaluation")
         print(metrics.format_table(result, "evaluation"), end="")
         return 0
 
@@ -265,19 +239,18 @@ def _cmd_eval(args) -> int:
         for seed, result in zip(seeds, results)
         for task, tm in result.tasks.items()
     )
-    (dirs["reports"] / "trials.jsonl").write_text(metrics.format_jsonl(trial_rows))
+    _output(args.out, "reports", "trials.jsonl").write_text(metrics.format_jsonl(trial_rows))
     title = f"median of {len(seeds)} trials"
-    _write_eval_reports(dirs, median, {}, title)
+    _write_eval_reports(args.out, median, {}, title)
     print(metrics.format_table(median, title), end="")
     return 0
 
 
 def _cmd_predict(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = dataio.read_dataset(args.data)
     ckpt = _load_checkpoint(args.ckpt, dataset)
     scores = trainer.score_dataset(ckpt.params, dataset, label_ranges=ckpt.label_ranges)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output(args.out)
     out.write_text(
         metrics.format_jsonl(
             {"id": sid, "s_c": s_c, "s_v": s_v, "s_a": s_a}
@@ -289,10 +262,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = dataio.read_dataset(args.data)
     # One shared split so every variant is compared on identical samples.
     train_set, test_set = _apply_split(dataset, args.split, args.seed)
-    dirs = _out_dirs(args.out)
 
     results: dict[str, metrics.EvalResult] = {}
     for name, similarity, use_msi, use_aff in VARIANTS:
@@ -324,8 +296,8 @@ def _cmd_ablate(args) -> int:
         rows.append({"section": "similarity", "variant": name, "task": "consistency", "srcc": cons,
                      "mean_srcc": r.mean_srcc()})
     text = "\n".join(lines) + "\n"
-    (dirs["reports"] / "ablate.txt").write_text(text)
-    (dirs["reports"] / "ablate.jsonl").write_text(metrics.format_jsonl(rows))
+    _output(args.out, "reports", "ablate.txt").write_text(text)
+    _output(args.out, "reports", "ablate.jsonl").write_text(metrics.format_jsonl(rows))
     print(text, end="")
     return 0
 
@@ -335,8 +307,7 @@ def _cmd_gradcheck(args) -> int:
     text = format_gradcheck(results)
     print(text, end="")
     if args.out:
-        dirs = _out_dirs(args.out)
-        (dirs["reports"] / "gradcheck.txt").write_text(text)
+        _output(args.out, "reports", "gradcheck.txt").write_text(text)
     worst = max(results.values())
     if worst >= 1e-4:
         raise NumericError(f"gradient check failed: worst relative error {worst:.3e} >= 1e-4")

@@ -8,7 +8,8 @@ mini-batch is an index gather of the blocks and a scoring chunk a slice
 of them, so no row is ever copied into an object of its own.
 
 Two interchangeable on-disk formats are supported: a little-endian
-binary layout (magic ``AMFF``) and a CSV layout with one header row.
+binary layout (magic ``AMFF``) and a CSV layout with one header row;
+``read_dataset`` tells them apart by the magic.
 Vectors are stored as f32 on disk; the synthetic generator emits values
 already on the f32 grid so a write/read round trip is the identity.
 """
@@ -336,6 +337,18 @@ def read_feature_records_csv(path) -> Dataset:
     if bad:
         raise FormatError(bad)
     return Dataset(ids, generators, prompts, block, np.array(labels), check_finite=False)
+
+
+def read_dataset(path) -> Dataset:
+    """Read a feature-record file in either format: binary if it starts with the magic, else CSV."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"data file not found: {path}")
+    with open(path, "rb") as fh:
+        head = fh.read(len(_MAGIC))
+    if head == _MAGIC:
+        return read_feature_records(path)
+    return read_feature_records_csv(path)
 
 
 # ---------------------------------------------------------------------------

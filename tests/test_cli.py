@@ -174,11 +174,15 @@ class TestMalformedInput:
               for value in ("nan", "inf")],
             *[(_args("eval", "--data", "{data}", "--out", "{out}", "--trials", value), "E_CONFIG", "--trials")
               for value in ("0", "-2")],
+            # Refused before --data is read: the data file is absent.
+            (_args("eval", "--data", "{out}.amff", "--ckpt", "{out}.ckpt", "--out", "{out}", "--trials", "2"),
+             "E_CONFIG", "--trials"),
         ],
         ids=["long_csv_cell", "oversized_header", "non_utf8_manifest", "short_manifest_row", "nan_manifest_label",
              "train_negative_seed", "gradcheck_negative_seed", "synth_negative_seed", "trials_negative_seed",
              "extract_negative_dim", "extract_zero_dim", "nan_lr", "inf_lr", "nan_weight_decay",
-             "inf_weight_decay", "nan_noise", "inf_noise", "zero_trials", "negative_trials"],
+             "inf_weight_decay", "nan_noise", "inf_noise", "zero_trials", "negative_trials",
+             "trials_with_ckpt_absent_data"],
     )
     def test_one_error_line(self, tmp_path, capsys, tiny_dataset, command, code, named):
         assert _run(command(tmp_path, tiny_dataset)) == 1
@@ -203,22 +207,26 @@ class TestErrorCodes:
         assert capsys.readouterr().err == "ERROR E_INTERNAL: no subclass\n"
 
 
-# Every subcommand's flags: option string -> (default, required).
+# Every subcommand's flags: option string -> (default, required, type, choices).
 _RUN_FLAGS = {
-    "--data": (None, True), "--out": (None, True), "--seed": (0, False), "--split": ("random:0.8", False),
-    "--batch-size": (32, False), "--epochs": (120, False), "--lr": (5e-4, False), "--lr-drop-epoch": (80, False),
-    "--patience": (20, False), "--weight-decay": (1e-2, False), "--similarity": ("cosine", False),
-    "--no-msi": (False, False), "--no-aff": (False, False),
+    "--data": (None, True, None, None), "--out": (None, True, None, None), "--seed": (0, False, int, None),
+    "--split": ("random:0.8", False, None, None), "--batch-size": (32, False, int, None),
+    "--epochs": (120, False, int, None), "--lr": (5e-4, False, float, None), "--lr-drop-epoch": (80, False, int, None),
+    "--patience": (20, False, int, None), "--weight-decay": (1e-2, False, float, None),
+    "--similarity": ("cosine", False, None, ("cosine", "euclidean", "manhattan")),
+    "--no-msi": (False, False, None, None), "--no-aff": (False, False, None, None),
 }
 _SURFACE = {
-    "synth": {"--out": (None, True), "--n": (512, False), "--dim": (64, False), "--noise": (0.01, False),
-              "--seed": (0, False)},
-    "extract": {"--images": (None, True), "--manifest": (None, True), "--out": (None, True), "--dim": (64, False)},
+    "synth": {"--out": (None, True, None, None), "--n": (512, False, int, None), "--dim": (64, False, int, None),
+              "--noise": (0.01, False, float, None), "--seed": (0, False, int, None)},
+    "extract": {"--images": (None, True, None, None), "--manifest": (None, True, None, None),
+                "--out": (None, True, None, None), "--dim": (64, False, int, None)},
     "train": _RUN_FLAGS,
-    "eval": {**_RUN_FLAGS, "--ckpt": (None, False), "--trials": (1, False)},
-    "predict": {"--data": (None, True), "--ckpt": (None, True), "--out": (None, True)},
+    "eval": {**_RUN_FLAGS, "--ckpt": (None, False, None, None), "--trials": (1, False, int, None)},
+    "predict": {"--data": (None, True, None, None), "--ckpt": (None, True, None, None),
+                "--out": (None, True, None, None)},
     "ablate": _RUN_FLAGS,
-    "gradcheck": {"--seed": (0, False), "--out": (None, False)},
+    "gradcheck": {"--seed": (0, False, int, None), "--out": (None, False, None, None)},
 }
 
 
@@ -226,7 +234,7 @@ def test_cli_surface_is_unchanged():
     parser = cli.build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     got = {
-        name: {", ".join(a.option_strings): (a.default, a.required)
+        name: {", ".join(a.option_strings): (a.default, a.required, a.type, a.choices)
                for a in sub._actions if not isinstance(a, argparse._HelpAction)}
         for name, sub in commands.choices.items()
     }
@@ -289,6 +297,7 @@ class TestTrainEval:
         seeds = {json.loads(l)["seed"] for l in trial_lines}
         assert seeds == {0, 1}
         assert (out / "reports" / "eval.jsonl").exists()
+        assert [p.name for p in out.iterdir()] == ["reports"]
 
     def test_trials_with_ckpt_rejected(self, tmp_path, data_file, capsys):
         rc = _run(["eval", "--data", data_file, "--ckpt", tmp_path / "nope.ckpt",
@@ -300,6 +309,39 @@ class TestTrainEval:
         rc = _run(["train", "--data", data_file, "--out", tmp_path / "r", "--split", "bogus"])
         assert rc == 1
         assert "ERROR E_CONFIG" in capsys.readouterr().err
+
+
+class TestOutputTree:
+    """Each command creates only the directories of the files it writes, and a failed one creates none."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--data", "{data}", "--ckpt", DATA / "parent_v1.ckpt", "--out", "{out}"],
+            ["eval", "--data", "{data}", "--ckpt", "{out}.ckpt", "--out", "{out}"],
+            ["train", "--data", "{data}", "--out", "{out}", "--split", "bogus"],
+        ],
+        ids=["eval_dim_mismatch", "eval_missing_checkpoint", "train_bad_split"],
+    )
+    def test_failed_command_creates_nothing(self, tmp_path, data_file, argv):
+        out = tmp_path / "run"
+        assert _run([str(a).format(data=data_file, out=out) for a in argv]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, made",
+        [
+            (["eval", "--data", DATA / "parent_v1.amff", "--ckpt", DATA / "parent_v1.ckpt", "--split", "all"],
+             ["reports", "scatter"]),
+            (["ablate", "--data", "{data}", "--epochs", "1", "--patience", "1", "--batch-size", "16"], ["reports"]),
+            (["gradcheck"], ["reports"]),
+        ],
+        ids=["eval_ckpt", "ablate", "gradcheck"],
+    )
+    def test_command_creates_only_what_it_writes(self, tmp_path, data_file, argv, made):
+        out = tmp_path / "fresh"
+        assert _run([str(a).format(data=data_file) for a in argv] + ["--out", out]) == 0
+        assert sorted(p.name for p in out.iterdir()) == made
 
 
 class TestPredict:

@@ -232,6 +232,28 @@ class TestCsvCodec:
             read_feature_records_csv(path)
 
 
+class TestReadDataset:
+    @pytest.mark.parametrize("write", [write_feature_records, write_feature_records_csv], ids=["binary", "csv"])
+    def test_reads_either_format(self, tmp_path, write):
+        ds = _dataset(make_rng(11))
+        path = tmp_path / "data"
+        write(ds, path)
+        assert datasets_equal(dataio.read_dataset(path), ds)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="data file not found"):
+            dataio.read_dataset(tmp_path / "absent.amff")
+
+    @pytest.mark.parametrize("keep", [4, -3], ids=["magic_only", "short_last_record"])
+    def test_truncated_binary_file_is_read_as_binary(self, tmp_path, keep):
+        path = tmp_path / "data"
+        write_feature_records(_dataset(make_rng(12)), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FormatError, match="truncated file") as info:
+            dataio.read_dataset(path)
+        assert "CSV" not in str(info.value)
+
+
 class TestSplits:
     def test_random_counts_and_disjointness(self):
         ds = _dataset(make_rng(7), n=10)

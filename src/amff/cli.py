@@ -61,10 +61,14 @@ def _load_checkpoint(path, dataset: dataio.Dataset) -> trainer.Checkpoint:
     return ckpt
 
 
-def _apply_split(dataset: dataio.Dataset, spec: str, seed: int):
+def _splitter(spec: str):
+    """The split ``--split spec`` names, as a function of (dataset, seed) -> (train, test).
+
+    Called before the data is read, so a bad spec is refused first.
+    """
     if spec == "all":
-        return dataset, dataset
-    # Looked up per call, so a wrapper installed over a split function is the one called.
+        return lambda dataset, seed: (dataset, dataset)
+    # Looked up per command, so a wrapper installed over a split function is the one called.
     splits = {"random": dataio.split_random, "per-generator": dataio.split_per_generator}
     kind, sep, frac = spec.partition(":")
     if not sep or kind not in splits:
@@ -73,7 +77,7 @@ def _apply_split(dataset: dataio.Dataset, spec: str, seed: int):
         fraction = float(frac)
     except ValueError:
         raise ConfigError(f"--split fraction {frac!r} is not a number") from None
-    return splits[kind](dataset, fraction, make_rng((seed, _TAG_OUTER_SPLIT)))
+    return lambda dataset, seed: splits[kind](dataset, fraction, make_rng((seed, _TAG_OUTER_SPLIT)))
 
 
 def _output(*parts) -> Path:
@@ -161,10 +165,8 @@ def _cmd_extract(args) -> int:
     for k, row in enumerate(rows, start=1):
         if any(row[name] is None for name in required):
             raise FormatError(f"manifest row {k} has no cell for one of {', '.join(required)}")
-        where = f"manifest row {row['id']!r}"
-        labels.append(
-            [dataio.parse_label_cell((row.get(name) or "").strip(), name, where) for name in ("q_v", "q_a", "q_c")]
-        )
+        cells = [(row.get(name) or "").strip() for name in dataio.LABEL_NAMES]
+        labels.append(dataio.parse_labels(cells, f"manifest row {row['id']!r}"))
     features = []
     for row in rows:
         f_text = encoder.toy_encode_text(row["prompt"], args.dim)
@@ -193,8 +195,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    split = _splitter(args.split)
     dataset = dataio.read_dataset(args.data)
-    train_set, _ = _apply_split(dataset, args.split, args.seed)
+    train_set, _ = split(dataset, args.seed)
     ckpt = trainer.train(train_set, _train_config(args))
     ckpt_path = _output(args.out, "checkpoints", "model.ckpt")
     trainer.save_checkpoint(ckpt_path, ckpt)
@@ -207,8 +210,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _run_trial(dataset, args, seed: int) -> metrics.EvalResult:
-    train_set, test_set = _apply_split(dataset, args.split, seed)
+def _run_trial(dataset, split, args, seed: int) -> metrics.EvalResult:
+    train_set, test_set = split(dataset, seed)
     ckpt = trainer.train(train_set, dataclasses.replace(_train_config(args), seed=seed))
     result, _ = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
     return result
@@ -219,11 +222,12 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.ckpt is not None and args.trials != 1:
         raise ConfigError("--trials requires training per trial; do not pass --ckpt")
+    split = _splitter(args.split)
     dataset = dataio.read_dataset(args.data)
 
     if args.ckpt is not None:
         ckpt = _load_checkpoint(args.ckpt, dataset)
-        _, test_set = _apply_split(dataset, args.split, args.seed)
+        _, test_set = split(dataset, args.seed)
         result, scatter = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
         _write_eval_reports(args.out, result, scatter, "evaluation")
         print(metrics.format_table(result, "evaluation"), end="")
@@ -231,7 +235,7 @@ def _cmd_eval(args) -> int:
 
     # Full protocol: one train+eval per trial seed, median reported.
     seeds = list(range(args.seed, args.seed + args.trials))
-    results = [_run_trial(dataset, args, s) for s in seeds]
+    results = [_run_trial(dataset, split, args, s) for s in seeds]
     median = metrics.median_of_trials(results)
 
     trial_rows = (
@@ -262,9 +266,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    split = _splitter(args.split)
     dataset = dataio.read_dataset(args.data)
     # One shared split so every variant is compared on identical samples.
-    train_set, test_set = _apply_split(dataset, args.split, args.seed)
+    train_set, test_set = split(dataset, args.seed)
 
     results: dict[str, metrics.EvalResult] = {}
     for name, similarity, use_msi, use_aff in VARIANTS:

@@ -2,14 +2,16 @@
 
 A ``Dataset`` holds its rows column-wise: lists of ids, generator ids
 and prompts, one ``(N, 4, D)`` float64 feature block whose rows are
-f_text, f_05, f_10 and f_15, and an ``(N, 3)`` float64 label block with
-columns q_v, q_a and q_c, in which NaN marks an absent label.  A
-mini-batch is an index gather of the blocks and a scoring chunk a slice
-of them, so no row is ever copied into an object of its own.
+f_text, f_05, f_10 and f_15, and an ``(N, 3)`` float64 label block whose
+columns are in ``TASKS`` order (q_c, q_v, q_a), in which NaN marks an
+absent label.  A mini-batch is an index gather of the blocks and a
+scoring chunk a slice of them, so no row is ever copied into an object
+of its own.
 
 Two interchangeable on-disk formats are supported: a little-endian
 binary layout (magic ``AMFF``) and a CSV layout with one header row;
-``read_dataset`` tells them apart by the magic.
+``read_dataset`` tells them apart by the magic.  Both keep the labels in
+file order (q_v, q_a, q_c); only the codecs here know that order.
 Vectors are stored as f32 on disk; the synthetic generator emits values
 already on the f32 grid so a write/read round trip is the identity.
 """
@@ -35,8 +37,8 @@ _HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, record count
 
 TASKS = ("consistency", "quality", "authenticity")
 _FEATURES = ("f_text", "f_05", "f_10", "f_15")  # rows of a sample's (4, D) block
-_LABELS = ("q_v", "q_a", "q_c")  # columns of the label block, in file order
-_LABEL_COLUMN = {"quality": 0, "authenticity": 1, "consistency": 2}
+LABEL_NAMES = ("q_v", "q_a", "q_c")  # the labels in file order
+_COLUMN = [1, 2, 0]  # the TASKS column of each: quality, authenticity, consistency
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -67,7 +69,7 @@ class Dataset:
     generators: list[str]
     prompts: list[str]
     features: Array  # (N, 4, D): f_text, f_05, f_10, f_15
-    labels: Array  # (N, 3): q_v, q_a, q_c; NaN marks an absent label
+    labels: Array  # (N, 3), columns in TASKS order (q_c, q_v, q_a); NaN marks an absent label
     check_finite: InitVar[bool] = True
 
     def __post_init__(self, check_finite: bool):
@@ -100,23 +102,13 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[2]
 
-    def label(self, task: str) -> Array:
-        """(N,) column of one task's label; NaN marks an absent label."""
-        return self.labels[:, _LABEL_COLUMN[task]]
-
-    def has_label(self, task: str) -> bool:
-        """True when every sample carries the task's label."""
-        return not np.isnan(self.label(task)).any()
-
     @cached_property
-    def label_ranges(self) -> dict[str, tuple[float, float]]:
-        """Per-task (min, max) over present label values."""
+    def label_ranges(self) -> dict[str, tuple[float, float] | None]:
+        """Per-task (min, max) over present label values, None for a task with none."""
         ranges = {}
-        for task in TASKS:
-            values = self.label(task)
+        for task, values in zip(TASKS, self.labels.T):
             values = values[~np.isnan(values)]
-            if values.size:
-                ranges[task] = (float(values.min()), float(values.max()))
+            ranges[task] = (float(values.min()), float(values.max())) if values.size else None
         return ranges
 
     def subset(self, indices) -> "Dataset":
@@ -141,17 +133,20 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
     )
 
 
-def parse_label_cell(cell: str, name: str, where: str) -> float:
-    """The value of a text label cell; an empty cell is an absent label (NaN)."""
-    if cell == "":
-        return math.nan
-    try:
-        value = float(cell)
-    except ValueError:
-        raise FormatError(f"{where}: bad {name} value {cell!r}") from None
-    if not math.isfinite(value):
-        raise DataError(f"{where}: label {name} is non-finite")
-    return value
+def parse_labels(cells: Sequence[str], where: str) -> list[float]:
+    """The label row, in ``TASKS`` order, of text cells in file order; an empty cell is an absent label (NaN)."""
+    row = [math.nan] * len(TASKS)
+    for name, column, cell in zip(LABEL_NAMES, _COLUMN, cells):
+        if cell == "":
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            raise FormatError(f"{where}: bad {name} value {cell!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{where}: label {name} is non-finite")
+        row[column] = value
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +162,15 @@ def write_feature_records(dataset: Dataset, path) -> None:
     is written, so no f32 copy of the whole block is held.  A value
     beyond the f32 range raises ``FormatError`` before the file is opened.
     """
-    features, labels = dataset.features, dataset.labels
+    features, labels = dataset.features, dataset.labels[:, _COLUMN]  # labels in file order
     # max and min scan the block without a full-size temporary; only a refusal builds one.
     if max(features.max(), -features.min()) > _F32_MAX or np.any(np.abs(labels) > _F32_MAX):
         beyond = np.concatenate([np.abs(features).max(axis=2), np.abs(labels)], axis=1) > _F32_MAX
         i, k = np.argwhere(beyond)[0]
-        raise FormatError(f"record {dataset.ids[i]!r}: {(_FEATURES + _LABELS)[k]} is beyond the f32 range")
-    present = ~np.isnan(dataset.labels)
+        raise FormatError(f"record {dataset.ids[i]!r}: {(_FEATURES + LABEL_NAMES)[k]} is beyond the f32 range")
     heads = []
-    for sid, gen, prompt, mask, labels in zip(
-        dataset.ids, dataset.generators, dataset.prompts, present, dataset.labels
+    for sid, gen, prompt, mask, row in zip(
+        dataset.ids, dataset.generators, dataset.prompts, ~np.isnan(labels), labels
     ):
         id_b, gen_b, prompt_b = sid.encode("utf-8"), gen.encode("utf-8"), prompt.encode("utf-8")
         if len(id_b) > 0xFFFF or len(gen_b) > 0xFFFF:
@@ -186,7 +180,7 @@ def write_feature_records(dataset: Dataset, path) -> None:
             struct.pack("<H", len(gen_b)), gen_b,
             struct.pack("<I", len(prompt_b)), prompt_b,
             struct.pack("<B", mask @ (1, 2, 4)),
-            labels[mask].astype("<f4").tobytes(),
+            row[mask].astype("<f4").tobytes(),
         ]))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, dataset.dim, len(dataset)))
@@ -254,14 +248,14 @@ def read_feature_records(path) -> Dataset:
                 raise truncated(1)
             mask = data[pos]
             pos += 1
-            for bit, name in enumerate(_LABELS):
+            for bit, (name, column) in enumerate(zip(LABEL_NAMES, _COLUMN)):
                 if mask & (1 << bit):
                     if pos + 4 > end:
                         raise truncated(4)
                     (value,) = struct.unpack_from("<f", data, pos)
                     if not math.isfinite(value):
                         raise FormatError(f"record {idx}: non-finite label {name}")
-                    labels[idx, bit] = value
+                    labels[idx, column] = value
                     pos += 4
             if pos + vector_bytes > end:
                 raise truncated(vector_bytes)
@@ -281,7 +275,7 @@ def read_feature_records(path) -> Dataset:
 
 
 def _csv_header(dim: int) -> list[str]:
-    cols = ["id", "generator", "prompt", "q_v", "q_a", "q_c"]
+    cols = ["id", "generator", "prompt", *LABEL_NAMES]
     for prefix in ("ftext", "f05", "f10", "f15"):
         cols.extend(f"{prefix}_{i}" for i in range(dim))
     return cols
@@ -291,7 +285,7 @@ def write_feature_records_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_csv_header(dataset.dim))
-        rows = zip(dataset.ids, dataset.generators, dataset.prompts, dataset.labels, dataset.features)
+        rows = zip(dataset.ids, dataset.generators, dataset.prompts, dataset.labels[:, _COLUMN], dataset.features)
         for sid, gen, prompt, labels, features in rows:
             writer.writerow([
                 sid, gen, prompt,
@@ -321,7 +315,7 @@ def read_feature_records_csv(path) -> Dataset:
                 ids.append(row[0])
                 generators.append(row[1])
                 prompts.append(row[2])
-                labels.append([parse_label_cell(c, n, f"record {idx}") for n, c in zip(_LABELS, row[3:6])])
+                labels.append(parse_labels(row[3:6], f"record {idx}"))
                 try:
                     features.append(np.array([float(c) for c in row[6:]]))
                 except ValueError:
@@ -483,7 +477,7 @@ def synth_generate_with_latents(
         q_a = float(np.float32(1.0 + 4.0 / (1.0 + np.exp(-(w_a @ z)))))
 
         features[i] = f_text, f_05, f_10, f_15
-        labels[i] = q_v, q_a, q_c
+        labels[i] = q_c, q_v, q_a
     dataset = Dataset(
         ids=[f"synth-{i:06d}" for i in range(n)],
         generators=["gen-a" if i % 2 == 0 else "gen-b" for i in range(n)],

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DataError, NumericError
 from .tensor import Array, as_vector
 
+# The fewest points the four-parameter logistic fit, and so PLCC, accepts.
+LOGISTIC_MIN_POINTS = 5
+
 
 def _tie_runs(xs: Array) -> Array:
     """Boundaries of the runs of equal values in sorted ``xs``.
@@ -199,8 +202,8 @@ def logistic_fit_trace(preds, gts) -> tuple[LogisticParams, list[float]]:
     gts = as_vector(gts, "gts")
     if preds.size != gts.size:
         raise DataError(f"logistic_fit: length mismatch {preds.size} vs {gts.size}")
-    if preds.size < 5:
-        raise DataError("logistic_fit: need at least 5 points")
+    if preds.size < LOGISTIC_MIN_POINTS:
+        raise DataError(f"logistic_fit: need at least {LOGISTIC_MIN_POINTS} points")
     span = float(preds.max() - preds.min())
     if span <= 0.0:
         raise NumericError("logistic_fit: predictions are constant")

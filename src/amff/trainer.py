@@ -25,7 +25,7 @@ import numpy as np
 from .dataio import TASKS, Dataset, split_random
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .losses import total_loss
-from .metrics import EvalResult, TaskMetrics, krcc, plcc, srcc
+from .metrics import LOGISTIC_MIN_POINTS, EvalResult, TaskMetrics, krcc, plcc, srcc
 from .scoring import (
     SIMILARITY_KINDS,
     ModelParams,
@@ -181,14 +181,14 @@ def score_dataset(params: ModelParams, dataset: Dataset, *, label_ranges: dict |
     return scores
 
 
-def _validation_srcc(params: ModelParams, dataset: Dataset, gts: dict[str, Array]) -> dict[str, float]:
+def _validation_srcc(params: ModelParams, dataset: Dataset, active: Array) -> dict[str, float]:
     scores = score_dataset(params, dataset)
     out: dict[str, float] = {}
     for k, task in enumerate(TASKS):
-        if task not in gts:
+        if not active[k]:
             continue
         try:
-            out[task] = srcc(scores[:, k], gts[task])
+            out[task] = srcc(scores[:, k], dataset.labels[:, k])
         except NumericError:
             continue  # constant predictions or labels; treated as no signal
     return out
@@ -205,12 +205,17 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
     """
     dim = dataset.dim
     # The task mask, in TASKS order; the pairwise loss ranks S_C against q_c.
-    active = np.array([dataset.has_label(task) for task in TASKS])
+    active = ~np.isnan(dataset.labels).any(axis=0)
     if not active.any():
         raise DataError("train: dataset has no fully present label for any task")
 
     core, val = split_random(dataset, 1.0 - cfg.val_fraction, make_rng((cfg.seed, _TAG_VALSPLIT)))
-    ranges = {task: dataset.label_ranges.get(task) for task in TASKS}
+    if len(val) < 2:
+        raise DataError(
+            f"train: the validation side holds {len(val)} row(s) at val_fraction {cfg.val_fraction}; "
+            "the validation SRCC needs at least 2"
+        )
+    ranges = dataset.label_ranges
 
     if resume_from is not None:
         run = load_checkpoint(resume_from)
@@ -239,15 +244,13 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
         )
     params, opt = run.final_params, run.opt_state
 
-    # Per-row targets, columns in TASKS order and NaN where masked: the raw
-    # label ranks the pairwise loss, the MSE tasks regress onto labels
-    # normalized to [0, 1].
-    targets = np.full((len(core), len(TASKS)), np.nan)
-    targets[:, 0] = core.label("consistency")
+    # Per-row targets, columns in TASKS order: the raw label ranks the
+    # pairwise loss, the MSE tasks regress onto labels normalized to [0, 1];
+    # a masked column is never read.
+    targets = core.labels.copy()
     for k in (1, 2):
         if active[k]:
-            targets[:, k] = _normalize(core.label(TASKS[k]), *ranges[TASKS[k]])
-    val_gts = {task: val.label(task) for task, present in zip(TASKS, active) if present}
+            targets[:, k] = _normalize(targets[:, k], *ranges[TASKS[k]])
 
     for epoch in range(run.last_epoch + 1, cfg.max_epochs + 1):
         lr_e = cfg.lr if epoch < cfg.lr_drop_epoch else cfg.lr / 10.0
@@ -273,7 +276,7 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
             raise DataError(
                 "train: no trainable batches (pairwise loss needs at least 2 samples per batch)"
             )
-        val_srcc = _validation_srcc(params, val, val_gts)
+        val_srcc = _validation_srcc(params, val, active)
         val_mean = float(np.mean(list(val_srcc.values()))) if val_srcc else -1.0
         run.history.append(EpochStats(epoch, lr_e, *(sums / n_batches).tolist(), val_srcc, val_mean))
         run.last_epoch = epoch
@@ -308,17 +311,22 @@ def evaluate_model(
     tasks: dict[str, TaskMetrics] = {}
     scatter: dict[str, ScatterData] = {}
     for k, task in enumerate(TASKS):
-        gts = dataset.label(task)
+        gts = dataset.labels[:, k]
         labelled = ~np.isnan(gts)
-        if not labelled.any():
+        n = int(labelled.sum())
+        if n == 0:
             continue
+        if n < LOGISTIC_MIN_POINTS:
+            raise DataError(
+                f"evaluate_model: {task} has {n} labelled row(s); the metrics need at least {LOGISTIC_MIN_POINTS}"
+            )
         preds, gts = scores[labelled, k], gts[labelled]
         plcc_value, logistic = plcc(preds, gts)
         tasks[task] = TaskMetrics(
             srcc=srcc(preds, gts),
             plcc=plcc_value,
             krcc=krcc(preds, gts),
-            n=preds.size,
+            n=n,
             logistic=logistic,
         )
         scatter[task] = ScatterData(preds, gts, logistic.apply(preds))

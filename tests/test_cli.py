@@ -75,7 +75,7 @@ class TestExtract:
         assert _run(["extract", "--images", img_dir, "--manifest", manifest, "--out", out, "--dim", 16]) == 0
         ds = read_feature_records(out)
         assert len(ds) == 4 and ds.dim == 16
-        q_v, q_a, _ = ds.labels[1]
+        _, q_v, q_a = ds.labels[1]
         assert q_v == 2.0 and np.isnan(q_a)
         for vector in ds.features[1]:  # f_text, f_05, f_10, f_15
             assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-5)
@@ -309,6 +309,29 @@ class TestTrainEval:
         rc = _run(["train", "--data", data_file, "--out", tmp_path / "r", "--split", "bogus"])
         assert rc == 1
         assert "ERROR E_CONFIG" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_split_checked_before_data_is_read(self, tmp_path, capsys, command):
+        assert _run([command, "--data", tmp_path / "absent.amff", "--out", tmp_path / "r", "--split", "bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR E_CONFIG: ") and err.count("\n") == 1 and "'bogus'" in err, err
+
+    # parent_v1.amff holds 16 rows: the default split leaves 13 to train on, of
+    # which val_fraction 0.1 holds out 1, and 3 to evaluate.
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_validation_side_too_small(self, tmp_path, capsys, command):
+        assert _run([command, "--data", DATA / "parent_v1.amff", "--out", tmp_path / "r", "--epochs", 1]) == 1
+        assert capsys.readouterr().err == (
+            "ERROR E_DATA: train: the validation side holds 1 row(s) at val_fraction 0.1; "
+            "the validation SRCC needs at least 2\n"
+        )
+
+    def test_evaluated_side_too_small(self, tmp_path, capsys):
+        argv = ["eval", "--data", DATA / "parent_v1.amff", "--ckpt", DATA / "parent_v1.ckpt", "--out", tmp_path / "r"]
+        assert _run(argv) == 1
+        assert capsys.readouterr().err == (
+            "ERROR E_DATA: evaluate_model: consistency has 3 labelled row(s); the metrics need at least 5\n"
+        )
 
 
 class TestOutputTree:

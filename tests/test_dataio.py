@@ -1,3 +1,4 @@
+import csv
 import struct
 from collections import Counter
 
@@ -178,7 +179,7 @@ class TestBinaryCodec:
         assert len(ds) == 3
         for k in range(3):
             assert (ds.ids[k], ds.generators[k], ds.prompts[k]) == (f"s{k}", "gen", "hello")
-            q_v, q_a, q_c = ds.labels[k]
+            q_c, q_v, q_a = ds.labels[k]
             assert q_v == 3.5 + k and np.isnan(q_a)
             assert q_c == pytest.approx(0.25 * k, abs=1e-7)
             for row, expected in enumerate(expected_vectors[k].values()):
@@ -204,7 +205,7 @@ class TestBinaryCodec:
         if column == "f_10":
             features[row, 2, 1] = -1e39
         else:
-            labels[row, 0] = 1e39
+            labels[row, 1] = 1e39
         path = tmp_path / "data.amff"
         with pytest.raises(FormatError, match=f"record 's{row}': {column} is beyond the f32 range"):
             write_feature_records(_rows(ds, range(4), features=features, labels=labels), path)
@@ -348,7 +349,7 @@ class TestSynthGenerate:
 
     def test_noise_zero_consistency_label_exact(self):
         ds = synth_generate(12, 16, 0.0, make_rng(5))
-        for ft, f10, q_c in zip(ds.features[:, 0], ds.features[:, 2], ds.labels[:, 2]):
+        for ft, f10, q_c in zip(ds.features[:, 0], ds.features[:, 2], ds.labels[:, 0]):
             recomputed = float(
                 np.float32(float(ft @ f10) / (np.linalg.norm(ft) * np.linalg.norm(f10)))
             )
@@ -356,7 +357,7 @@ class TestSynthGenerate:
 
     def test_labels_are_functions_of_latents(self):
         ds, lat = synth_generate_with_latents(10, 8, 0.0, make_rng(6))
-        for i, (label_v, _, label_c) in enumerate(ds.labels):
+        for i, (label_c, label_v, _) in enumerate(ds.labels):
             q_v = float(np.float32(1.0 + 4.0 / (1.0 + np.exp(-(lat.w_v @ lat.z[i])))))
             assert label_v == q_v
             assert abs(label_c - np.cos(lat.angles[i])) < 1e-5
@@ -364,7 +365,7 @@ class TestSynthGenerate:
     def test_linear_probe_recovers_quality(self):
         ds, lat = synth_generate_with_latents(512, 16, 0.0, make_rng(7))
         z = np.hstack([lat.z, np.ones((len(ds), 1))])
-        q = ds.labels[:, 0]
+        q = ds.labels[:, 1]
         coef, *_ = np.linalg.lstsq(z, q, rcond=None)
         resid = q - z @ coef
         r2 = 1.0 - float(resid @ resid) / float(((q - q.mean()) ** 2).sum())
@@ -399,8 +400,11 @@ class TestDatasetModel:
         ds = _dataset(make_rng(16), n=6)
         ranges = ds.label_ranges
         values = ds.labels[:, 0].tolist()
-        assert ranges["quality"] == (min(values), max(values))
-        assert "authenticity" in ranges  # present for some samples
+        assert ranges["consistency"] == (min(values), max(values))
+        assert ranges["quality"] is not None  # present for some samples
+        labels = ds.labels.copy()
+        labels[:, 2] = np.nan
+        assert _rows(ds, range(6), labels=labels).label_ranges["authenticity"] is None
 
     def test_inconsistent_dims_rejected(self):
         rng = make_rng(17)
@@ -434,6 +438,42 @@ class TestDatasetModel:
         assert np.array_equal(_rows(ds, [0, 1], features=block).features, block)
 
 
+# The dimension each file label scores, labels in file order (mask bits 0, 1, 2):
+# q_v visual quality, q_a authenticity, q_c consistency.
+_TASK_OF_LABEL = {"q_v": "quality", "q_a": "authenticity", "q_c": "consistency"}
+
+
+class TestLabelColumns:
+    """Each file label has one mask bit and one CSV column, and lands in its task's column of the block."""
+
+    @pytest.mark.parametrize("bit, name", enumerate(_TASK_OF_LABEL))
+    def test_label_lands_in_its_task_column(self, tmp_path, bit, name):
+        column = dataio.TASKS.index(_TASK_OF_LABEL[name])
+        labels = np.full((2, 3), np.nan)
+        labels[:, column] = (0.5, 0.75)
+        ds = _rows(_dataset(make_rng(40), n=2), [0, 1], labels=labels)
+        binary, text = tmp_path / "d.amff", tmp_path / "d.csv"
+        write_feature_records(ds, binary)
+        write_feature_records_csv(ds, text)
+
+        blob = binary.read_bytes()
+        pos = 20  # past the file header, at the first record's id length
+        for width in (2, 2, 4):  # id, generator_id, prompt
+            pos += width + int.from_bytes(blob[pos : pos + width], "little")
+        assert blob[pos] == 1 << bit
+        assert struct.unpack_from("<f", blob, pos + 1) == (0.5,)
+
+        with open(text, newline="", encoding="utf-8") as fh:
+            header, first, _ = csv.reader(fh)
+        cells = dict(zip(header, first))
+        assert {n: cells[n] for n in _TASK_OF_LABEL} == {n: "0.5" if n == name else "" for n in _TASK_OF_LABEL}
+
+        for back in (read_feature_records(binary), read_feature_records_csv(text)):
+            assert np.array_equal(back.labels, labels, equal_nan=True)
+        row = ["0.5" if n == name else "" for n in _TASK_OF_LABEL]
+        assert np.array_equal(dataio.parse_labels(row, "row"), labels[0], equal_nan=True)
+
+
 class TestCsvCells:
     def _write(self, path, ds, edit):
         write_feature_records_csv(ds, path)
@@ -444,7 +484,7 @@ class TestCsvCells:
     def test_explicit_nan_label_is_an_error(self, tmp_path):
         path = tmp_path / "nan.csv"
         ds = _dataset(make_rng(20), n=3)
-        self._write(path, ds, lambda line: line.replace(f",{float(ds.labels[1, 0])!r},", ",nan,", 1))
+        self._write(path, ds, lambda line: line.replace(f",{float(ds.labels[1, 1])!r},", ",nan,", 1))
         with pytest.raises(DataError, match="record 1: label q_v is non-finite"):
             read_feature_records_csv(path)
 

@@ -114,10 +114,10 @@ class TestAdamW:
 
 
 def _with_labels(dataset, rows, **columns):
-    """The given rows of ``dataset`` with label columns (q_v, q_a, q_c) overwritten by value."""
+    """The given rows of ``dataset`` with label columns (q_c, q_v, q_a) overwritten by value."""
     part = dataset.subset(list(rows))
     labels = part.labels.copy()
-    for k, name in enumerate(("q_v", "q_a", "q_c")):
+    for k, name in enumerate(("q_c", "q_v", "q_a")):
         if name in columns:
             labels[:, k] = columns[name]
     return Dataset(part.ids, part.generators, part.prompts, part.features, labels)
@@ -136,7 +136,7 @@ class TestTrain:
         rows = range(8)
         features = tiny_dataset.features[rows]
         targets = np.column_stack(
-            (tiny_dataset.label("consistency")[:8], tiny_dataset.label("quality")[:8], np.full(8, np.nan))
+            (tiny_dataset.labels[:8, 0], tiny_dataset.labels[:8, 1], np.full(8, np.nan))
         )
 
         def batch_loss(p):
@@ -238,6 +238,15 @@ class TestEvaluateModel:
             assert -1.0 <= tm.srcc <= 1.0
             assert tm.n == len(tiny_dataset)
             assert scatter[task].preds.shape == (len(tiny_dataset),)
+
+    @pytest.mark.parametrize("labelled", [1, 4])
+    def test_task_with_too_few_labels_is_refused(self, tiny_dataset, labelled):
+        part = _with_labels(tiny_dataset, range(8), q_v=[1.0] * labelled + [np.nan] * (8 - labelled))
+        with pytest.raises(DataError) as exc:
+            evaluate_model(_params(dim=part.dim), part)
+        assert str(exc.value) == (
+            f"evaluate_model: quality has {labelled} labelled row(s); the metrics need at least 5"
+        )
 
     def test_denormalization_restores_label_scale(self, tiny_dataset):
         outcome = train(tiny_dataset, fast_config(max_epochs=6))

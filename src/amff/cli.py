@@ -10,7 +10,6 @@ stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import dataclasses
 import sys
@@ -146,27 +145,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_extract(args) -> int:
     images_dir = Path(args.images)
-    manifest = Path(args.manifest)
-    if not manifest.exists():
-        raise DataError(f"manifest not found: {manifest}")
-    required = ("id", "generator", "prompt", "image")
-    try:
-        with open(manifest, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
-                raise FormatError(f"manifest must have columns {sorted(required)}")
-            rows = list(reader)
-    except UnicodeDecodeError:
-        raise FormatError(f"manifest {manifest} is not UTF-8 text") from None
-    except csv.Error as exc:
-        raise FormatError(f"manifest {manifest}: malformed CSV at line {reader.reader.line_num} ({exc})") from None
-    # Every row's cells and labels are checked before any image is encoded.
-    labels = []
-    for k, row in enumerate(rows, start=1):
-        if any(row[name] is None for name in required):
-            raise FormatError(f"manifest row {k} has no cell for one of {', '.join(required)}")
-        cells = [(row.get(name) or "").strip() for name in dataio.LABEL_NAMES]
-        labels.append(dataio.parse_labels(cells, f"manifest row {row['id']!r}"))
+    rows, labels = dataio.read_manifest(args.manifest)  # every row checked before any image is read
     features = []
     for row in rows:
         f_text = encoder.toy_encode_text(row["prompt"], args.dim)
@@ -186,7 +165,7 @@ def _cmd_extract(args) -> int:
         [row["generator"] for row in rows],
         [row["prompt"] for row in rows],
         np.array(features),
-        np.array(labels),
+        labels,
     )
     out = _output(args.out)
     dataio.write_feature_records(dataset, out)
@@ -210,9 +189,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _run_trial(dataset, split, args, seed: int) -> metrics.EvalResult:
-    train_set, test_set = split(dataset, seed)
-    ckpt = trainer.train(train_set, dataclasses.replace(_train_config(args), seed=seed))
+def _train_and_evaluate(train_set, test_set, config: trainer.TrainConfig) -> metrics.EvalResult:
+    """The metrics on ``test_set`` of a model trained on ``train_set`` under ``config``."""
+    ckpt = trainer.train(train_set, config)
     result, _ = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
     return result
 
@@ -235,7 +214,9 @@ def _cmd_eval(args) -> int:
 
     # Full protocol: one train+eval per trial seed, median reported.
     seeds = list(range(args.seed, args.seed + args.trials))
-    results = [_run_trial(dataset, split, args, s) for s in seeds]
+    results = [
+        _train_and_evaluate(*split(dataset, s), dataclasses.replace(_train_config(args), seed=s)) for s in seeds
+    ]
     median = metrics.median_of_trials(results)
 
     trial_rows = (
@@ -274,8 +255,7 @@ def _cmd_ablate(args) -> int:
     results: dict[str, metrics.EvalResult] = {}
     for name, similarity, use_msi, use_aff in VARIANTS:
         config = dataclasses.replace(_train_config(args), similarity=similarity, use_msi=use_msi, use_aff=use_aff)
-        ckpt = trainer.train(train_set, config)
-        results[name], _ = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
+        results[name] = _train_and_evaluate(train_set, test_set, config)
 
     # Fusion variants under cosine similarity, the full model's row labelled
     # "full"; then similarity kinds under the full fusion.

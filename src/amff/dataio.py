@@ -11,7 +11,9 @@ of its own.
 Two interchangeable on-disk formats are supported: a little-endian
 binary layout (magic ``AMFF``) and a CSV layout with one header row;
 ``read_dataset`` tells them apart by the magic.  Both keep the labels in
-file order (q_v, q_a, q_c); only the codecs here know that order.
+file order (q_v, q_a, q_c), and ``read_manifest`` reads the same label
+columns from the image manifest of ``amff extract``; only the codecs
+here know that order.
 Vectors are stored as f32 on disk; the synthetic generator emits values
 already on the f32 grid so a write/read round trip is the identity.
 """
@@ -37,8 +39,9 @@ _HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, record count
 
 TASKS = ("consistency", "quality", "authenticity")
 _FEATURES = ("f_text", "f_05", "f_10", "f_15")  # rows of a sample's (4, D) block
-LABEL_NAMES = ("q_v", "q_a", "q_c")  # the labels in file order
+_LABEL_NAMES = ("q_v", "q_a", "q_c")  # the labels in file order
 _COLUMN = [1, 2, 0]  # the TASKS column of each: quality, authenticity, consistency
+_MANIFEST_COLUMNS = ("id", "generator", "prompt", "image")  # an image manifest's required columns
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -124,19 +127,10 @@ class Dataset:
         )
 
 
-def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Column-wise equality, exact on floats (used by round-trip tests)."""
-    return (
-        (a.ids, a.generators, a.prompts) == (b.ids, b.generators, b.prompts)
-        and np.array_equal(a.features, b.features)
-        and np.array_equal(a.labels, b.labels, equal_nan=True)
-    )
-
-
-def parse_labels(cells: Sequence[str], where: str) -> list[float]:
+def _parse_labels(cells: Sequence[str], where: str) -> list[float]:
     """The label row, in ``TASKS`` order, of text cells in file order; an empty cell is an absent label (NaN)."""
     row = [math.nan] * len(TASKS)
-    for name, column, cell in zip(LABEL_NAMES, _COLUMN, cells):
+    for name, column, cell in zip(_LABEL_NAMES, _COLUMN, cells):
         if cell == "":
             continue
         try:
@@ -147,6 +141,44 @@ def parse_labels(cells: Sequence[str], where: str) -> list[float]:
             raise DataError(f"{where}: label {name} is non-finite")
         row[column] = value
     return row
+
+
+def read_manifest(path) -> tuple[list[dict[str, str]], Array]:
+    """The rows of an image manifest and their (N, 3) label block in ``TASKS`` order.
+
+    The manifest is CSV with columns id, generator, prompt and image, and
+    optional label columns q_v, q_a and q_c (an empty cell is an absent
+    label).  Every row is checked here, before any image is read: it has
+    a cell in each of the four columns, an id no earlier row has, a
+    non-empty prompt and labels that parse.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"manifest not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not set(_MANIFEST_COLUMNS).issubset(reader.fieldnames):
+                raise FormatError(f"manifest must have columns {sorted(_MANIFEST_COLUMNS)}")
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise FormatError(f"manifest {path} is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise FormatError(f"manifest {path}: malformed CSV at line {reader.reader.line_num} ({exc})") from None
+    row_of_id: dict[str, int] = {}
+    labels = []
+    for k, row in enumerate(rows, start=1):
+        if any(row[name] is None for name in _MANIFEST_COLUMNS):
+            raise FormatError(f"manifest row {k} has no cell for one of {', '.join(_MANIFEST_COLUMNS)}")
+        sid = row["id"]
+        if sid in row_of_id:
+            raise DataError(f"manifest row {k}: id {sid!r} is also the id of row {row_of_id[sid]}")
+        row_of_id[sid] = k
+        if not row["prompt"]:
+            raise DataError(f"manifest row {k}: empty prompt")
+        cells = [(row.get(name) or "").strip() for name in _LABEL_NAMES]
+        labels.append(_parse_labels(cells, f"manifest row {sid!r}"))
+    return rows, np.array(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +199,7 @@ def write_feature_records(dataset: Dataset, path) -> None:
     if max(features.max(), -features.min()) > _F32_MAX or np.any(np.abs(labels) > _F32_MAX):
         beyond = np.concatenate([np.abs(features).max(axis=2), np.abs(labels)], axis=1) > _F32_MAX
         i, k = np.argwhere(beyond)[0]
-        raise FormatError(f"record {dataset.ids[i]!r}: {(_FEATURES + LABEL_NAMES)[k]} is beyond the f32 range")
+        raise FormatError(f"record {dataset.ids[i]!r}: {(_FEATURES + _LABEL_NAMES)[k]} is beyond the f32 range")
     heads = []
     for sid, gen, prompt, mask, row in zip(
         dataset.ids, dataset.generators, dataset.prompts, ~np.isnan(labels), labels
@@ -248,7 +280,7 @@ def read_feature_records(path) -> Dataset:
                 raise truncated(1)
             mask = data[pos]
             pos += 1
-            for bit, (name, column) in enumerate(zip(LABEL_NAMES, _COLUMN)):
+            for bit, (name, column) in enumerate(zip(_LABEL_NAMES, _COLUMN)):
                 if mask & (1 << bit):
                     if pos + 4 > end:
                         raise truncated(4)
@@ -275,7 +307,7 @@ def read_feature_records(path) -> Dataset:
 
 
 def _csv_header(dim: int) -> list[str]:
-    cols = ["id", "generator", "prompt", *LABEL_NAMES]
+    cols = ["id", "generator", "prompt", *_LABEL_NAMES]
     for prefix in ("ftext", "f05", "f10", "f15"):
         cols.extend(f"{prefix}_{i}" for i in range(dim))
     return cols
@@ -315,7 +347,7 @@ def read_feature_records_csv(path) -> Dataset:
                 ids.append(row[0])
                 generators.append(row[1])
                 prompts.append(row[2])
-                labels.append(parse_labels(row[3:6], f"record {idx}"))
+                labels.append(_parse_labels(row[3:6], f"record {idx}"))
                 try:
                     features.append(np.array([float(c) for c in row[6:]]))
                 except ValueError:

@@ -10,7 +10,7 @@ relative error per block.
 from __future__ import annotations
 
 from .aff import Block, aff_backward, aff_forward, init_block, mlp_backward, mlp_forward
-from .losses import BatchScores, fidelity_loss, mse_loss, total_loss
+from .losses import fidelity_loss, mse_loss, total_loss
 from .scoring import SIMILARITY_KINDS, VARIANTS, init_model_params, model_backward, model_forward, similarity_score
 from .tensor import Array, finite_diff_check, make_rng
 
@@ -96,15 +96,9 @@ def _check_losses(seed: int, n: int = 5) -> dict[str, float]:
     rng = make_rng((seed, 205))
     preds = rng.standard_normal(n)
     gts = rng.standard_normal(n)
-    _, d_fid = fidelity_loss(BatchScores(preds, gts))
-    _, d_mse = mse_loss(BatchScores(preds, gts))
     return {
-        "loss.fidelity": finite_diff_check(
-            lambda p: fidelity_loss(BatchScores(p, gts))[0], preds, d_fid, DEFAULT_EPS
-        ),
-        "loss.mse": finite_diff_check(
-            lambda p: mse_loss(BatchScores(p, gts))[0], preds, d_mse, DEFAULT_EPS
-        ),
+        f"loss.{name}": finite_diff_check(lambda p, f=loss: f(p, gts)[0], preds, loss(preds, gts)[1], DEFAULT_EPS)
+        for name, loss in (("fidelity", fidelity_loss), ("mse", mse_loss))
     }
 
 

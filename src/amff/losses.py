@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .tensor import Array, as_vector
+from .tensor import Array
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -27,44 +27,18 @@ _erfc = np.vectorize(math.erfc, otypes=[np.float64])
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class BatchScores:
-    """Predictions and ground truths for one task over a mini-batch."""
-
-    preds: Array
-    gts: Array
-
-    def __post_init__(self):
-        preds = as_vector(self.preds, "preds")
-        gts = as_vector(self.gts, "gts")
-        if preds.size != gts.size:
-            raise DataError(f"batch: {preds.size} preds vs {gts.size} gts")
-        object.__setattr__(self, "preds", preds)
-        object.__setattr__(self, "gts", gts)
-
-    @property
-    def n(self) -> int:
-        return self.preds.size
-
-
-def thurstone_prob(s_i: float, s_j: float) -> float:
-    """P(item i preferred over item j) under Thurstone Case V."""
-    # Phi((s_i - s_j)/sqrt(2)) written via erfc for accurate tails.
-    return 0.5 * math.erfc(-(s_i - s_j) / 2.0)
-
-
-def fidelity_loss(batch: BatchScores) -> tuple[float, Array]:
+def fidelity_loss(preds: Array, gts: Array) -> tuple[float, Array]:
     """Pairwise ranking loss over all ordered pairs of a mini-batch.
 
+    ``preds`` and ``gts`` are one task's score and target columns.
     Returns the loss and its gradient w.r.t. the predictions.  Diagonal
     pairs are excluded: they contribute the constant 1 - sqrt(1/2) with
     exactly zero gradient, so dropping them only shifts reported values
     by a constant while the 1/N^2 normalization is kept.
     """
-    n = batch.n
+    n = preds.size
     if n < 2:
         raise DataError(f"fidelity_loss: need at least 2 samples, got {n}")
-    preds, gts = batch.preds, batch.gts
 
     diff = preds[:, None] - preds[None, :]
     # q is the predicted probability of each pair's observed order: p_hat
@@ -85,10 +59,10 @@ def fidelity_loss(batch: BatchScores) -> tuple[float, Array]:
     return loss, dpreds
 
 
-def mse_loss(batch: BatchScores) -> tuple[float, Array]:
-    """Mean squared error and its gradient w.r.t. the predictions."""
-    n = batch.n
-    r = batch.preds - batch.gts
+def mse_loss(preds: Array, gts: Array) -> tuple[float, Array]:
+    """Mean squared error of one task's columns and its gradient w.r.t. the predictions."""
+    n = preds.size
+    r = preds - gts
     loss = float(r @ r) / n
     return loss, 2.0 * r / n
 
@@ -116,15 +90,20 @@ def total_loss(scores: Array, targets: Array, active) -> LossBundle:
 
     ``scores`` and ``targets`` are (B, 3) blocks and ``active`` is a
     length-3 boolean task mask; an inactive column's targets are not read.
+    A non-finite score or target in an active column is an error: the
+    pairwise loss alone would not show it, as an infinite score in a
+    two-row batch gives a finite loss.
     """
-    if scores.shape != targets.shape or scores.shape[1:] != (3,) or len(active) != 3:
+    if scores.shape != targets.shape or scores.shape[1:] != (3,) or not len(scores) or len(active) != 3:
         raise DataError(f"total_loss: scores {scores.shape}, targets {targets.shape}, mask of {len(active)}")
     if not any(active):
         raise DataError("total_loss: all components masked")
+    columns = np.flatnonzero(active)
+    if not (np.isfinite(scores[:, columns]).all() and np.isfinite(targets[:, columns]).all()):
+        raise NumericError("total_loss: non-finite score or target in an active column")
     losses, grad = np.zeros(3), np.zeros(scores.shape)
-    for k, task_loss in enumerate(_TASK_LOSSES):
-        if active[k]:
-            losses[k], grad[:, k] = task_loss(BatchScores(scores[:, k], targets[:, k]))
+    for k in columns:
+        losses[k], grad[:, k] = _TASK_LOSSES[k](scores[:, k], targets[:, k])
     total = float(losses[0] + losses[1] + losses[2])
     if not math.isfinite(total):
         raise NumericError("total_loss: non-finite loss")

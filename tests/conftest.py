@@ -2,9 +2,10 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 
-from amff.dataio import synth_generate
+from amff.dataio import Dataset, synth_generate
 from amff.scoring import ModelParams
 from amff.tensor import make_rng
 from amff.trainer import TrainConfig
@@ -14,6 +15,15 @@ from amff.trainer import TrainConfig
 def tiny_dataset():
     """Small planted dataset for fast trainer/CLI tests."""
     return synth_generate(48, 16, 0.01, make_rng(5))
+
+
+def datasets_equal(a: Dataset, b: Dataset) -> bool:
+    """Column-wise equality, exact on floats (used by round-trip tests)."""
+    return (
+        (a.ids, a.generators, a.prompts) == (b.ids, b.generators, b.prompts)
+        and np.array_equal(a.features, b.features)
+        and np.array_equal(a.labels, b.labels, equal_nan=True)
+    )
 
 
 def fast_config(**overrides) -> TrainConfig:

@@ -18,7 +18,7 @@ from amff import cli
 from amff.aff import aff_forward, init_block
 from amff.dataio import synth_generate, split_per_generator, split_random
 from amff.gradcheck import run_gradcheck
-from amff.losses import BatchScores, fidelity_loss
+from amff.losses import fidelity_loss
 from amff.metrics import LogisticParams, krcc, logistic_fit_trace, plcc, srcc, _ranks
 from amff.scoring import init_model_params, model_forward
 from amff.tensor import make_rng
@@ -125,17 +125,17 @@ def test_criterion_4_fidelity_loss_oracle():
         rng = make_rng((404, n))
         preds = rng.standard_normal(n)
         gts = rng.standard_normal(n)
-        loss, _ = fidelity_loss(BatchScores(preds, gts))
+        loss, _ = fidelity_loss(preds, gts)
         assert abs(loss - fidelity_oracle(preds, gts)) <= 1e-12, f"N={n}"
 
     rng = make_rng(405)
     preds = rng.standard_normal(6)
     gts = rng.standard_normal(6)
-    a, _ = fidelity_loss(BatchScores(preds, gts))
-    b, _ = fidelity_loss(BatchScores(preds + 3.14159, gts))
+    a, _ = fidelity_loss(preds, gts)
+    b, _ = fidelity_loss(preds + 3.14159, gts)
     assert abs(a - b) < 1e-12
 
-    loss, _ = fidelity_loss(BatchScores(np.array([1.0, 1.0]), np.array([2.0, 1.0])))
+    loss, _ = fidelity_loss(np.array([1.0, 1.0]), np.array([2.0, 1.0]))
     expected = 2.0 * (1.0 - math.sqrt(0.5)) / 4.0
     assert abs(loss - expected) <= 1e-12
     assert abs(loss - 0.146447) < 1e-6

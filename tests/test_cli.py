@@ -93,6 +93,22 @@ class TestExtract:
         assert reads == []
 
     @pytest.mark.parametrize(
+        "body",
+        [b"a,g,p,x.ppm,1\nb,g,p,x.ppm,2\na,g,p,x.ppm,3\n", b"a,g,p,x.ppm,1\nb,g,p,x.ppm,2\nc,g,,x.ppm,3\n"],
+        ids=["repeated_id", "empty_prompt"],
+    )
+    def test_bad_row_stops_before_any_image_is_read(self, tmp_path, capsys, tiny_dataset, monkeypatch, body):
+        from amff import encoder
+
+        reads = []
+        read_image = encoder.read_image
+        monkeypatch.setattr(encoder, "read_image", lambda path: reads.append(path) or read_image(path))
+        assert _run(_manifest(body)(tmp_path, tiny_dataset)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR E_DATA: manifest row 3: ") and err.count("\n") == 1, err
+        assert reads == []
+
+    @pytest.mark.parametrize(
         "write, code",
         [
             (lambda path: path.write_bytes(b"P5\n4 "), "E_FORMAT"),
@@ -162,6 +178,9 @@ class TestMalformedInput:
             (_manifest(b"a,g,\xff\xfe prompt,x.ppm,1\n"), "E_FORMAT", "not UTF-8"),
             (_manifest(b"a,g,p\n"), "E_FORMAT", "manifest row 1"),
             (_manifest(b"a,g,p,x.ppm,nan\n"), "E_DATA", "label q_v"),
+            (_manifest(b"x,g,p,x.ppm,1\nx,g,p,x.ppm,2\n"), "E_DATA", "manifest row 2: id 'x'"),
+            (_manifest(b"x,g,p,x.ppm,1\nx,g,p,missing.ppm,2\n"), "E_DATA", "manifest row 2: id 'x'"),
+            (_manifest(b"a,g,p,x.ppm,1\nb,g,,x.ppm,2\n"), "E_DATA", "manifest row 2: empty prompt"),
             (_args("train", "--data", "{data}", "--out", "{out}", "--seed", "-1"), "E_CONFIG", "seed"),
             (_args("gradcheck", "--seed", "-1"), "E_CONFIG", "seed"),
             (_args("synth", "--out", "{out}/s.amff", "--seed", "-2"), "E_CONFIG", "seed"),
@@ -179,6 +198,7 @@ class TestMalformedInput:
              "E_CONFIG", "--trials"),
         ],
         ids=["long_csv_cell", "oversized_header", "non_utf8_manifest", "short_manifest_row", "nan_manifest_label",
+             "repeated_manifest_id", "repeated_manifest_id_missing_image", "empty_manifest_prompt",
              "train_negative_seed", "gradcheck_negative_seed", "synth_negative_seed", "trials_negative_seed",
              "extract_negative_dim", "extract_zero_dim", "nan_lr", "inf_lr", "nan_weight_decay",
              "inf_weight_decay", "nan_noise", "inf_noise", "zero_trials", "negative_trials",

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from amff import dataio
 from amff.dataio import (
     Dataset,
-    datasets_equal,
     read_feature_records,
     read_feature_records_csv,
     split_per_generator,
@@ -23,6 +22,7 @@ from amff.dataio import (
 )
 from amff.errors import AmffError, DataError, FormatError
 from amff.tensor import make_rng
+from conftest import datasets_equal
 
 
 def _vec(rng, dim):
@@ -444,7 +444,10 @@ _TASK_OF_LABEL = {"q_v": "quality", "q_a": "authenticity", "q_c": "consistency"}
 
 
 class TestLabelColumns:
-    """Each file label has one mask bit and one CSV column, and lands in its task's column of the block."""
+    """Each file label has one mask bit and one CSV column, and lands in its task's column of the block.
+
+    A manifest's label column of that name lands there too.
+    """
 
     @pytest.mark.parametrize("bit, name", enumerate(_TASK_OF_LABEL))
     def test_label_lands_in_its_task_column(self, tmp_path, bit, name):
@@ -470,8 +473,10 @@ class TestLabelColumns:
 
         for back in (read_feature_records(binary), read_feature_records_csv(text)):
             assert np.array_equal(back.labels, labels, equal_nan=True)
-        row = ["0.5" if n == name else "" for n in _TASK_OF_LABEL]
-        assert np.array_equal(dataio.parse_labels(row, "row"), labels[0], equal_nan=True)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"id,generator,prompt,image,{name}\na,g,p,a.ppm,0.5\nb,g,p,b.ppm,0.75\n")
+        _, back = dataio.read_manifest(manifest)
+        assert np.array_equal(back, labels, equal_nan=True)
 
 
 class TestCsvCells:

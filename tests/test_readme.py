@@ -1,0 +1,37 @@
+"""The README's library sketch runs as written, on what the package exports."""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import amff
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _sketch() -> str:
+    (sketch,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return sketch
+
+
+def test_library_sketch_runs_verbatim(capsys):
+    exec(compile(_sketch(), str(README), "exec"), {})
+    srccs = ast.literal_eval(capsys.readouterr().out)
+    assert set(srccs) == {"consistency", "quality", "authenticity"}
+    assert all(0.5 < s <= 1.0 for s in srccs.values()), srccs
+
+
+def test_package_exports_what_the_sketch_imports():
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(_sketch()))
+        if isinstance(node, ast.ImportFrom) and node.module == "amff"
+        for alias in node.names
+    }
+    exported = {
+        name for name, value in vars(amff).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == imported
+    assert amff.__version__

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from amff.errors import ConfigError, NumericError, ShapeError
-from amff.losses import BatchScores, mse_loss
+from amff.losses import mse_loss
 from amff.tensor import affine_forward, as_vector, finite_diff_check, make_rng, softmax
 
 
@@ -90,8 +90,8 @@ class TestFiniteDiffCheck:
         rng = make_rng(3)
         gts = rng.standard_normal(6)
         preds = rng.standard_normal(6)
-        _, grad = mse_loss(BatchScores(preds, gts))
-        err = finite_diff_check(lambda p: mse_loss(BatchScores(p, gts))[0], preds, grad)
+        _, grad = mse_loss(preds, gts)
+        err = finite_diff_check(lambda p: mse_loss(p, gts)[0], preds, grad)
         assert err < 1e-4
 
     def test_rejects_bad_eps(self):

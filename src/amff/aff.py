@@ -21,10 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 from .tensor import Array, affine_forward, softmax
-
-_SIMPLEX_TOL = 1e-12
 
 
 class Block(NamedTuple):
@@ -52,8 +50,7 @@ class MlpCache:
     """Perceptron forward intermediates required by the backward pass."""
 
     x: Array       # (..., dim) input
-    pre1: Array    # (..., hidden) first-layer pre-activations
-    hidden: Array  # (..., hidden) ReLU outputs
+    hidden: Array  # (..., hidden) ReLU outputs, positive exactly where the pre-activations are
 
 
 @dataclass(frozen=True)
@@ -87,9 +84,9 @@ def mlp_forward(params: Block, x: Array) -> tuple[Array, MlpCache]:
     """
     if x.shape[-1:] != (params.dim,):
         raise ShapeError(f"mlp_forward: expected (..., {params.dim}) input, got {x.shape}")
-    pre1 = affine_forward(params.w1, params.b1, x)
-    hidden = np.maximum(pre1, 0.0)
-    return affine_forward(params.w2, params.b2, hidden), MlpCache(x, pre1, hidden)
+    hidden = affine_forward(params.w1, params.b1, x)
+    np.maximum(hidden, 0.0, out=hidden)  # in place: affine_forward returns a fresh array
+    return affine_forward(params.w2, params.b2, hidden), MlpCache(x, hidden)
 
 
 def mlp_backward(cache: MlpCache, params: Block, dy: Array, out: Block | None = None) -> tuple[Block, Array]:
@@ -110,7 +107,7 @@ def mlp_backward(cache: MlpCache, params: Block, dy: Array, out: Block | None = 
     dy_flat = dy.reshape(-1, dy.shape[-1])
     np.sum(dy_flat, axis=0, out=out.b2)
     np.matmul(dy_flat.T, cache.hidden.reshape(-1, params.hidden), out=out.w2)
-    d_pre1 = (dy @ params.w2) * (cache.pre1 > 0.0)                  # (..., h)
+    d_pre1 = (dy @ params.w2) * (cache.hidden > 0.0)                # (..., h)
     d_pre1_flat = d_pre1.reshape(-1, params.hidden)
     np.sum(d_pre1_flat, axis=0, out=out.b1)
     np.matmul(d_pre1_flat.T, x.reshape(-1, params.dim), out=out.w1)
@@ -129,11 +126,6 @@ def aff_forward(stacked: Array, params: Block) -> tuple[Array, AffCache]:
         )
     logits, generator = mlp_forward(params, stacked)    # (B, 3, D)
     weights = softmax(logits, axis=1)
-
-    col_sums = weights.sum(axis=1)
-    if np.any(weights < 0.0) or np.max(np.abs(col_sums - 1.0)) > _SIMPLEX_TOL:
-        raise NumericError("aff_forward: scale weights left the simplex")
-
     fused = (weights * stacked).sum(axis=1)
     return fused, AffCache(generator, weights)
 

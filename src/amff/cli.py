@@ -76,6 +76,8 @@ def _splitter(spec: str):
         fraction = float(frac)
     except ValueError:
         raise ConfigError(f"--split fraction {frac!r} is not a number") from None
+    if not 0.0 < fraction < 1.0:  # NaN too
+        raise ConfigError(f"--split fraction must be in (0, 1), got {frac!r}")
     return lambda dataset, seed: splits[kind](dataset, fraction, make_rng((seed, _TAG_OUTER_SPLIT)))
 
 

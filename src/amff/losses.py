@@ -37,6 +37,8 @@ def fidelity_loss(preds: Array, gts: Array) -> tuple[float, Array]:
     by a constant while the 1/N^2 normalization is kept.
     """
     n = preds.size
+    if gts.size != n:
+        raise DataError(f"fidelity_loss: {n} predictions vs {gts.size} targets")
     if n < 2:
         raise DataError(f"fidelity_loss: need at least 2 samples, got {n}")
 
@@ -62,6 +64,8 @@ def fidelity_loss(preds: Array, gts: Array) -> tuple[float, Array]:
 def mse_loss(preds: Array, gts: Array) -> tuple[float, Array]:
     """Mean squared error of one task's columns and its gradient w.r.t. the predictions."""
     n = preds.size
+    if gts.size != n:
+        raise DataError(f"mse_loss: {n} predictions vs {gts.size} targets")
     r = preds - gts
     loss = float(r @ r) / n
     return loss, 2.0 * r / n

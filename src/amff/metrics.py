@@ -302,10 +302,6 @@ class EvalResult:
 
 def median_of_trials(results: Sequence[EvalResult]) -> EvalResult:
     """Per-task, per-metric median across repeated trials."""
-    # Imported here: statistics loads fractions and decimal (about 0.5 MiB of
-    # resident memory), which every other command would carry for nothing.
-    import statistics
-
     if not results:
         raise DataError("median_of_trials: empty result list")
     task_names = list(results[0].tasks)
@@ -315,10 +311,10 @@ def median_of_trials(results: Sequence[EvalResult]) -> EvalResult:
     tasks = {}
     for name in task_names:
         tasks[name] = TaskMetrics(
-            srcc=statistics.median([r.tasks[name].srcc for r in results]),
-            plcc=statistics.median([r.tasks[name].plcc for r in results]),
-            krcc=statistics.median([r.tasks[name].krcc for r in results]),
-            n=int(round(statistics.median([r.tasks[name].n for r in results]))),
+            srcc=float(np.median([r.tasks[name].srcc for r in results])),
+            plcc=float(np.median([r.tasks[name].plcc for r in results])),
+            krcc=float(np.median([r.tasks[name].krcc for r in results])),
+            n=int(round(np.median([r.tasks[name].n for r in results]))),
             logistic=None,
         )
     return EvalResult(tasks)

@@ -237,9 +237,6 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
             opt_state=OptimizerState.zeros_like(initial),
             config=cfg,
             label_ranges=ranges,
-            best_epoch=0,
-            best_metric=-np.inf,
-            last_epoch=0,
             history=[],
         )
     params, opt = run.final_params, run.opt_state
@@ -279,10 +276,9 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
         val_srcc = _validation_srcc(params, val, active)
         val_mean = float(np.mean(list(val_srcc.values()))) if val_srcc else -1.0
         run.history.append(EpochStats(epoch, lr_e, *(sums / n_batches).tolist(), val_srcc, val_mean))
-        run.last_epoch = epoch
-        if val_mean > run.best_metric:
-            run.best_metric, run.best_epoch, run.params = val_mean, epoch, params.copy()
-        if epoch - run.best_epoch >= cfg.early_stop_patience:
+        if run.best_epoch == epoch:
+            run.params = params.copy()
+        if run.stopping_reason == "early_stop":
             break
     return run
 
@@ -349,18 +345,28 @@ class Checkpoint:
     opt_state: OptimizerState
     config: TrainConfig
     label_ranges: dict[str, tuple[float, float] | None]
-    best_epoch: int
-    best_metric: float
-    last_epoch: int
-    history: list[EpochStats]
+    history: list[EpochStats]     # the run's one record of progress, epochs 1..n
 
     @property
     def dim(self) -> int:
         return self.params.dim
 
     @property
+    def best_epoch(self) -> int:
+        """The first epoch with the highest validation mean; 0 before any epoch."""
+        return max(self.history, key=lambda e: e.val_mean).epoch if self.history else 0
+
+    @property
+    def best_metric(self) -> float:
+        return self.history[self.best_epoch - 1].val_mean if self.history else -math.inf
+
+    @property
+    def last_epoch(self) -> int:
+        return len(self.history)
+
+    @property
     def stopping_reason(self) -> str:
-        # Training stops early exactly when the best epoch is this far behind.
+        # The stop rule: ``train`` ends a run once its best epoch is this far behind.
         early = self.last_epoch - self.best_epoch >= self.config.early_stop_patience
         return "early_stop" if early else "max_epochs"
 
@@ -440,7 +446,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     The header's ``dim`` and the config's hidden sizes fix the expected
     tensor table; a missing, misshapen or non-finite tensor, a mistyped
-    config field, a malformed label range or counter raises ``FormatError``.
+    config field, a malformed label range, history epochs other than 1..n
+    or a counter that is not the history's raises ``FormatError``.
     """
     data = Path(path).read_bytes()
     if len(data) < 16 or data[:4] != _CKPT_MAGIC:
@@ -469,9 +476,7 @@ def load_checkpoint(path) -> Checkpoint:
         need(bad_field is None, f"config field {bad_field!r} has the wrong type")
         dim = header["dim"]
         need(_is_int(dim) and dim > 0, f"dim {dim!r} must be a positive integer")
-        for name in ("opt_step", "best_epoch", "last_epoch"):
-            need(_is_int(header[name]) and header[name] >= 0, f"{name} must be an integer >= 0")
-        need(_is_real(header["best_metric"]), "best_metric is not a finite number")
+        need(_is_int(header["opt_step"]) and header["opt_step"] >= 0, "opt_step must be an integer >= 0")
         label_ranges = {}
         for task, v in header["label_ranges"].items():
             need(
@@ -480,6 +485,9 @@ def load_checkpoint(path) -> Checkpoint:
             )
             label_ranges[task] = None if v is None else (float(v[0]), float(v[1]))
         history = [EpochStats(**e) for e in header["history"]]
+        epochs = [e.epoch for e in history]
+        need(all(map(_is_int, epochs)) and epochs == list(range(1, len(epochs) + 1)), "history epochs are not 1..n")
+        need(all(_is_real(e.val_mean) for e in history), "a history val_mean is not a finite number")
         table = header["tensors"]
     except (KeyError, TypeError, AttributeError, OverflowError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed checkpoint header ({exc})") from None
@@ -504,17 +512,13 @@ def load_checkpoint(path) -> Checkpoint:
         containers.append(container)
     best, final, m, v = containers
     need(bool(np.all(v.flat >= 0.0)), "negative value in the second moment opt_v")
-    return Checkpoint(
-        params=best,
-        final_params=final,
-        opt_state=OptimizerState(m, v, header["opt_step"]),
-        config=cfg,
-        label_ranges=label_ranges,
-        best_epoch=header["best_epoch"],
-        best_metric=header["best_metric"],
-        last_epoch=header["last_epoch"],
-        history=history,
-    )
+    ckpt = Checkpoint(best, final, OptimizerState(m, v, header["opt_step"]), cfg, label_ranges, history)
+    # The file's counters are for its readers; the record derives them from
+    # the history.  Compared as JSON text, so a file that loads re-saves byte for byte.
+    for name in ("best_epoch", "best_metric", "last_epoch"):
+        got, want = json.dumps(header.get(name)), json.dumps(getattr(ckpt, name))
+        need(got == want, f"{name} {got} is not the history's {want}")
+    return ckpt
 
 
 def _check_resume_compat(ckpt: Checkpoint, cfg: TrainConfig, dim: int) -> None:

@@ -336,6 +336,13 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("ERROR E_CONFIG: ") and err.count("\n") == 1 and "'bogus'" in err, err
 
+    @pytest.mark.parametrize("spec", ["random:1.5", "per-generator:0", "random:nan"])
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_split_fraction_out_of_range_refused_before_data_is_read(self, tmp_path, capsys, command, spec):
+        assert _run([command, "--data", tmp_path / "absent.amff", "--out", tmp_path / "r", "--split", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR E_CONFIG: ") and err.count("\n") == 1 and "(0, 1)" in err, err
+
     # parent_v1.amff holds 16 rows: the default split leaves 13 to train on, of
     # which val_fraction 0.1 holds out 1, and 3 to evaluate.
     @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -463,11 +470,51 @@ def _lr_after_drop_set(header, payload):
     return header, payload
 
 
+# The file says epoch 1 is best of 3 epochs; each edit below disagrees with its history.
+def _best_epoch_three(header, payload):
+    header["best_epoch"] = 3
+    return header, payload
+
+
+def _last_epoch_one(header, payload):
+    header["last_epoch"] = 1
+    return header, payload
+
+
+def _best_metric_last_digit(header, payload):
+    text = repr(header["best_metric"])
+    header["best_metric"] = float(text[:-1] + str((int(text[-1]) + 1) % 10))
+    return header, payload
+
+
+def _best_epoch_float(header, payload):
+    header["best_epoch"] = 1.0  # 1.0 == 1, but the file would re-save with 1
+    return header, payload
+
+
+def _history_epoch_repeated(header, payload):
+    header["history"][2]["epoch"] = 2
+    return header, payload
+
+
+def _history_epochs_from_two(header, payload):
+    for entry in header["history"]:
+        entry["epoch"] += 1
+    return header, payload
+
+
+def _history_epoch_float(header, payload):
+    header["history"][2]["epoch"] = 3.0
+    return header, payload
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize(
         "edit",
         [_flat_best_aff_w1, _one_number_label_range, _nan_in_best_head_v_b2,
-         _missing_last_moment, _text_hidden_head, _fidelity_label_quality, _lr_after_drop_set],
+         _missing_last_moment, _text_hidden_head, _fidelity_label_quality, _lr_after_drop_set,
+         _best_epoch_three, _last_epoch_one, _best_metric_last_digit, _best_epoch_float,
+         _history_epoch_repeated, _history_epochs_from_two, _history_epoch_float],
     )
     def test_predict_reports_one_format_error(self, tmp_path, capsys, edit):
         prefix, header, payload = split_checkpoint((DATA / "parent_v1.ckpt").read_bytes())

@@ -127,6 +127,10 @@ class TestFidelityLoss:
         with pytest.raises(DataError):
             fidelity_loss(np.array([1.0]), np.array([1.0]))
 
+    def test_columns_of_different_lengths_error(self):
+        with pytest.raises(DataError, match="3 predictions vs 1 targets"):
+            fidelity_loss(np.array([0.0, 1.0, 2.0]), np.array([1.0]))
+
     def test_ties_pull_both_orientations(self):
         # tied ground truths set both preferences to 1
         gts = np.array([1.0, 1.0])
@@ -161,6 +165,10 @@ class TestMseLoss:
         assert loss == pytest.approx(oracle, abs=1e-10)
         err = finite_diff_check(lambda p: mse_loss(p, gts)[0], preds, grad)
         assert err < 1e-6
+
+    def test_columns_of_different_lengths_error(self):
+        with pytest.raises(DataError, match="3 predictions vs 1 targets"):
+            mse_loss(np.zeros(3), np.zeros(1))
 
 
 class TestTotalLoss:

@@ -136,7 +136,7 @@ class TestMlp:
         t = 1e-4  # small enough to keep the activation pattern fixed
         _, c0 = mlp_forward(p, x)
         _, c1 = mlp_forward(p, x + 2 * t * d)
-        assert np.array_equal(c0.pre1 > 0, c1.pre1 > 0)
+        assert np.array_equal(c0.hidden > 0, c1.hidden > 0)
         y0, _ = mlp_forward(p, x)
         y1, _ = mlp_forward(p, x + t * d)
         y2, _ = mlp_forward(p, x + 2 * t * d)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amff.dataio import Dataset, read_feature_records
-from amff.errors import AmffError, ConfigError, DataError, NumericError
+from amff.errors import AmffError, ConfigError, DataError, FormatError, NumericError
 from amff.losses import total_loss
 from amff.scoring import init_model_params, model_backward, model_forward
 from amff.tensor import make_rng
@@ -350,6 +350,18 @@ class TestCheckpoint:
         scores = score_dataset(outcome.final_params, dataset, label_ranges=outcome.label_ranges)
         pinned = np.array(want["final_preds"])
         assert np.all(np.abs(scores - pinned) <= 1e-12 * np.abs(pinned))
+
+    def test_resume_refuses_counters_that_disagree_with_the_history(self, tmp_path):
+        # parent_v1.ckpt holds epochs 1..3 with epoch 1 best.  Were the counters
+        # trusted, resuming this file would train epochs 2..5 again after them.
+        prefix, header, payload = split_checkpoint((DATA / "parent_v1.ckpt").read_bytes())
+        header["best_epoch"], header["last_epoch"] = 3, 1
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(join_checkpoint(prefix, header, payload))
+        dataset = read_feature_records(DATA / "parent_v1.amff")
+        cfg = dataclasses.replace(load_checkpoint(DATA / "parent_v1.ckpt").config, max_epochs=5)
+        with pytest.raises(FormatError, match="best_epoch 3 is not the history's 1"):
+            train(dataset, cfg, resume_from=path)
 
 
 # Arbitrary JSON values for header edits, NaN, infinities and huge integers included.

@@ -68,6 +68,15 @@ class TrainConfig:
     hidden_head: int = 256
 
     def __post_init__(self):
+        # A float field takes any real number; every other field its default's exact type.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float):
+                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            else:
+                ok = type(value) is type(f.default)
+            if not ok:
+                raise ConfigError(f"TrainConfig: {f.name} must be {type(f.default).__name__}, got {value!r}")
         if min(self.batch_size, self.max_epochs, self.lr_drop_epoch, self.hidden_aff, self.hidden_head) < 1:
             raise ConfigError("TrainConfig: counts and hidden sizes must be positive")
         # lr == 0 is allowed for diagnostics (freezes parameters).
@@ -219,8 +228,8 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
 
     if resume_from is not None:
         run = load_checkpoint(resume_from)
-        _check_resume_compat(run, cfg, dim)
-        run.config, run.label_ranges = cfg, ranges
+        _check_resume_compat(run, cfg, dim, ranges)
+        run.config = cfg
     else:
         initial = init_model_params(
             dim,
@@ -387,31 +396,31 @@ class Checkpoint:
 _CKPT_CONTAINERS = ("best", "final", "opt_m", "opt_v")
 
 
-def _tensor_table(dim: int, hidden_aff: int, hidden_head: int) -> list[dict]:
-    layout = param_layout(dim, hidden_aff, hidden_head)
-    return [{"name": f"{p}.{name}", "shape": list(shape)} for p in _CKPT_CONTAINERS for name, shape in layout]
-
-
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Versioned binary checkpoint: JSON header plus little-endian f64 tensors."""
-    cfg, opt = ckpt.config, ckpt.opt_state
-    header = {
+def _header(ckpt: Checkpoint) -> dict:
+    """The JSON header ``save_checkpoint`` writes for ``ckpt``, and the one ``load_checkpoint`` accepts."""
+    cfg = ckpt.config
+    layout = param_layout(ckpt.dim, cfg.hidden_aff, cfg.hidden_head)
+    return {
         "dim": ckpt.dim,
         "config": asdict(cfg),
         "label_ranges": {k: list(v) if v else None for k, v in ckpt.label_ranges.items()},
         "best_epoch": ckpt.best_epoch,
         "best_metric": ckpt.best_metric,
         "last_epoch": ckpt.last_epoch,
-        "opt_step": opt.step,
+        "opt_step": ckpt.opt_state.step,
         "history": [asdict(e) for e in ckpt.history],
-        "tensors": _tensor_table(ckpt.dim, cfg.hidden_aff, cfg.hidden_head),
+        "tensors": [{"name": f"{p}.{name}", "shape": list(shape)} for p in _CKPT_CONTAINERS for name, shape in layout],
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+
+
+def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Versioned binary checkpoint: JSON header plus little-endian f64 tensors."""
+    blob = json.dumps(_header(ckpt), sort_keys=True).encode("utf-8")
     # Each buffer is written as it stands, so no copy of the payload is built.
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC + struct.pack("<I", _CKPT_VERSION) + struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for container in (ckpt.params, ckpt.final_params, opt.m, opt.v):
+        for container in (ckpt.params, ckpt.final_params, ckpt.opt_state.m, ckpt.opt_state.v):
             fh.write(np.ascontiguousarray(container.flat, dtype="<f8"))
 
 
@@ -428,26 +437,15 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _mistyped_config_field(cfg: TrainConfig) -> str | None:
-    """The first config field whose type differs from its default's, or None."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(f.default, float):  # any finite number
-            ok = _is_real(value)
-        else:
-            ok = type(value) is type(f.default)
-        if not ok:
-            return f.name
-    return None
-
-
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint and check every field against the layout it declares.
+    """Read a checkpoint whose header is exactly the one ``save_checkpoint`` writes for it.
 
-    The header's ``dim`` and the config's hidden sizes fix the expected
-    tensor table; a missing, misshapen or non-finite tensor, a mistyped
-    config field, a malformed label range, history epochs other than 1..n
-    or a counter that is not the history's raises ``FormatError``.
+    The header's ``dim`` and config fix the tensor layout.  A short or long
+    payload, a non-finite tensor, a mistyped config field, label range or
+    history value, or a header key whose JSON text differs from ``_header``
+    of the loaded record (a missing or unknown key included) raises
+    ``FormatError``.  So a file that loads re-saves byte for byte, less the
+    v1 leftovers: the top-level ``rng_state`` and the ``_RETIRED_CONFIG`` fields.
     """
     data = Path(path).read_bytes()
     if len(data) < 16 or data[:4] != _CKPT_MAGIC:
@@ -468,15 +466,15 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"{path}: {what}")
 
     try:
+        header.pop("rng_state", None)  # v1 wrote it and nothing read it
         for name, only in _RETIRED_CONFIG.items():
             value = header["config"].pop(name, only)
             need(value == only, f"config field {name!r} must be {only!r}, got {value!r}")
         cfg = TrainConfig(**header["config"])
-        bad_field = _mistyped_config_field(cfg)
-        need(bad_field is None, f"config field {bad_field!r} has the wrong type")
         dim = header["dim"]
         need(_is_int(dim) and dim > 0, f"dim {dim!r} must be a positive integer")
         need(_is_int(header["opt_step"]) and header["opt_step"] >= 0, "opt_step must be an integer >= 0")
+        need(header["label_ranges"].keys() == set(TASKS), f"label ranges must be for exactly {', '.join(TASKS)}")
         label_ranges = {}
         for task, v in header["label_ranges"].items():
             need(
@@ -485,19 +483,13 @@ def load_checkpoint(path) -> Checkpoint:
             )
             label_ranges[task] = None if v is None else (float(v[0]), float(v[1]))
         history = [EpochStats(**e) for e in header["history"]]
-        epochs = [e.epoch for e in history]
-        need(all(map(_is_int, epochs)) and epochs == list(range(1, len(epochs) + 1)), "history epochs are not 1..n")
-        need(all(_is_real(e.val_mean) for e in history), "a history val_mean is not a finite number")
-        table = header["tensors"]
+        for k, e in enumerate(history, 1):
+            need(_is_int(e.epoch) and e.epoch == k, "history epochs are not 1..n")
+            need(e.val_srcc.keys() <= set(TASKS), f"history epoch {k}: val_srcc names a task outside {TASKS}")
+            numbers = (e.lr, e.loss_total, e.loss_c, e.loss_v, e.loss_a, e.val_mean, *e.val_srcc.values())
+            need(all(map(_is_real, numbers)), f"history epoch {k}: a rate, loss or SRCC is not a finite number")
     except (KeyError, TypeError, AttributeError, OverflowError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed checkpoint header ({exc})") from None
-
-    expected = _tensor_table(dim, cfg.hidden_aff, cfg.hidden_head)
-    need(isinstance(table, list), "tensor table is not a list")
-    for k, want in enumerate(expected):
-        got = table[k] if k < len(table) else "nothing"
-        need(got == want, f"expected tensor {want['name']} of shape {want['shape']}, found {got}")
-    need(len(table) == len(expected), f"{len(table) - len(expected)} tensors beyond the layout")
 
     size = sum(math.prod(shape) for _, shape in param_layout(dim, cfg.hidden_aff, cfg.hidden_head))
     payload = len(data) - 16 - hlen
@@ -513,17 +505,20 @@ def load_checkpoint(path) -> Checkpoint:
     best, final, m, v = containers
     need(bool(np.all(v.flat >= 0.0)), "negative value in the second moment opt_v")
     ckpt = Checkpoint(best, final, OptimizerState(m, v, header["opt_step"]), cfg, label_ranges, history)
-    # The file's counters are for its readers; the record derives them from
-    # the history.  Compared as JSON text, so a file that loads re-saves byte for byte.
-    for name in ("best_epoch", "best_metric", "last_epoch"):
-        got, want = json.dumps(header.get(name)), json.dumps(getattr(ckpt, name))
-        need(got == want, f"{name} {got} is not the history's {want}")
+    # Compared key by key as JSON text, so an int stays an int and a missing key differs.
+    saved = _header(ckpt)
+    for key in sorted(header.keys() | saved.keys()):
+        got, want = (json.dumps(h[key], sort_keys=True) if key in h else "nothing" for h in (header, saved))
+        need(got == want, f"header {key}: the file has {got[:80]}, the loaded record saves {want[:80]}")
     return ckpt
 
 
-def _check_resume_compat(ckpt: Checkpoint, cfg: TrainConfig, dim: int) -> None:
+def _check_resume_compat(ckpt: Checkpoint, cfg: TrainConfig, dim: int, label_ranges: dict) -> None:
     if ckpt.dim != dim:
         raise ConfigError(f"resume: checkpoint dim {ckpt.dim} vs dataset dim {dim}")
+    # The heads were trained on labels normalized by the checkpoint's ranges.
+    if label_ranges != ckpt.label_ranges:
+        raise ConfigError(f"resume: dataset label ranges {label_ranges} vs checkpoint's {ckpt.label_ranges}")
     # Every field but the stopping rule shapes the run, so it must not change on resume.
     frozen = [f.name for f in fields(TrainConfig) if f.name not in ("max_epochs", "early_stop_patience")]
     for name in frozen:

@@ -508,13 +508,34 @@ def _history_epoch_float(header, payload):
     return header, payload
 
 
+def _unknown_top_level_key(header, payload):
+    header["notes"] = "hello"
+    return header, payload
+
+
+def _no_val_fraction(header, payload):
+    del header["config"]["val_fraction"]  # would load as the default 0.1, not the run's 0.25
+    return header, payload
+
+
+def _no_quality_range(header, payload):
+    del header["label_ranges"]["quality"]  # would leave the quality head's scores normalized
+    return header, payload
+
+
+def _history_lr_text(header, payload):
+    header["history"][1]["lr"] = "x"
+    return header, payload
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize(
         "edit",
         [_flat_best_aff_w1, _one_number_label_range, _nan_in_best_head_v_b2,
          _missing_last_moment, _text_hidden_head, _fidelity_label_quality, _lr_after_drop_set,
          _best_epoch_three, _last_epoch_one, _best_metric_last_digit, _best_epoch_float,
-         _history_epoch_repeated, _history_epochs_from_two, _history_epoch_float],
+         _history_epoch_repeated, _history_epochs_from_two, _history_epoch_float,
+         _unknown_top_level_key, _no_val_fraction, _no_quality_range, _history_lr_text],
     )
     def test_predict_reports_one_format_error(self, tmp_path, capsys, edit):
         prefix, header, payload = split_checkpoint((DATA / "parent_v1.ckpt").read_bytes())

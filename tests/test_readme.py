@@ -1,4 +1,5 @@
-"""The README's library sketch runs as written, on what the package exports."""
+"""The README's library sketch runs as written, on what the package exports,
+and its checkpoint format names the header keys ``save_checkpoint`` writes."""
 
 import ast
 import re
@@ -6,6 +7,8 @@ import types
 from pathlib import Path
 
 import amff
+from amff.trainer import save_checkpoint, train
+from conftest import fast_config, split_checkpoint
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -35,3 +38,12 @@ def test_package_exports_what_the_sketch_imports():
     }
     assert exported == imported
     assert amff.__version__
+
+
+def test_checkpoint_format_lists_the_saved_header_keys(tmp_path, tiny_dataset):
+    (block,) = re.findall(
+        r"<!-- checkpoint-header-keys -->(.*?)<!-- /checkpoint-header-keys -->", README.read_text(encoding="utf-8"), re.S
+    )
+    save_checkpoint(tmp_path / "model.ckpt", train(tiny_dataset, fast_config(max_epochs=1)))
+    _, header, _ = split_checkpoint((tmp_path / "model.ckpt").read_bytes())
+    assert re.findall(r"`(\w+)`", block) == sorted(header)

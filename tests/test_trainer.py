@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amff.dataio import Dataset, read_feature_records
+from amff.dataio import Dataset, read_feature_records, synth_generate
 from amff.errors import AmffError, ConfigError, DataError, FormatError, NumericError
 from amff.losses import total_loss
 from amff.scoring import init_model_params, model_backward, model_forward
@@ -207,6 +207,16 @@ class TestTrain:
             with pytest.raises(ConfigError, match="hidden sizes"):
                 TrainConfig(**{field: 0})
 
+    @pytest.mark.parametrize(
+        "field, value", [("batch_size", 2.5), ("max_epochs", 2.0), ("use_msi", "no"), ("seed", 1.5), ("lr", True)]
+    )
+    def test_mistyped_field_is_a_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=f"TrainConfig: {field} must be"):
+            TrainConfig(**{field: value})
+
+    def test_float_field_takes_an_int(self):
+        assert TrainConfig(lr=1, weight_decay=0).lr == 1
+
 
 class TestAblationVariantForward:
     def test_no_aff_equal_features_passes_through(self):
@@ -351,6 +361,16 @@ class TestCheckpoint:
         pinned = np.array(want["final_preds"])
         assert np.all(np.abs(scores - pinned) <= 1e-12 * np.abs(pinned))
 
+    def test_resume_refuses_a_dataset_with_other_label_ranges(self, tmp_path):
+        # The heads learned labels normalized by the first dataset's ranges.
+        first, other = (synth_generate(48, 16, 0.01, make_rng(seed)) for seed in (5, 6))
+        assert first.label_ranges != other.label_ranges
+        save_checkpoint(tmp_path / "half.ckpt", train(first, fast_config(max_epochs=2)))
+        with pytest.raises(ConfigError, match="label ranges") as excinfo:
+            train(other, fast_config(max_epochs=4), resume_from=tmp_path / "half.ckpt")
+        assert str(first.label_ranges["quality"]) in str(excinfo.value)
+        assert str(other.label_ranges["quality"]) in str(excinfo.value)
+
     def test_resume_refuses_counters_that_disagree_with_the_history(self, tmp_path):
         # parent_v1.ckpt holds epochs 1..3 with epoch 1 best.  Were the counters
         # trusted, resuming this file would train epochs 2..5 again after them.
@@ -360,7 +380,7 @@ class TestCheckpoint:
         path.write_bytes(join_checkpoint(prefix, header, payload))
         dataset = read_feature_records(DATA / "parent_v1.amff")
         cfg = dataclasses.replace(load_checkpoint(DATA / "parent_v1.ckpt").config, max_epochs=5)
-        with pytest.raises(FormatError, match="best_epoch 3 is not the history's 1"):
+        with pytest.raises(FormatError, match="best_epoch: the file has 3, the loaded record saves 1"):
             train(dataset, cfg, resume_from=path)
 
 
@@ -374,12 +394,13 @@ _SHAPES = st.lists(st.integers(-2, 40), max_size=3) | _JSON
 _PARENT_CKPT = (DATA / "parent_v1.ckpt").read_bytes()
 
 
-def _load_or_amff_error(path, data: bytes) -> None:
+def _load_or_amff_error(path, data: bytes):
+    """The checkpoint ``data`` holds, or None when loading it raises an AmffError."""
     path.write_bytes(data)
     try:
-        load_checkpoint(path)
+        return load_checkpoint(path)
     except AmffError:
-        pass
+        return None
 
 
 class TestCheckpointFuzz:
@@ -397,16 +418,28 @@ class TestCheckpointFuzz:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_header_edits(self, tmp_path_factory, data):
+        """An edited header that loads is the one the loaded record saves with, less the v1 leftovers."""
         prefix, header, payload = split_checkpoint(_PARENT_CKPT)
-        section = data.draw(st.sampled_from(["tensors", "config", "label_ranges", "top"]))
+        section = data.draw(st.sampled_from(["tensors", "config", "label_ranges", "history", "top"]))
         if section == "tensors":
             k = data.draw(st.integers(0, len(header["tensors"]) - 1))
             header["tensors"][k]["shape"] = data.draw(_SHAPES)
         else:
-            target = header if section == "top" else header[section]
+            if section == "history":
+                target = header["history"][data.draw(st.integers(0, len(header["history"]) - 1))]
+            else:
+                target = header if section == "top" else header[section]
             key = data.draw(st.sampled_from(sorted(target)) | st.text(max_size=3))
             if data.draw(st.booleans()):
                 target[key] = data.draw(_JSON)
             else:
                 target.pop(key, None)
-        _load_or_amff_error(tmp_path_factory.getbasetemp() / "fuzz.ckpt", join_checkpoint(prefix, header, payload))
+        base = tmp_path_factory.getbasetemp()
+        ckpt = _load_or_amff_error(base / "fuzz.ckpt", join_checkpoint(prefix, header, payload))
+        if ckpt is None:
+            return
+        header.pop("rng_state", None)
+        for name in ("lr_after_drop", "fidelity_label"):
+            header["config"].pop(name, None)
+        save_checkpoint(base / "resaved.ckpt", ckpt)
+        assert (base / "resaved.ckpt").read_bytes() == join_checkpoint(prefix, header, payload)

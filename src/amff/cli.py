@@ -37,8 +37,20 @@ _TAG_OUTER_SPLIT = 21
 # many do depends on where such allocations landed; trimming after every
 # command keeps the peak RSS of a process that runs several commands from
 # varying with heap layout.
+#
+# glibc also raises its mmap threshold to the size of the largest mapped
+# block freed so far (and its trim threshold to twice that), so whether a
+# buffer of a few MiB reuses heap pages or takes fresh zeroed ones depends on
+# what the process freed before.  The thresholds are pinned, once, at the
+# ceiling of that rule on 64-bit glibc and twice it, the values a long run
+# reaches, so every command sees the same allocator whatever ran before it.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _libc = ctypes.CDLL(None)
+    _malloc_trim = _libc.malloc_trim
+    _libc.mallopt.argtypes, _libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    _libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 except (AttributeError, OSError, TypeError):
     _malloc_trim = None
 
@@ -154,11 +166,7 @@ def _cmd_extract(args) -> int:
         path = images_dir / row["image"]
         img = encoder.read_image(path)  # its errors name the file
         try:
-            # Named so it lives until the next row's is built: freeing each
-            # row's scales at once made extract_ppm about 20% slower (fresh
-            # pages for every rescale).
-            msi = encoder.make_multiscale(img)
-            f_05, f_10, f_15 = encoder.toy_encode(msi, args.dim)
+            f_05, f_10, f_15 = encoder.toy_encode(img, args.dim)
         except AmffError as exc:
             raise type(exc)(f"{path}: {exc}") from None
         features.append((f_text, f_05, f_10, f_15))

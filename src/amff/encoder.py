@@ -35,12 +35,7 @@ class Image:
             raise ShapeError(f"Image: expected (h, w, c) with c in {{1, 3}}, got {px.shape}")
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ShapeError(f"Image: degenerate size {px.shape}")
-        # NaN propagates through min and max, and an infinity is one of them.
-        lo, hi = px.min(), px.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise NumericError("Image: non-finite pixels")
-        if lo < 0.0 or hi > 1.0:
-            raise NumericError("Image: pixels outside [0, 1]")
+        _check_pixels(px)
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -56,13 +51,14 @@ class Image:
         return self.pixels.shape[2]
 
 
-@dataclass(frozen=True, eq=False)
-class MultiScaleImage:
-    """The 1.5x, 1.0x, and 0.5x renditions of one image."""
-
-    i_15: Image
-    i_10: Image
-    i_05: Image
+def _check_pixels(px: Array) -> None:
+    """Raise ``NumericError`` unless every pixel is finite and in [0, 1]."""
+    # NaN propagates through min and max, and an infinity is one of them.
+    lo, hi = px.min(), px.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NumericError("Image: non-finite pixels")
+    if lo < 0.0 or hi > 1.0:
+        raise NumericError("Image: pixels outside [0, 1]")
 
 
 def _axis_coords(n_in: int, n_out: int) -> tuple[Array, Array, Array]:
@@ -75,10 +71,13 @@ def _axis_coords(n_in: int, n_out: int) -> tuple[Array, Array, Array]:
     return lo, hi, frac
 
 
-def _bilinear_grid(grid: Array, out_h: int, out_w: int) -> Array:
-    """Sample an (h, w, c) grid at out_h x out_w half-pixel centers."""
-    lo_y, hi_y, fy = _axis_coords(grid.shape[0], out_h)
-    lo_x, hi_x, fx = _axis_coords(grid.shape[1], out_w)
+def _bilinear_rows(grid: Array, ys: tuple[Array, Array, Array], xs: tuple[Array, Array, Array]) -> Array:
+    """Sample an (h, w, c) grid at the output rows and columns whose ``_axis_coords`` are ys and xs."""
+    lo_y, hi_y, fy = ys
+    lo_x, hi_x, fx = xs
+    # Only the source rows these output rows sample are read.
+    first = lo_y[0]
+    grid = grid[first : hi_y[-1] + 1]
     # Separable: blend columns once per input row, then blend rows of that.
     # Each pixel still gets lo + f * (hi - lo) on the same four corners, and
     # IEEE + and * commute, so the result equals the four-corner form bit for
@@ -89,12 +88,17 @@ def _bilinear_grid(grid: Array, out_h: int, out_w: int) -> Array:
     rows -= left
     rows *= fx[:, None]
     rows += left
-    top = np.take(rows, lo_y, axis=0)
-    out = np.take(rows, hi_y, axis=0)
+    top = np.take(rows, lo_y - first, axis=0)
+    out = np.take(rows, hi_y - first, axis=0)
     out -= top
     out *= fy[:, None, None]
     out += top
     return out
+
+
+def _bilinear_grid(grid: Array, out_h: int, out_w: int) -> Array:
+    """Sample an (h, w, c) grid at out_h x out_w half-pixel centers."""
+    return _bilinear_rows(grid, _axis_coords(grid.shape[0], out_h), _axis_coords(grid.shape[1], out_w))
 
 
 def rescale_bilinear(img: Image, factor: float) -> Image:
@@ -108,42 +112,51 @@ def rescale_bilinear(img: Image, factor: float) -> Image:
     return Image(_bilinear_grid(img.pixels, out_h, out_w))
 
 
-def make_multiscale(img: Image) -> MultiScaleImage:
-    """Build the 1.5x / 1.0x / 0.5x input trio from one image."""
-    return MultiScaleImage(
-        i_15=rescale_bilinear(img, 1.5),
-        i_10=img,
-        i_05=rescale_bilinear(img, 0.5),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Toy encoders.
 # ---------------------------------------------------------------------------
 
 
-def grid_cell_stats(img: Image) -> tuple[Array, Array]:
-    """Per-cell mean and population std over a 16x16 partition."""
+def grid_cell_stats(img: Image, factor: float) -> tuple[Array, Array]:
+    """Per-cell mean and population std of ``img`` rescaled by ``factor``, over a 16x16 partition.
+
+    The statistics are those of ``rescale_bilinear(img, factor)``, bit for
+    bit, but the rescaled image is built one band of cell rows at a time,
+    each band from only the source rows it samples, so no full-size copy
+    exists; at factor 1 a band is a view of the image's rows.
+    """
+    if not factor > 0:
+        raise ConfigError(f"grid_cell_stats: factor must be positive, got {factor}")
     h, w, c = img.pixels.shape
-    if h < _GRID or w < _GRID:
-        raise DataError(f"grid_cell_stats: image {h}x{w} smaller than the {_GRID}x{_GRID} grid")
-    # Cell bounds (i * h) // 16 strictly increase because h >= 16, so no
-    # reduceat segment is empty. Rows of the (h, w*c) view hold a row's
-    # channels side by side, so a cell's columns are c times its pixels.
-    rows = np.arange(_GRID) * h // _GRID
-    cols = np.arange(_GRID) * w // _GRID * c
-    row_len = np.diff(rows, append=h)
-    col_len = np.diff(cols, append=w * c)
-    count = np.outer(row_len, col_len)
-    flat = img.pixels.reshape(h, w * c)
+    out_h, out_w = _round_half_up(factor * h), _round_half_up(factor * w)
+    if out_h < _GRID or out_w < _GRID:
+        raise DataError(f"grid_cell_stats: image {out_h}x{out_w} smaller than the {_GRID}x{_GRID} grid")
+    # Cell bounds (i * out_h) // 16 strictly increase because out_h >= 16, so
+    # no band or reduceat segment is empty. Rows of a band's (rows, out_w*c)
+    # view hold a row's channels side by side, so a cell's columns are c
+    # times its pixels.
+    bands = np.arange(_GRID + 1) * out_h // _GRID
+    cols = np.arange(_GRID) * out_w // _GRID * c
+    col_len = np.diff(cols, append=out_w * c)
+    ys, xs = _axis_coords(h, out_h), _axis_coords(w, out_w)
+    means, stds = np.empty((_GRID, _GRID)), np.empty((_GRID, _GRID))
 
     def cell_sums(x: Array) -> Array:
-        return np.add.reduceat(np.add.reduceat(x, rows, axis=0), cols, axis=1)
+        # Rows summed from the band's first, as a reduceat over the whole image sums them.
+        return np.add.reduceat(np.add.reduceat(x, [0], axis=0), cols, axis=1)[0]
 
-    means = cell_sums(flat) / count
-    dev = flat - np.repeat(np.repeat(means, row_len, axis=0), col_len, axis=1)
-    dev *= dev
-    stds = np.sqrt(cell_sums(dev) / count)
+    for i, (r0, r1) in enumerate(zip(bands[:-1], bands[1:])):
+        if factor == 1.0:
+            band = img.pixels[r0:r1]
+        else:
+            band = _bilinear_rows(img.pixels, tuple(a[r0:r1] for a in ys), xs)
+            _check_pixels(band)
+        flat = band.reshape(r1 - r0, out_w * c)
+        count = (r1 - r0) * col_len
+        means[i] = cell_sums(flat) / count
+        dev = flat - np.repeat(means[i], col_len)
+        dev *= dev
+        stds[i] = np.sqrt(cell_sums(dev) / count)
     return means.ravel(), stds.ravel()
 
 
@@ -154,8 +167,8 @@ def _projection(dim: int) -> Array:
     return _projection_cache[dim]
 
 
-def _encode_one_scale(img: Image, dim: int) -> Array:
-    means, stds = grid_cell_stats(img)
+def _encode_one_scale(img: Image, factor: float, dim: int) -> Array:
+    means, stds = grid_cell_stats(img, factor)
     stats = np.concatenate([means, stds])
     vec = _projection(dim) @ stats
     norm = float(np.linalg.norm(vec))
@@ -164,19 +177,17 @@ def _encode_one_scale(img: Image, dim: int) -> Array:
     return vec / norm
 
 
-def toy_encode(msi: MultiScaleImage, dim: int) -> tuple[Array, Array, Array]:
+def toy_encode(img: Image, dim: int) -> tuple[Array, Array, Array]:
     """Deterministic unit-norm features (f_05, f_10, f_15) for one image.
 
-    Each scale is summarized by 16x16 grid cell means and stds, then
-    projected through a fixed seeded random matrix and L2-normalized.
+    Each scale, ``img`` rescaled by 0.5, 1.0 or 1.5, is summarized by 16x16
+    grid cell means and stds, then projected through a fixed seeded random
+    matrix and L2-normalized.
     """
     if dim <= 0 or dim % 4 != 0:
         raise ConfigError(f"toy_encode: dim must be a positive multiple of 4, got {dim}")
-    return (
-        _encode_one_scale(msi.i_05, dim),
-        _encode_one_scale(msi.i_10, dim),
-        _encode_one_scale(msi.i_15, dim),
-    )
+    f_05, f_10, f_15 = (_encode_one_scale(img, factor, dim) for factor in (0.5, 1.0, 1.5))
+    return f_05, f_10, f_15
 
 
 def toy_encode_text(prompt: str, dim: int) -> Array:
@@ -256,8 +267,8 @@ def read_image(path) -> Image:
         if not all(t.isdigit() for t in samples):
             raise FormatError(f"{path}: non-integer sample in ASCII raster")
         try:
-            # Clamped so a token too long for float64 still fails the maxval check.
-            values = np.array([min(int(t), maxval + 1) for t in samples], dtype=np.float64)
+            # Clamped so a token too long for an int64 still fails the maxval check.
+            ints = np.array([min(int(t), maxval + 1) for t in samples], dtype=np.int64)
         except ValueError:  # more digits than int() converts
             raise FormatError(f"{path}: sample exceeds maxval {maxval}") from None
     else:
@@ -266,15 +277,17 @@ def read_image(path) -> Image:
             raw = data[pos : pos + n_samples]
             if len(raw) < n_samples:
                 raise FormatError(f"{path}: truncated raster data")
-            values = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+            ints = np.frombuffer(raw, dtype=np.uint8)
         else:
             raw = data[pos : pos + 2 * n_samples]
             if len(raw) < 2 * n_samples:
                 raise FormatError(f"{path}: truncated raster data")
-            values = np.frombuffer(raw, dtype=">u2").astype(np.float64)
-    if values.max() > maxval:
+            ints = np.frombuffer(raw, dtype=">u2")
+    if ints.max() > maxval:
         raise FormatError(f"{path}: sample exceeds maxval {maxval}")
-    return Image((values / maxval).reshape(h, w, channels))
+    values = ints.astype(np.float64)
+    values /= maxval
+    return Image(values.reshape(h, w, channels))
 
 
 def write_image(path, img: Image, maxval: int = 255) -> None:

@@ -82,7 +82,11 @@ class TrainConfig:
         # lr == 0 is allowed for diagnostics (freezes parameters).
         for name in ("lr", "weight_decay"):
             x = getattr(self, name)
-            if not (math.isfinite(x) and x >= 0):
+            try:
+                ok = math.isfinite(x) and x >= 0
+            except OverflowError:  # an int too large for a float, maybe for str() too
+                ok, x = False, "an int beyond the float range"
+            if not ok:
                 raise ConfigError(f"TrainConfig: {name} must be finite and >= 0, got {x}")
         if self.early_stop_patience < 1:
             raise ConfigError("TrainConfig: early_stop_patience must be >= 1")
@@ -505,12 +509,32 @@ def load_checkpoint(path) -> Checkpoint:
     best, final, m, v = containers
     need(bool(np.all(v.flat >= 0.0)), "negative value in the second moment opt_v")
     ckpt = Checkpoint(best, final, OptimizerState(m, v, header["opt_step"]), cfg, label_ranges, history)
-    # Compared key by key as JSON text, so an int stays an int and a missing key differs.
-    saved = _header(ckpt)
-    for key in sorted(header.keys() | saved.keys()):
-        got, want = (json.dumps(h[key], sort_keys=True) if key in h else "nothing" for h in (header, saved))
-        need(got == want, f"header {key}: the file has {got[:80]}, the loaded record saves {want[:80]}")
+    difference = _first_difference(header, _header(ckpt), "")
+    if difference is not None:
+        key, got, want = difference
+        raise FormatError(f"{path}: header {key}: the file has {got[:80]}, the loaded record saves {want[:80]}")
     return ckpt
+
+
+def _first_difference(got, want, key: str) -> tuple[str, str, str] | None:
+    """The first key path, in sorted key order, at which two JSON values differ, with the JSON text of each side.
+
+    Dicts are compared key by key, so the path names the innermost key that
+    differs; anything else is compared as JSON text, so an int stays an int.
+    A missing key reads as "nothing".
+    """
+    if isinstance(got, dict) and isinstance(want, dict):
+        for name in sorted(got.keys() | want.keys()):
+            path = f"{key}.{name}" if key else name
+            if name not in got or name not in want:
+                texts = [json.dumps(d[name], sort_keys=True) if name in d else "nothing" for d in (got, want)]
+                return (path, *texts)
+            difference = _first_difference(got[name], want[name], path)
+            if difference is not None:
+                return difference
+        return None
+    texts = [json.dumps(v, sort_keys=True) for v in (got, want)]
+    return None if texts[0] == texts[1] else (key, *texts)
 
 
 def _check_resume_compat(ckpt: Checkpoint, cfg: TrainConfig, dim: int, label_ranges: dict) -> None:

@@ -53,7 +53,26 @@ class TestSynth:
         assert "ERROR E_DATA" in capsys.readouterr().err
 
 
+def _golden_extract(root: Path) -> list:
+    """Seeded small PGM/PPM images (8- and 16-bit) and a manifest under ``root``: the golden's extract command."""
+    rng = make_rng(17)
+    manifest = ["id,generator,prompt,image,q_v,q_a,q_c"]
+    for i, (h, w, c, maxval) in enumerate([(33, 47, 3, 255), (40, 40, 1, 255), (101, 37, 3, 255),
+                                            (48, 52, 1, 65535), (64, 64, 3, 255)]):
+        name = f"img{i}.{'ppm' if c == 3 else 'pgm'}"
+        write_image(root / name, Image(rng.uniform(0, 1, size=(h, w, c))), maxval=maxval)
+        manifest.append(f"s{i},gen{i % 2},prompt number {i},{name},{1 + i},{'' if i % 2 else 2.5},{0.5 * i}")
+    (root / "manifest.csv").write_text("\n".join(manifest) + "\n")
+    return ["extract", "--images", root, "--manifest", root / "manifest.csv", "--out", root / "features.amff",
+            "--dim", 64]
+
+
 class TestExtract:
+    def test_records_equal_the_golden_bytes(self, tmp_path):
+        # The golden was written by the whole-image encoder that the band-wise one replaced.
+        assert _run(_golden_extract(tmp_path)) == 0
+        assert (tmp_path / "features.amff").read_bytes() == (DATA / "extract_parent.amff").read_bytes()
+
     def test_images_to_features(self, tmp_path):
         rng = make_rng(0)
         img_dir = tmp_path / "imgs"
@@ -546,6 +565,15 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("ERROR E_FORMAT: ") and err.count("\n") == 1, err
         assert not out.exists()
+
+    def test_header_difference_names_the_innermost_key(self, tmp_path, capsys):
+        prefix, header, payload = split_checkpoint((DATA / "parent_v1.ckpt").read_bytes())
+        ckpt = tmp_path / "edited.ckpt"
+        ckpt.write_bytes(join_checkpoint(prefix, *_no_val_fraction(header, payload)))
+        assert _run(["predict", "--data", DATA / "parent_v1.amff", "--ckpt", ckpt, "--out", tmp_path / "p.jsonl"]) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR E_FORMAT: {ckpt}: header config.val_fraction: the file has nothing, the loaded record saves 0.1\n"
+        )
 
 
 class TestGradcheckCommand:

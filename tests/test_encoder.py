@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from amff.encoder import (
     Image,
     _axis_coords,
     _bilinear_grid,
+    _projection,
     grid_cell_stats,
-    make_multiscale,
     read_image,
     rescale_bilinear,
     toy_encode,
@@ -36,6 +38,37 @@ def _four_corner_grid(grid, out_h, out_w):
     top = a + fx_col * (b - a)
     bot = c + fx_col * (d - c)
     return top + fy_col * (bot - top)
+
+
+def _whole_image_cell_stats(img, factor):
+    """Reference grid statistics: the whole image rescaled at once, then every cell summed with reduceat."""
+    img = rescale_bilinear(img, factor)
+    h, w, c = img.pixels.shape
+    if h < 16 or w < 16:
+        raise DataError(f"grid_cell_stats: image {h}x{w} smaller than the 16x16 grid")
+    rows = np.arange(16) * h // 16
+    cols = np.arange(16) * w // 16 * c
+    row_len = np.diff(rows, append=h)
+    col_len = np.diff(cols, append=w * c)
+    count = np.outer(row_len, col_len)
+    flat = img.pixels.reshape(h, w * c)
+
+    def cell_sums(x):
+        return np.add.reduceat(np.add.reduceat(x, rows, axis=0), cols, axis=1)
+
+    means = cell_sums(flat) / count
+    dev = flat - np.repeat(np.repeat(means, row_len, axis=0), col_len, axis=1)
+    dev *= dev
+    stds = np.sqrt(cell_sums(dev) / count)
+    return means.ravel(), stds.ravel()
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of the AmffError it raises."""
+    try:
+        return fn(*args)
+    except AmffError as exc:
+        return type(exc), str(exc)
 
 
 def _cell_stats_loop(img):
@@ -99,11 +132,11 @@ class TestRescaleBilinear:
                 assert np.array_equal(_bilinear_grid(grid, out_h, out_w), expected), (shape, factor)
 
     def test_multiscale_dims(self):
+        # toy_encode's scales, which test_scales_are_the_rescaled_images ties it to.
         img = _image(make_rng(1), 20, 30)
-        msi = make_multiscale(img)
-        assert msi.i_15.pixels.shape[:2] == (30, 45)
-        assert msi.i_10.pixels.shape[:2] == (20, 30)
-        assert msi.i_05.pixels.shape[:2] == (10, 15)
+        assert rescale_bilinear(img, 1.5).pixels.shape[:2] == (30, 45)
+        assert rescale_bilinear(img, 1.0).pixels.shape[:2] == (20, 30)
+        assert rescale_bilinear(img, 0.5).pixels.shape[:2] == (10, 15)
 
 
 class TestBilinearUpsample:
@@ -130,31 +163,81 @@ class TestBilinearUpsample:
 class TestToyEncode:
     def test_deterministic(self):
         img = _image(make_rng(5), 32, 32, 3)
-        msi = make_multiscale(img)
-        a = toy_encode(msi, 16)
-        b = toy_encode(msi, 16)
+        a = toy_encode(img, 16)
+        b = toy_encode(img, 16)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_unit_norm(self):
-        msi = make_multiscale(_image(make_rng(6), 40, 40))
-        for vec in toy_encode(msi, 32):
+        for vec in toy_encode(_image(make_rng(6), 40, 40), 32):
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+    def test_scales_are_the_rescaled_images(self):
+        img = _image(make_rng(14), 37, 45, 3)
+        for vec, factor in zip(toy_encode(img, 16), (0.5, 1.0, 1.5)):
+            expected = _projection(16) @ np.concatenate(_whole_image_cell_stats(img, factor))
+            assert np.array_equal(vec, expected / np.linalg.norm(expected)), factor
+
+    def test_peak_memory_is_below_one_image(self):
+        img = _image(make_rng(15), 256, 256, 3)
+        toy_encode(img, 64)  # the projection matrix is built once per dim
+        tracemalloc.start()
+        try:
+            toy_encode(img, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The whole-image encoder peaked at 11.3 MiB here: one full-size 1.5x copy and its temporaries.
+        assert peak < img.pixels.nbytes
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 1.5, 2.0, 0.37])
+    def test_banded_stats_equal_the_whole_image_ones(self, factor):
+        rng = make_rng(16)
+        shapes = [(256, 256, 3), (226, 290, 1), (290, 226, 3), (17, 23, 3)]
+        shapes += [(h, 29 + h % 5, 1 + 2 * (h % 2)) for h in range(16, 41)]
+        for shape in shapes:
+            img = _image(rng, *shape)
+            got, want = _outcome(grid_cell_stats, img, factor), _outcome(_whole_image_cell_stats, img, factor)
+            if isinstance(want[0], type):  # a scale under the grid: the same error
+                assert got == want, (shape, factor)
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (shape, factor)
+
+    def test_small_scale_error_names_its_size(self):
+        with pytest.raises(DataError, match=r"^grid_cell_stats: image 9x12 smaller than the 16x16 grid$"):
+            grid_cell_stats(_image(make_rng(17), 17, 23, 1), 0.5)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+    def test_factor_must_be_positive(self, factor):
+        with pytest.raises(ConfigError, match="factor must be positive"):
+            grid_cell_stats(_image(make_rng(18), 32, 32), factor)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(1.5, r"pixels outside \[0, 1\]"), (-0.5, r"pixels outside \[0, 1\]"), (np.nan, "non-finite pixels")],
+        ids=["above_one", "negative", "nan"],
+    )
+    def test_rescaled_band_is_checked(self, bad, message):
+        img = _image(make_rng(19), 40, 40, 3)
+        img.pixels[21, 9, 1] = bad  # past the Image check, as a caller's write would be
+        for scale in (rescale_bilinear, grid_cell_stats):
+            with pytest.raises(NumericError, match=f"^Image: {message}$"):
+                scale(img, 1.5)
 
     def test_brightness_shift_changes_means_not_stds(self):
         rng = make_rng(7)
         base = rng.uniform(0.2, 0.6, size=(32, 32, 1))
         img_a = Image(base)
         img_b = Image(base + 0.3)
-        means_a, stds_a = grid_cell_stats(img_a)
-        means_b, stds_b = grid_cell_stats(img_b)
+        means_a, stds_a = grid_cell_stats(img_a, 1.0)
+        means_b, stds_b = grid_cell_stats(img_b, 1.0)
         assert np.all(np.abs((means_b - means_a) - 0.3) < 1e-12)
         assert np.allclose(stds_a, stds_b, atol=1e-12)
 
     def test_recompute_cell_stats_directly(self):
         rng = make_rng(8)
         img = _image(rng, 33, 47, 3)  # non-divisible dims
-        means, stds = grid_cell_stats(img)
+        means, stds = grid_cell_stats(img, 1.0)
         h, w = 33, 47
         for idx in (0, 77, 255):
             i, j = divmod(idx, 16)
@@ -166,21 +249,19 @@ class TestToyEncode:
     @given(h=st.integers(16, 300), w=st.integers(16, 300), c=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
     def test_cell_stats_match_per_cell_loop(self, h, w, c, seed):
         img = _image(make_rng(seed), h, w, c)
-        means, stds = grid_cell_stats(img)
+        means, stds = grid_cell_stats(img, 1.0)
         ref_means, ref_stds = _cell_stats_loop(img)
         # Cells are summed in another order than numpy's pairwise mean: last-bit differences only.
         assert np.max(np.abs(means - ref_means)) <= 1e-15
         assert np.max(np.abs(stds - ref_stds)) <= 1e-15
 
     def test_small_image_errors(self):
-        msi = make_multiscale(_image(make_rng(9), 20, 20))
         with pytest.raises(DataError):  # the 0.5x scale is 10 px < grid
-            toy_encode(msi, 16)
+            toy_encode(_image(make_rng(9), 20, 20), 16)
 
     def test_dim_divisibility(self):
-        msi = make_multiscale(_image(make_rng(10), 32, 32))
         with pytest.raises(ConfigError):
-            toy_encode(msi, 15)
+            toy_encode(_image(make_rng(10), 32, 32), 15)
 
 
 class TestToyEncodeText:

@@ -214,6 +214,12 @@ class TestTrain:
         with pytest.raises(ConfigError, match=f"TrainConfig: {field} must be"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000], ids=["huge", "huge_negative", "unprintable"])
+    def test_int_beyond_the_float_range_is_a_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=f"^TrainConfig: {field} must be finite and >= 0, got an int beyond"):
+            TrainConfig(**{field: value})
+
     def test_float_field_takes_an_int(self):
         assert TrainConfig(lr=1, weight_decay=0).lr == 1
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -112,18 +111,17 @@ _TRAIN_FLAGS = {
 }
 
 
-def _train_config(args) -> trainer.TrainConfig:
+def _train_config(args, **variant) -> trainer.TrainConfig:
+    """The config the flags give, as the model ``variant`` if given, else as the variant flags name."""
     return trainer.TrainConfig(
         **{field: getattr(args, flag[2:].replace("-", "_")) for flag, field in _TRAIN_FLAGS.items()},
         seed=args.seed,
-        similarity=args.similarity,
-        use_msi=not args.no_msi,
-        use_aff=not args.no_aff,
+        **(variant or {"similarity": args.similarity, "use_msi": not args.no_msi, "use_aff": not args.no_aff}),
     )
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    """The flags of every command that splits the data and trains: train, eval and ablate."""
+def _add_train_flags(p: argparse.ArgumentParser, variant_flags: bool = True) -> None:
+    """The flags of every command that splits the data and trains: train, eval and ablate (no variant flags)."""
     defaults = trainer.TrainConfig()
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -132,6 +130,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     for flag, field in _TRAIN_FLAGS.items():
         default = getattr(defaults, field)
         p.add_argument(flag, type=type(default), default=default)
+    if not variant_flags:
+        return
     p.add_argument("--similarity", choices=SIMILARITY_KINDS, default=defaults.similarity)
     p.add_argument("--no-msi", action="store_true", help="feed the original scale into all fusion slots")
     p.add_argument("--no-aff", action="store_true", help="replace learned fusion with the plain mean")
@@ -199,13 +199,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _train_and_evaluate(train_set, test_set, config: trainer.TrainConfig) -> metrics.EvalResult:
-    """The metrics on ``test_set`` of a model trained on ``train_set`` under ``config``."""
-    ckpt = trainer.train(train_set, config)
-    result, _ = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
-    return result
-
-
 def _cmd_eval(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
@@ -224,9 +217,7 @@ def _cmd_eval(args) -> int:
 
     # Full protocol: one train+eval per trial seed, median reported.
     seeds = list(range(args.seed, args.seed + args.trials))
-    results = [
-        _train_and_evaluate(*split(dataset, s), dataclasses.replace(_train_config(args), seed=s)) for s in seeds
-    ]
+    results = [row[0] for row in trainer.run_trials(dataset, split, seeds, [_train_config(args)])]
     median = metrics.median_of_trials(results)
 
     trial_rows = (
@@ -259,40 +250,11 @@ def _cmd_predict(args) -> int:
 def _cmd_ablate(args) -> int:
     split = _splitter(args.split)
     dataset = dataio.read_dataset(args.data)
-    # One shared split so every variant is compared on identical samples.
-    train_set, test_set = split(dataset, args.seed)
-
-    results: dict[str, metrics.EvalResult] = {}
-    for name, similarity, use_msi, use_aff in VARIANTS:
-        config = dataclasses.replace(_train_config(args), similarity=similarity, use_msi=use_msi, use_aff=use_aff)
-        results[name] = _train_and_evaluate(train_set, test_set, config)
-
-    # Fusion variants under cosine similarity, the full model's row labelled
-    # "full"; then similarity kinds under the full fusion.
-    fusion = [(name, results[name]) for name, kind, _, _ in VARIANTS if kind == "cosine"]
-    kinds = [(name, results[name]) for name, _, use_msi, use_aff in VARIANTS if use_msi and use_aff]
-    tasks = list(results["cosine"].tasks)
-    lines = ["# architecture ablations (SRCC per task)"]
-    lines.append(f"{'variant':<12}" + "".join(f"{t:>14}" for t in tasks) + f"{'mean':>10}")
-    rows = []
-    for name, r in fusion:
-        label = "full" if name == "cosine" else name
-        srccs = "".join(f"{r.tasks[t].srcc:>14.4f}" for t in tasks)
-        lines.append(f"{label:<12}{srccs}{r.mean_srcc():>10.4f}")
-        for t in tasks:
-            rows.append({"section": "architecture", "variant": label, "task": t, "srcc": r.tasks[t].srcc,
-                         "mean_srcc": r.mean_srcc()})
-    lines.append("")
-    lines.append("# similarity metrics (consistency SRCC)")
-    lines.append(f"{'metric':<12}{'consistency':>14}{'mean':>10}")
-    for name, r in kinds:
-        cons = r.tasks["consistency"].srcc if "consistency" in r.tasks else float("nan")
-        lines.append(f"{name:<12}{cons:>14.4f}{r.mean_srcc():>10.4f}")
-        rows.append({"section": "similarity", "variant": name, "task": "consistency", "srcc": cons,
-                     "mean_srcc": r.mean_srcc()})
-    text = "\n".join(lines) + "\n"
+    configs = [_train_config(args, similarity=kind, use_msi=msi, use_aff=aff) for _, kind, msi, aff in VARIANTS]
+    (results,) = trainer.run_trials(dataset, split, [args.seed], configs)
+    text, jsonl = metrics.format_ablation(results)
     _output(args.out, "reports", "ablate.txt").write_text(text)
-    _output(args.out, "reports", "ablate.jsonl").write_text(metrics.format_jsonl(rows))
+    _output(args.out, "reports", "ablate.jsonl").write_text(jsonl)
     print(text, end="")
     return 0
 
@@ -345,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("ablate", help="paired comparison of fusion and similarity variants")
-    _add_train_flags(p)
+    _add_train_flags(p, variant_flags=False)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of all gradients")

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
+from .scoring import VARIANTS
 from .tensor import Array, as_vector
 
 # The fewest points the four-parameter logistic fit, and so PLCC, accepts.
@@ -254,12 +255,6 @@ def logistic_fit_trace(preds, gts) -> tuple[LogisticParams, list[float]]:
     return LogisticParams(*(float(v) for v in kappa)), trace
 
 
-def logistic_fit(preds, gts) -> LogisticParams:
-    """Least-squares fit of the four-parameter logistic mapping."""
-    params, _ = logistic_fit_trace(preds, gts)
-    return params
-
-
 def plcc(preds, gts) -> tuple[float, LogisticParams]:
     """Pearson correlation after the fitted logistic pre-mapping.
 
@@ -268,7 +263,7 @@ def plcc(preds, gts) -> tuple[float, LogisticParams]:
     (``fallback``) is used then, so the result is the raw correlation.
     """
     preds = np.asarray(preds, dtype=np.float64)
-    params = logistic_fit(preds, gts)
+    params, _ = logistic_fit_trace(preds, gts)
     mapped = params.apply(preds)
     if np.all(mapped == mapped[0]):
         params = LogisticParams(0.0, 0.0, 0.0, 0.0, fallback=True)
@@ -333,6 +328,34 @@ def format_table(result: EvalResult, title: str = "evaluation") -> str:
                 + (" (fallback)" if lg.fallback else "")
             )
     return "\n".join(lines) + "\n"
+
+
+def format_ablation(results: Sequence[EvalResult]) -> tuple[str, str]:
+    """The ablation report as text and as JSONL, from one result per ``VARIANTS`` entry, in its order.
+
+    Fusion variants under cosine similarity come first, the full model labelled "full"; then the similarity
+    kinds under full fusion, unless there is no consistency task, where a kind shapes only the unread ``s_c``.
+    """
+    tasks = list(results[0].tasks)
+    lines = ["# architecture ablations (SRCC per task)"]
+    lines.append(f"{'variant':<12}" + "".join(f"{t:>14}" for t in tasks) + f"{'mean':>10}")
+    rows = []
+    for (name, kind, _, _), r in zip(VARIANTS, results):
+        if kind == "cosine":
+            label = "full" if name == "cosine" else name
+            srccs = "".join(f"{r.tasks[t].srcc:>14.4f}" for t in tasks)
+            lines.append(f"{label:<12}{srccs}{r.mean_srcc():>10.4f}")
+            rows += ({"section": "architecture", "variant": label, "task": t, "srcc": r.tasks[t].srcc,
+                      "mean_srcc": r.mean_srcc()} for t in tasks)
+    if "consistency" in tasks:
+        lines += ["", "# similarity metrics (consistency SRCC)", f"{'metric':<12}{'consistency':>14}{'mean':>10}"]
+        for (name, _, use_msi, use_aff), r in zip(VARIANTS, results):
+            if use_msi and use_aff:
+                cons = r.tasks["consistency"].srcc
+                lines.append(f"{name:<12}{cons:>14.4f}{r.mean_srcc():>10.4f}")
+                rows.append({"section": "similarity", "variant": name, "task": "consistency", "srcc": cons,
+                             "mean_srcc": r.mean_srcc()})
+    return "\n".join(lines) + "\n", format_jsonl(rows)
 
 
 def format_jsonl(rows: Iterable[dict]) -> str:

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -297,7 +297,7 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation glue shared by the CLI eval/ablate paths.
+# Evaluation, and the trial protocol of `eval --trials` and `ablate`.
 # ---------------------------------------------------------------------------
 
 
@@ -342,6 +342,20 @@ def evaluate_model(
     if not tasks:
         raise DataError("evaluate_model: dataset carries no labels to score against")
     return EvalResult(tasks), scatter
+
+
+def run_trials(dataset: Dataset, split, seeds: list[int], configs: list[TrainConfig]) -> list[list[EvalResult]]:
+    """Test-side metrics of every config under every trial seed, indexed ``[trial][config]``.
+
+    Each trial splits ``dataset`` once, by ``split(dataset, seed) -> (train, test)``; every config trains
+    on that train side with its seed replaced by the trial's, and all are scored on that test side.
+    """
+    results = []
+    for seed in seeds:
+        train_set, test_set = split(dataset, seed)
+        ckpts = (train(train_set, replace(cfg, seed=seed)) for cfg in configs)
+        results.append([evaluate_model(c.params, test_set, label_ranges=c.label_ranges)[0] for c in ckpts])
+    return results
 
 
 # ---------------------------------------------------------------------------

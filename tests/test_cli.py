@@ -252,6 +252,8 @@ _RUN_FLAGS = {
     "--split": ("random:0.8", False, None, None), "--batch-size": (32, False, int, None),
     "--epochs": (120, False, int, None), "--lr": (5e-4, False, float, None), "--lr-drop-epoch": (80, False, int, None),
     "--patience": (20, False, int, None), "--weight-decay": (1e-2, False, float, None),
+}
+_VARIANT_FLAGS = {
     "--similarity": ("cosine", False, None, ("cosine", "euclidean", "manhattan")),
     "--no-msi": (False, False, None, None), "--no-aff": (False, False, None, None),
 }
@@ -260,8 +262,8 @@ _SURFACE = {
               "--noise": (0.01, False, float, None), "--seed": (0, False, int, None)},
     "extract": {"--images": (None, True, None, None), "--manifest": (None, True, None, None),
                 "--out": (None, True, None, None), "--dim": (64, False, int, None)},
-    "train": _RUN_FLAGS,
-    "eval": {**_RUN_FLAGS, "--ckpt": (None, False, None, None), "--trials": (1, False, int, None)},
+    "train": {**_RUN_FLAGS, **_VARIANT_FLAGS},
+    "eval": {**_RUN_FLAGS, **_VARIANT_FLAGS, "--ckpt": (None, False, None, None), "--trials": (1, False, int, None)},
     "predict": {"--data": (None, True, None, None), "--ckpt": (None, True, None, None),
                 "--out": (None, True, None, None)},
     "ablate": _RUN_FLAGS,
@@ -582,6 +584,29 @@ class TestGradcheckCommand:
         report = (tmp_path / "g" / "reports" / "gradcheck.txt").read_text()
         assert "worst" in report
         assert "loss.fidelity" in capsys.readouterr().out
+
+
+_PROTOCOL_FLAGS = ["--seed", 3, "--epochs", 4, "--patience", 4, "--batch-size", 16]
+_PROTOCOL_RUNS = {
+    "eval": (["eval", "--trials", 2, *_PROTOCOL_FLAGS], ["eval.jsonl", "eval.txt", "trials.jsonl"]),
+    "ablate_random": (["ablate", "--split", "random:0.8", *_PROTOCOL_FLAGS], ["ablate.jsonl", "ablate.txt"]),
+    "ablate_pergen": (["ablate", "--split", "per-generator:0.75", "--seed", 4, "--epochs", 3, "--patience", 3],
+                      ["ablate.jsonl", "ablate.txt"]),
+}
+
+
+@pytest.mark.parametrize("name", _PROTOCOL_RUNS)
+def test_protocol_reports_equal_the_golden_bytes(tmp_path, name):
+    # tests/data/protocol_parent holds the reports of these commands as written
+    # by the code before eval --trials and ablate shared one trial loop.
+    data = tmp_path / "data.amff"
+    assert _run(["synth", "--out", data, "--n", 96, "--dim", 16, "--seed", 5]) == 0
+    argv, reports = _PROTOCOL_RUNS[name]
+    assert _run([*argv, "--data", data, "--out", tmp_path / "run"]) == 0
+    golden = DATA / "protocol_parent" / name
+    assert sorted(p.name for p in golden.iterdir()) == reports
+    for report in reports:
+        assert (tmp_path / "run" / "reports" / report).read_bytes() == (golden / report).read_bytes(), report
 
 
 class TestAblate:

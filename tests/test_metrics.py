@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from amff.dataio import TASKS
 from amff.errors import DataError, NumericError
 from amff.metrics import (
     EvalResult,
@@ -14,8 +16,8 @@ from amff.metrics import (
     _ranks,
     format_scatter,
     format_table,
+    format_ablation,
     krcc,
-    logistic_fit,
     logistic_fit_trace,
     median_of_trials,
     pearson,
@@ -23,6 +25,7 @@ from amff.metrics import (
     srcc,
     to_jsonl,
 )
+from amff.scoring import VARIANTS
 from amff.tensor import make_rng
 from conftest import krcc_oracle
 
@@ -212,7 +215,7 @@ class TestLogisticFit:
         preds = rng.uniform(-3, 3, size=200)
         true = LogisticParams(5.0, 1.0, 0.0, -2.0)
         gts = true.apply(preds)
-        fitted = logistic_fit(preds, gts)
+        fitted, _ = logistic_fit_trace(preds, gts)
         assert not fitted.fallback
         rmse = float(np.sqrt(np.mean((fitted.apply(preds) - gts) ** 2)))
         assert rmse < 1e-6
@@ -232,16 +235,16 @@ class TestLogisticFit:
         rng = make_rng(33)
         preds = rng.uniform(0, 1, size=60)
         gts = 3.0 * preds + 1.0 + 0.01 * rng.standard_normal(60)
-        mapped = logistic_fit(preds, gts).apply(preds)
+        mapped = logistic_fit_trace(preds, gts)[0].apply(preds)
         assert pearson(mapped, gts) >= pearson(preds, gts) - 1e-9
 
     def test_requires_five_points(self):
         with pytest.raises(DataError):
-            logistic_fit(np.arange(4.0), np.arange(4.0))
+            logistic_fit_trace(np.arange(4.0), np.arange(4.0))
 
     def test_constant_preds_error(self):
         with pytest.raises(NumericError):
-            logistic_fit(np.ones(8), np.arange(8.0))
+            logistic_fit_trace(np.ones(8), np.arange(8.0))
 
 
 # Quality (pred, gt) pairs of a checkpoint trained one epoch on 32 planted
@@ -290,7 +293,7 @@ _COLLAPSE_GTS = [
 class TestPlcc:
     def test_collapsed_fit_falls_back_to_identity(self):
         preds, gts = np.array(_COLLAPSE_PREDS), np.array(_COLLAPSE_GTS)
-        fitted = logistic_fit(preds, gts)
+        fitted, _ = logistic_fit_trace(preds, gts)
         mapped = fitted.apply(preds)
         assert not fitted.fallback and np.all(mapped == mapped[0])  # the fit itself collapses
         value, params = plcc(preds, gts)
@@ -376,3 +379,50 @@ def test_report_emitters_round():
     assert len(lines) == 2 and '"task": "consistency"' in lines[0]
     scatter = format_scatter(np.array([1.0]), np.array([2.0]), np.array([3.0]))
     assert scatter == "1.0 2.0 3.0\n"
+
+
+def _strict_json_rows(jsonl: str) -> list:
+    """Every line of ``jsonl`` as JSON, refusing the NaN and Infinity that RFC 8259 leaves out."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return [json.loads(line, parse_constant=refuse) for line in jsonl.splitlines()]
+
+
+class TestFormatAblation:
+    @staticmethod
+    def _results(tasks):
+        """One result per ``VARIANTS`` entry, every SRCC telling its variant and task apart."""
+        return [
+            EvalResult({t: TaskMetrics(srcc=0.1 * (i + 1) + 0.01 * k, plcc=0.0, krcc=0.0, n=10)
+                        for k, t in enumerate(tasks)})
+            for i in range(len(VARIANTS))
+        ]
+
+    def test_both_sections_name_each_variant_once(self):
+        results = self._results(TASKS)
+        text, jsonl = format_ablation(results)
+        architecture, similarity = text.split("\n\n")
+        assert [line.split()[0] for line in architecture.splitlines()[2:]] == ["full", "no_msi", "no_aff"]
+        assert [line.split()[0] for line in similarity.splitlines()[2:]] == ["cosine", "euclidean", "manhattan"]
+        index = {name: i for i, (name, *_) in enumerate(VARIANTS)} | {"full": 0}
+        rows = _strict_json_rows(jsonl)
+        assert [(r["section"], r["variant"], r["task"]) for r in rows] == [
+            *(("architecture", v, t) for v in ("full", "no_msi", "no_aff") for t in TASKS),
+            *(("similarity", v, "consistency") for v in ("cosine", "euclidean", "manhattan")),
+        ]
+        for r in rows:
+            result = results[index[r["variant"]]]
+            assert (r["srcc"], r["mean_srcc"]) == (result.tasks[r["task"]].srcc, result.mean_srcc())
+
+    def test_no_similarity_section_without_consistency_labels(self):
+        text, jsonl = format_ablation(self._results(("quality", "authenticity")))
+        assert "similarity" not in text and "nan" not in text
+        assert text.splitlines()[2:] == [
+            "full                0.1000        0.1100    0.1050",
+            "no_msi              0.4000        0.4100    0.4050",
+            "no_aff              0.5000        0.5100    0.5050",
+        ]
+        rows = _strict_json_rows(jsonl)
+        assert [(r["section"], r["variant"]) for r in rows] == [
+            ("architecture", v) for v in ("full", "no_msi", "no_aff") for _ in range(2)
+        ]

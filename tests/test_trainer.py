@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amff.dataio import Dataset, read_feature_records, synth_generate
+from amff import trainer
+from amff.dataio import Dataset, read_feature_records, split_random, synth_generate
 from amff.errors import AmffError, ConfigError, DataError, FormatError, NumericError
 from amff.losses import total_loss
 from amff.scoring import init_model_params, model_backward, model_forward
@@ -22,6 +23,7 @@ from amff.trainer import (
     evaluate_model,
     load_checkpoint,
     params_checksum,
+    run_trials,
     save_checkpoint,
     score_dataset,
     train,
@@ -273,6 +275,35 @@ class TestEvaluateModel:
         preds = scatter["quality"].preds
         # trained predictions live near the label range, not near [0, 1]
         assert preds.mean() > 1.0 and lo <= preds.mean() <= hi + 1.0
+
+
+class TestRunTrials:
+    def test_one_split_per_seed_and_results_by_trial_then_config(self, tiny_dataset, monkeypatch):
+        splits, trainings = [], []
+
+        def split(dataset, seed):
+            splits.append(seed)
+            return split_random(dataset, 0.75, make_rng(seed))
+
+        def recording_train(dataset, cfg):
+            trainings.append((dataset.ids, cfg.seed, cfg.hidden_head))
+            return train(dataset, cfg)
+
+        monkeypatch.setattr(trainer, "train", recording_train)
+        seeds = [3, 7]
+        configs = [fast_config(max_epochs=2, seed=99), fast_config(max_epochs=2, seed=99, hidden_head=8)]
+        results = run_trials(tiny_dataset, split, seeds, configs)
+
+        assert splits == seeds
+        train_ids = {seed: split_random(tiny_dataset, 0.75, make_rng(seed))[0].ids for seed in seeds}
+        assert trainings == [(train_ids[seed], seed, cfg.hidden_head) for seed in seeds for cfg in configs]
+        want = []
+        for seed in seeds:
+            train_set, test_set = split_random(tiny_dataset, 0.75, make_rng(seed))
+            ckpts = [train(train_set, dataclasses.replace(cfg, seed=seed)) for cfg in configs]
+            want.append([evaluate_model(c.params, test_set, label_ranges=c.label_ranges)[0] for c in ckpts])
+        assert len({repr(r) for row in want for r in row}) == 4  # the order is observable
+        assert results == want
 
 
 class TestCheckpoint:

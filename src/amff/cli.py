@@ -1,6 +1,7 @@
 """Command-line surface wiring the library into reproducible workflows.
 
-Subcommands: synth, extract, train, eval, predict, ablate, gradcheck.
+Subcommands: synth, extract, train, eval, trials, predict, ablate, gradcheck.
+Each command parses only the flags it reads.
 Every command is deterministic given its flags and input bytes; all
 report files are written with full-precision floats and no timestamps.
 Failures print one machine-parsable ``ERROR <CODE>: <message>`` line on
@@ -120,13 +121,18 @@ def _train_config(args, **variant) -> trainer.TrainConfig:
     )
 
 
-def _add_train_flags(p: argparse.ArgumentParser, variant_flags: bool = True) -> None:
-    """The flags of every command that splits the data and trains: train, eval and ablate (no variant flags)."""
-    defaults = trainer.TrainConfig()
+def _add_split_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of every command that splits the data: train, eval, trials and ablate."""
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", default="random:0.8")
+
+
+def _add_train_flags(p: argparse.ArgumentParser, variant_flags: bool = True) -> None:
+    """The flags of every command that trains: train, trials and ablate (no variant flags)."""
+    defaults = trainer.TrainConfig()
+    _add_split_flags(p)
     for flag, field in _TRAIN_FLAGS.items():
         default = getattr(defaults, field)
         p.add_argument(flag, type=type(default), default=default)
@@ -200,22 +206,22 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    if args.ckpt is not None and args.trials != 1:
-        raise ConfigError("--trials requires training per trial; do not pass --ckpt")
     split = _splitter(args.split)
     dataset = dataio.read_dataset(args.data)
+    ckpt = _load_checkpoint(args.ckpt, dataset)
+    _, test_set = split(dataset, args.seed)
+    result, scatter = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
+    _write_eval_reports(args.out, result, scatter, "evaluation")
+    print(metrics.format_table(result, "evaluation"), end="")
+    return 0
 
-    if args.ckpt is not None:
-        ckpt = _load_checkpoint(args.ckpt, dataset)
-        _, test_set = split(dataset, args.seed)
-        result, scatter = trainer.evaluate_model(ckpt.params, test_set, label_ranges=ckpt.label_ranges)
-        _write_eval_reports(args.out, result, scatter, "evaluation")
-        print(metrics.format_table(result, "evaluation"), end="")
-        return 0
 
-    # Full protocol: one train+eval per trial seed, median reported.
+def _cmd_trials(args) -> int:
+    """The N-trial protocol: one train+eval per trial seed, median reported."""
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    split = _splitter(args.split)
+    dataset = dataio.read_dataset(args.data)
     seeds = list(range(args.seed, args.seed + args.trials))
     results = [row[0] for row in trainer.run_trials(dataset, split, seeds, [_train_config(args)])]
     median = metrics.median_of_trials(results)
@@ -250,9 +256,12 @@ def _cmd_predict(args) -> int:
 def _cmd_ablate(args) -> int:
     split = _splitter(args.split)
     dataset = dataio.read_dataset(args.data)
-    configs = [_train_config(args, similarity=kind, use_msi=msi, use_aff=aff) for _, kind, msi, aff in VARIANTS]
+    # Without any q_c label the similarity kind shapes only s_c, which no loss
+    # trains and no test side scores, so the kinds would all train the cosine model.
+    variants = [v for v in VARIANTS if v[1] == "cosine" or dataset.label_ranges["consistency"] is not None]
+    configs = [_train_config(args, similarity=kind, use_msi=msi, use_aff=aff) for _, kind, msi, aff in variants]
     (results,) = trainer.run_trials(dataset, split, [args.seed], configs)
-    text, jsonl = metrics.format_ablation(results)
+    text, jsonl = metrics.format_ablation(list(zip(variants, results)))
     _output(args.out, "reports", "ablate.txt").write_text(text)
     _output(args.out, "reports", "ablate.jsonl").write_text(jsonl)
     print(text, end="")
@@ -294,11 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint, or run the N-trial median protocol")
-    p.add_argument("--ckpt")
+    p = sub.add_parser("eval", help="score a checkpoint on the test side of the split")
+    p.add_argument("--ckpt", required=True)
+    _add_split_flags(p)
+    p.set_defaults(func=_cmd_eval)
+
+    p = sub.add_parser("trials", help="train and score once per trial seed, report the median")
     p.add_argument("--trials", type=int, default=1)
     _add_train_flags(p)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_trials)
 
     p = sub.add_parser("predict", help="emit per-sample score triples for a checkpoint")
     p.add_argument("--data", required=True)

@@ -2,17 +2,18 @@
 
 Runs small-dimensional probes of the fusion block (all parameter blocks
 and all three inputs), both score heads, the three similarity kinds,
-both losses, and the composed mini-batch objective (``total_loss`` of
-``model_forward``) under every model variant, reporting the worst
-relative error per block.
+both losses, and the mini-batch objective a training step descends
+(``trainer.batch_objective``) under every model variant, reporting the
+worst relative error per block.
 """
 
 from __future__ import annotations
 
 from .aff import Block, aff_backward, aff_forward, init_block, mlp_backward, mlp_forward
-from .losses import fidelity_loss, mse_loss, total_loss
-from .scoring import SIMILARITY_KINDS, VARIANTS, init_model_params, model_backward, model_forward, similarity_score
+from .losses import fidelity_loss, mse_loss
+from .scoring import SIMILARITY_KINDS, VARIANTS, init_model_params, similarity_score
 from .tensor import Array, finite_diff_check, make_rng
+from .trainer import batch_objective
 
 DEFAULT_EPS = 1e-5
 
@@ -105,10 +106,10 @@ def _check_losses(seed: int, n: int = 5) -> dict[str, float]:
 def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
     """Audit the whole mini-batch objective against every model parameter.
 
-    Each variant's loss is ``total_loss`` over all three tasks of the
-    scores ``model_forward`` gives a ``PROBE_BATCH``-row mini-batch, so the
-    per-block backward passes, their composition and the sums over the
-    batch are checked together.
+    Each variant's loss is ``batch_objective``, the step ``train`` takes, over
+    all three tasks of a ``PROBE_BATCH``-row mini-batch, so the per-block
+    backward passes, their composition and the sums over the batch are
+    checked together.
     """
     results = {}
     for k, (name, *variant) in enumerate(VARIANTS):
@@ -120,17 +121,13 @@ def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
         features = rng.standard_normal((PROBE_BATCH, 4, dim))
         gts = rng.uniform(-2.0, 2.0, size=(3, PROBE_BATCH))
 
-        def objective(p):
-            scores, cache = model_forward(features, p)
-            return total_loss(scores, gts.T, (True, True, True)), cache
-
-        loss, cache = objective(params)
-        grads = model_backward(cache, params, loss.grad)
+        active = (True, True, True)
+        _, grads = batch_objective(params, features, gts.T, active)
 
         def loss_at(flat: Array) -> float:
             trial = params.zeros_like()
             trial.flat[:] = flat
-            return objective(trial)[0].total
+            return batch_objective(trial, features, gts.T, active)[0].total
 
         results[f"model.{name}"] = finite_diff_check(loss_at, params.flat, grads.flat, DEFAULT_EPS)
     return results

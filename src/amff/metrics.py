@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .scoring import VARIANTS
 from .tensor import Array, as_vector
 
 # The fewest points the four-parameter logistic fit, and so PLCC, accepts.
@@ -330,17 +329,18 @@ def format_table(result: EvalResult, title: str = "evaluation") -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_ablation(results: Sequence[EvalResult]) -> tuple[str, str]:
-    """The ablation report as text and as JSONL, from one result per ``VARIANTS`` entry, in its order.
+def format_ablation(trained: Sequence[tuple[tuple, EvalResult]]) -> tuple[str, str]:
+    """The ablation report as text and as JSONL, from the ``(variant, result)`` pairs trained, in their order.
 
-    Fusion variants under cosine similarity come first, the full model labelled "full"; then the similarity
-    kinds under full fusion, unless there is no consistency task, where a kind shapes only the unread ``s_c``.
+    A variant is a ``scoring.VARIANTS`` entry.  Fusion variants under cosine similarity come first, the full
+    model labelled "full"; then the similarity kinds under full fusion, unless there is no consistency task,
+    where a kind shapes only the unread ``s_c``.
     """
-    tasks = list(results[0].tasks)
+    tasks = list(trained[0][1].tasks)
     lines = ["# architecture ablations (SRCC per task)"]
     lines.append(f"{'variant':<12}" + "".join(f"{t:>14}" for t in tasks) + f"{'mean':>10}")
     rows = []
-    for (name, kind, _, _), r in zip(VARIANTS, results):
+    for (name, kind, _, _), r in trained:
         if kind == "cosine":
             label = "full" if name == "cosine" else name
             srccs = "".join(f"{r.tasks[t].srcc:>14.4f}" for t in tasks)
@@ -349,7 +349,7 @@ def format_ablation(results: Sequence[EvalResult]) -> tuple[str, str]:
                       "mean_srcc": r.mean_srcc()} for t in tasks)
     if "consistency" in tasks:
         lines += ["", "# similarity metrics (consistency SRCC)", f"{'metric':<12}{'consistency':>14}{'mean':>10}"]
-        for (name, _, use_msi, use_aff), r in zip(VARIANTS, results):
+        for (name, _, use_msi, use_aff), r in trained:
             if use_msi and use_aff:
                 cons = r.tasks["consistency"].srcc
                 lines.append(f"{name:<12}{cons:>14.4f}{r.mean_srcc():>10.4f}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataio import TASKS, Dataset, split_random
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
-from .losses import total_loss
+from .losses import LossBundle, total_loss
 from .metrics import LOGISTIC_MIN_POINTS, EvalResult, TaskMetrics, krcc, plcc, srcc
 from .scoring import (
     SIMILARITY_KINDS,
@@ -207,6 +207,17 @@ def _validation_srcc(params: ModelParams, dataset: Dataset, active: Array) -> di
     return out
 
 
+def batch_objective(params: ModelParams, features: Array, targets: Array, active) -> tuple[LossBundle, ModelParams]:
+    """The mini-batch objective a training step descends: ``total_loss`` of the model's scores, and its gradient.
+
+    ``features`` is a (B, 4, D) block, ``targets`` its (B, 3) targets and
+    ``active`` the task mask, all in ``TASKS`` order.
+    """
+    scores, cache = model_forward(features, params)
+    bundle = total_loss(scores, targets, active)
+    return bundle, model_backward(cache, params, bundle.grad)
+
+
 def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
     """Train on ``dataset`` (internally held-out validation for early stop).
 
@@ -272,12 +283,10 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
             batch_active = active & (rows.size >= 2, True, True)
             if not batch_active.any():
                 continue  # singleton tail batch with only the pairwise task, which needs two rows
-            scores, cache = model_forward(core.features[rows], params)
             try:
-                bundle = total_loss(scores, targets[rows], batch_active)
+                bundle, grads = batch_objective(params, core.features[rows], targets[rows], batch_active)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {n_batches}: {exc}") from exc
-            grads = model_backward(cache, params, bundle.grad)
             adamw_step(params, grads, opt, lr_e, cfg.weight_decay)
             sums += (bundle.total, *bundle.losses)
             n_batches += 1
@@ -297,7 +306,7 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation, and the trial protocol of `eval --trials` and `ablate`.
+# Evaluation, and the trial protocol of `trials` and `ablate`.
 # ---------------------------------------------------------------------------
 
 

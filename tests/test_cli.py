@@ -203,25 +203,21 @@ class TestMalformedInput:
             (_args("train", "--data", "{data}", "--out", "{out}", "--seed", "-1"), "E_CONFIG", "seed"),
             (_args("gradcheck", "--seed", "-1"), "E_CONFIG", "seed"),
             (_args("synth", "--out", "{out}/s.amff", "--seed", "-2"), "E_CONFIG", "seed"),
-            (_args("eval", "--data", "{data}", "--out", "{out}", "--trials", "2", "--seed", "-1"), "E_CONFIG", "seed"),
+            (_args("trials", "--data", "{data}", "--out", "{out}", "--trials", "2", "--seed", "-1"), "E_CONFIG", "seed"),
             (_extract_dim("-4"), "E_CONFIG", "dim"),
             (_extract_dim("0"), "E_CONFIG", "dim"),
             *[(_args("train", "--data", "{data}", "--out", "{out}", flag, value), "E_CONFIG", name)
               for flag, name in (("--lr", "lr"), ("--weight-decay", "weight_decay")) for value in ("nan", "inf")],
             *[(_args("synth", "--out", "{out}/s.amff", "--noise", value), "E_DATA", "noise_sigma")
               for value in ("nan", "inf")],
-            *[(_args("eval", "--data", "{data}", "--out", "{out}", "--trials", value), "E_CONFIG", "--trials")
+            *[(_args("trials", "--data", "{data}", "--out", "{out}", "--trials", value), "E_CONFIG", "--trials")
               for value in ("0", "-2")],
-            # Refused before --data is read: the data file is absent.
-            (_args("eval", "--data", "{out}.amff", "--ckpt", "{out}.ckpt", "--out", "{out}", "--trials", "2"),
-             "E_CONFIG", "--trials"),
         ],
         ids=["long_csv_cell", "oversized_header", "non_utf8_manifest", "short_manifest_row", "nan_manifest_label",
              "repeated_manifest_id", "repeated_manifest_id_missing_image", "empty_manifest_prompt",
              "train_negative_seed", "gradcheck_negative_seed", "synth_negative_seed", "trials_negative_seed",
              "extract_negative_dim", "extract_zero_dim", "nan_lr", "inf_lr", "nan_weight_decay",
-             "inf_weight_decay", "nan_noise", "inf_noise", "zero_trials", "negative_trials",
-             "trials_with_ckpt_absent_data"],
+             "inf_weight_decay", "nan_noise", "inf_noise", "zero_trials", "negative_trials"],
     )
     def test_one_error_line(self, tmp_path, capsys, tiny_dataset, command, code, named):
         assert _run(command(tmp_path, tiny_dataset)) == 1
@@ -263,7 +259,9 @@ _SURFACE = {
     "extract": {"--images": (None, True, None, None), "--manifest": (None, True, None, None),
                 "--out": (None, True, None, None), "--dim": (64, False, int, None)},
     "train": {**_RUN_FLAGS, **_VARIANT_FLAGS},
-    "eval": {**_RUN_FLAGS, **_VARIANT_FLAGS, "--ckpt": (None, False, None, None), "--trials": (1, False, int, None)},
+    "eval": {"--data": (None, True, None, None), "--ckpt": (None, True, None, None), "--out": (None, True, None, None),
+             "--seed": (0, False, int, None), "--split": ("random:0.8", False, None, None)},
+    "trials": {**_RUN_FLAGS, **_VARIANT_FLAGS, "--trials": (1, False, int, None)},
     "predict": {"--data": (None, True, None, None), "--ckpt": (None, True, None, None),
                 "--out": (None, True, None, None)},
     "ablate": _RUN_FLAGS,
@@ -280,6 +278,46 @@ def test_cli_surface_is_unchanged():
         for name, sub in commands.choices.items()
     }
     assert got == _SURFACE
+
+
+class _RecordingNamespace(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# A minimal run of each subcommand on tiny inputs.
+_MINIMAL_RUNS = {
+    "synth": _args("synth", "--out", "{out}/s.amff", "--n", "16", "--dim", "8"),
+    "extract": _extract_dim("8"),
+    "train": _args("train", "--data", "{data}", "--out", "{out}", "--epochs", "1"),
+    "eval": _args("eval", "--data", str(DATA / "parent_v1.amff"), "--ckpt", str(DATA / "parent_v1.ckpt"),
+                  "--out", "{out}", "--split", "all"),
+    "trials": _args("trials", "--data", "{data}", "--out", "{out}", "--epochs", "1"),
+    "predict": _args("predict", "--data", str(DATA / "parent_v1.amff"), "--ckpt", str(DATA / "parent_v1.ckpt"),
+                     "--out", "{out}/p.jsonl"),
+    "ablate": _args("ablate", "--data", "{data}", "--out", "{out}", "--epochs", "1"),
+    "gradcheck": _args("gradcheck"),
+}
+
+
+@pytest.mark.parametrize("command", _SURFACE)
+def test_every_parsed_flag_is_read(tmp_path, tiny_dataset, command):
+    # A flag that a command parses and never reads is accepted and silently ignored.
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    argv = [str(a) for a in _MINIMAL_RUNS[command](tmp_path, tiny_dataset)]
+    args = _RecordingNamespace(**vars(parser.parse_args(argv)))
+    assert args.func(args) == 0
+    dests = {a.dest for a in commands.choices[command]._actions if not isinstance(a, argparse._HelpAction)}
+    assert sorted(dests - object.__getattribute__(args, "_reads")) == []
 
 
 class TestHeapTrim:
@@ -332,7 +370,7 @@ class TestTrainEval:
 
     def test_trials_protocol(self, tmp_path, data_file):
         out = tmp_path / "trials"
-        assert _run(["eval", "--data", data_file, "--out", out, "--seed", 0,
+        assert _run(["trials", "--data", data_file, "--out", out, "--seed", 0,
                      "--trials", 2, "--split", "random:0.8", *_fast_train_flags()]) == 0
         trial_lines = (out / "reports" / "trials.jsonl").read_text().strip().splitlines()
         seeds = {json.loads(l)["seed"] for l in trial_lines}
@@ -340,27 +378,34 @@ class TestTrainEval:
         assert (out / "reports" / "eval.jsonl").exists()
         assert [p.name for p in out.iterdir()] == ["reports"]
 
-    def test_trials_with_ckpt_rejected(self, tmp_path, data_file, capsys):
-        rc = _run(["eval", "--data", data_file, "--ckpt", tmp_path / "nope.ckpt",
-                   "--out", tmp_path / "x", "--trials", 3])
-        assert rc == 1
-        assert "ERROR E_CONFIG" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "extra", [["--ckpt", "m.ckpt", "--trials", "2"], []], ids=["trials_flag", "without_ckpt"]
+    )
+    def test_eval_only_scores_a_checkpoint(self, tmp_path, data_file, extra):
+        with pytest.raises(SystemExit) as exc:
+            _run(["eval", "--data", data_file, "--out", tmp_path / "x", *extra])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
     def test_bad_split_flag(self, tmp_path, data_file, capsys):
         rc = _run(["train", "--data", data_file, "--out", tmp_path / "r", "--split", "bogus"])
         assert rc == 1
         assert "ERROR E_CONFIG" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    @pytest.mark.parametrize("command", ["train", "eval", "trials", "ablate"])
     def test_split_checked_before_data_is_read(self, tmp_path, capsys, command):
-        assert _run([command, "--data", tmp_path / "absent.amff", "--out", tmp_path / "r", "--split", "bogus"]) == 1
+        ckpt = ["--ckpt", tmp_path / "absent.ckpt"] if command == "eval" else []
+        assert _run([command, "--data", tmp_path / "absent.amff", *ckpt, "--out", tmp_path / "r",
+                     "--split", "bogus"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ERROR E_CONFIG: ") and err.count("\n") == 1 and "'bogus'" in err, err
 
     @pytest.mark.parametrize("spec", ["random:1.5", "per-generator:0", "random:nan"])
-    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    @pytest.mark.parametrize("command", ["train", "eval", "trials", "ablate"])
     def test_split_fraction_out_of_range_refused_before_data_is_read(self, tmp_path, capsys, command, spec):
-        assert _run([command, "--data", tmp_path / "absent.amff", "--out", tmp_path / "r", "--split", spec]) == 1
+        ckpt = ["--ckpt", tmp_path / "absent.ckpt"] if command == "eval" else []
+        assert _run([command, "--data", tmp_path / "absent.amff", *ckpt, "--out", tmp_path / "r",
+                     "--split", spec]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ERROR E_CONFIG: ") and err.count("\n") == 1 and "(0, 1)" in err, err
 
@@ -587,22 +632,37 @@ class TestGradcheckCommand:
 
 
 _PROTOCOL_FLAGS = ["--seed", 3, "--epochs", 4, "--patience", 4, "--batch-size", 16]
+# name -> (argv, reports, whether q_c is blanked in the data, trainings run)
 _PROTOCOL_RUNS = {
-    "eval": (["eval", "--trials", 2, *_PROTOCOL_FLAGS], ["eval.jsonl", "eval.txt", "trials.jsonl"]),
-    "ablate_random": (["ablate", "--split", "random:0.8", *_PROTOCOL_FLAGS], ["ablate.jsonl", "ablate.txt"]),
+    "eval": (["trials", "--trials", 2, *_PROTOCOL_FLAGS], ["eval.jsonl", "eval.txt", "trials.jsonl"], False, 2),
+    "ablate_random": (["ablate", "--split", "random:0.8", *_PROTOCOL_FLAGS], ["ablate.jsonl", "ablate.txt"], False, 5),
     "ablate_pergen": (["ablate", "--split", "per-generator:0.75", "--seed", 4, "--epochs", 3, "--patience", 3],
-                      ["ablate.jsonl", "ablate.txt"]),
+                      ["ablate.jsonl", "ablate.txt"], False, 5),
+    # Without q_c the similarity kinds would train the cosine model again, so only the fusion variants train.
+    "ablate_no_qc": (["ablate", "--split", "random:0.8", *_PROTOCOL_FLAGS], ["ablate.jsonl", "ablate.txt"], True, 3),
 }
 
 
 @pytest.mark.parametrize("name", _PROTOCOL_RUNS)
-def test_protocol_reports_equal_the_golden_bytes(tmp_path, name):
-    # tests/data/protocol_parent holds the reports of these commands as written
-    # by the code before eval --trials and ablate shared one trial loop.
+def test_protocol_reports_equal_the_golden_bytes(tmp_path, monkeypatch, name):
+    # tests/data/protocol_parent holds the reports of these commands as written by
+    # the code before eval --trials and ablate shared one trial loop (ablate_no_qc:
+    # before ablate trained only the fusion variants on data without q_c); the
+    # "eval" run is today's trials command.
+    from amff import trainer
+
     data = tmp_path / "data.amff"
     assert _run(["synth", "--out", data, "--n", 96, "--dim", 16, "--seed", 5]) == 0
-    argv, reports = _PROTOCOL_RUNS[name]
+    argv, reports, blank_qc, trainings = _PROTOCOL_RUNS[name]
+    if blank_qc:
+        dataset = read_feature_records(data)
+        dataset.labels[:, 0] = np.nan
+        write_feature_records(dataset, data)
+    configs = []
+    train = trainer.train
+    monkeypatch.setattr(trainer, "train", lambda dataset, cfg: configs.append(cfg) or train(dataset, cfg))
     assert _run([*argv, "--data", data, "--out", tmp_path / "run"]) == 0
+    assert len(configs) == trainings
     golden = DATA / "protocol_parent" / name
     assert sorted(p.name for p in golden.iterdir()) == reports
     for report in reports:

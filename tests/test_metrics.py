@@ -390,17 +390,17 @@ def _strict_json_rows(jsonl: str) -> list:
 
 class TestFormatAblation:
     @staticmethod
-    def _results(tasks):
-        """One result per ``VARIANTS`` entry, every SRCC telling its variant and task apart."""
+    def _trained(tasks):
+        """One (variant, result) pair per ``VARIANTS`` entry, every SRCC telling its variant and task apart."""
         return [
-            EvalResult({t: TaskMetrics(srcc=0.1 * (i + 1) + 0.01 * k, plcc=0.0, krcc=0.0, n=10)
-                        for k, t in enumerate(tasks)})
-            for i in range(len(VARIANTS))
+            (variant, EvalResult({t: TaskMetrics(srcc=0.1 * (i + 1) + 0.01 * k, plcc=0.0, krcc=0.0, n=10)
+                                  for k, t in enumerate(tasks)}))
+            for i, variant in enumerate(VARIANTS)
         ]
 
     def test_both_sections_name_each_variant_once(self):
-        results = self._results(TASKS)
-        text, jsonl = format_ablation(results)
+        trained = self._trained(TASKS)
+        text, jsonl = format_ablation(trained)
         architecture, similarity = text.split("\n\n")
         assert [line.split()[0] for line in architecture.splitlines()[2:]] == ["full", "no_msi", "no_aff"]
         assert [line.split()[0] for line in similarity.splitlines()[2:]] == ["cosine", "euclidean", "manhattan"]
@@ -411,11 +411,11 @@ class TestFormatAblation:
             *(("similarity", v, "consistency") for v in ("cosine", "euclidean", "manhattan")),
         ]
         for r in rows:
-            result = results[index[r["variant"]]]
+            result = trained[index[r["variant"]]][1]
             assert (r["srcc"], r["mean_srcc"]) == (result.tasks[r["task"]].srcc, result.mean_srcc())
 
     def test_no_similarity_section_without_consistency_labels(self):
-        text, jsonl = format_ablation(self._results(("quality", "authenticity")))
+        text, jsonl = format_ablation(self._trained(("quality", "authenticity")))
         assert "similarity" not in text and "nan" not in text
         assert text.splitlines()[2:] == [
             "full                0.1000        0.1100    0.1050",
@@ -426,3 +426,10 @@ class TestFormatAblation:
         assert [(r["section"], r["variant"]) for r in rows] == [
             ("architecture", v) for v in ("full", "no_msi", "no_aff") for _ in range(2)
         ]
+
+    def test_only_the_variants_trained_are_reported(self):
+        # ablate trains only the cosine variants on data without any q_c label.
+        all_five = self._trained(("quality", "authenticity"))
+        cosine = [(variant, result) for variant, result in all_five if variant[1] == "cosine"]
+        assert len(cosine) == 3
+        assert format_ablation(cosine) == format_ablation(all_five)

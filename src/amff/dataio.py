@@ -490,8 +490,9 @@ def synth_generate_with_latents(
         z = rng.standard_normal(_LATENT_DIM)
         zs[i] = z
         f_10 = mix @ z + noise_sigma * rng.standard_normal(dim)
-        f_05 = _smooth(f_10) + noise_sigma * rng.standard_normal(dim)
-        f_15 = (2.0 * f_10 - _smooth(f_10)) + noise_sigma * rng.standard_normal(dim)
+        smooth = _smooth(f_10)
+        f_05 = smooth + noise_sigma * rng.standard_normal(dim)
+        f_15 = (2.0 * f_10 - smooth) + noise_sigma * rng.standard_normal(dim)
 
         angle = rng.uniform(0.0, np.pi / 2.0)
         angles[i] = angle

@@ -9,6 +9,7 @@ pretrained weights.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,12 +102,16 @@ def _bilinear_grid(grid: Array, out_h: int, out_w: int) -> Array:
     return _bilinear_rows(grid, _axis_coords(grid.shape[0], out_h), _axis_coords(grid.shape[1], out_w))
 
 
+def _scaled_size(img: Image, factor: float, who: str) -> tuple[int, int]:
+    """Height and width of ``img`` rescaled by ``factor``: round-half-up of the scaled dims."""
+    if not (math.isfinite(factor) and factor > 0):
+        raise ConfigError(f"{who}: factor must be positive and finite, got {factor}")
+    return _round_half_up(factor * img.height), _round_half_up(factor * img.width)
+
+
 def rescale_bilinear(img: Image, factor: float) -> Image:
     """Rescale by ``factor``; output dims are round-half-up of the scaled dims."""
-    if factor <= 0:
-        raise ConfigError(f"rescale_bilinear: factor must be positive, got {factor}")
-    out_h = _round_half_up(factor * img.height)
-    out_w = _round_half_up(factor * img.width)
+    out_h, out_w = _scaled_size(img, factor, "rescale_bilinear")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"rescale_bilinear: degenerate output size {out_h}x{out_w}")
     return Image(_bilinear_grid(img.pixels, out_h, out_w))
@@ -125,10 +130,8 @@ def grid_cell_stats(img: Image, factor: float) -> tuple[Array, Array]:
     each band from only the source rows it samples, so no full-size copy
     exists; at factor 1 a band is a view of the image's rows.
     """
-    if not factor > 0:
-        raise ConfigError(f"grid_cell_stats: factor must be positive, got {factor}")
+    out_h, out_w = _scaled_size(img, factor, "grid_cell_stats")
     h, w, c = img.pixels.shape
-    out_h, out_w = _round_half_up(factor * h), _round_half_up(factor * w)
     if out_h < _GRID or out_w < _GRID:
         raise DataError(f"grid_cell_stats: image {out_h}x{out_w} smaller than the {_GRID}x{_GRID} grid")
     # Cell bounds (i * out_h) // 16 strictly increase because out_h >= 16, so

@@ -13,7 +13,7 @@ from .aff import Block, aff_backward, aff_forward, init_block, mlp_backward, mlp
 from .losses import fidelity_loss, mse_loss
 from .scoring import SIMILARITY_KINDS, VARIANTS, init_model_params, similarity_score
 from .tensor import Array, finite_diff_check, make_rng
-from .trainer import batch_objective
+from .trainer import batch_loss, batch_objective
 
 DEFAULT_EPS = 1e-5
 
@@ -106,10 +106,11 @@ def _check_losses(seed: int, n: int = 5) -> dict[str, float]:
 def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
     """Audit the whole mini-batch objective against every model parameter.
 
-    Each variant's loss is ``batch_objective``, the step ``train`` takes, over
-    all three tasks of a ``PROBE_BATCH``-row mini-batch, so the per-block
-    backward passes, their composition and the sums over the batch are
-    checked together.
+    Each variant's gradient is ``batch_objective``'s, the step ``train`` takes,
+    over all three tasks of a ``PROBE_BATCH``-row mini-batch, so the
+    per-block backward passes, their composition and the sums over the
+    batch are checked together; the finite differences run only its
+    forward half, ``batch_loss``.
     """
     results = {}
     for k, (name, *variant) in enumerate(VARIANTS):
@@ -127,7 +128,7 @@ def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
         def loss_at(flat: Array) -> float:
             trial = params.zeros_like()
             trial.flat[:] = flat
-            return batch_objective(trial, features, gts.T, active)[0].total
+            return batch_loss(trial, features, gts.T, active)[0].total
 
         results[f"model.{name}"] = finite_diff_check(loss_at, params.flat, grads.flat, DEFAULT_EPS)
     return results

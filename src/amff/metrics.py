@@ -77,14 +77,20 @@ def _inversions(a: Array) -> int:
     return total
 
 
+def _pair(x, y, who: str, least: int) -> tuple[Array, Array]:
+    """``x`` and ``y`` as finite vectors of one length, at least ``least`` long; errors begin ``who:``."""
+    x = as_vector(x, f"{who}: x")
+    y = as_vector(y, f"{who}: y")
+    if x.size != y.size:
+        raise DataError(f"{who}: length mismatch {x.size} vs {y.size}")
+    if x.size < least:
+        raise DataError(f"{who}: need at least {least} points")
+    return x, y
+
+
 def pearson(x, y) -> float:
     """Pearson linear correlation; errors on constant input."""
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    if x.size != y.size:
-        raise DataError(f"pearson: length mismatch {x.size} vs {y.size}")
-    if x.size < 2:
-        raise DataError("pearson: need at least 2 points")
+    x, y = _pair(x, y, "pearson", 2)
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(dx @ dx)
@@ -97,10 +103,7 @@ def pearson(x, y) -> float:
 
 def srcc(x, y) -> float:
     """Spearman rank-order correlation with average ranks for ties."""
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    if x.size != y.size:
-        raise DataError(f"srcc: length mismatch {x.size} vs {y.size}")
+    x, y = _pair(x, y, "srcc", 2)
     return pearson(_ranks(x), _ranks(y))
 
 
@@ -115,13 +118,8 @@ def krcc(x, y) -> float:
     denominator is formed as in full pair enumeration, so the result is
     bit-identical to it while using O(n) memory.
     """
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
+    x, y = _pair(x, y, "krcc", 2)
     n = x.size
-    if n != y.size:
-        raise DataError(f"krcc: length mismatch {n} vs {y.size}")
-    if n < 2:
-        raise DataError("krcc: need at least 2 points")
     _, rx = np.unique(x, return_inverse=True)
     _, ry = np.unique(y, return_inverse=True)
     key = rx.astype(np.int64) * n + ry
@@ -190,20 +188,24 @@ def _logistic_jacobian(kappa: Array, s: Array) -> Array:
     return jac
 
 
+def _normal_equations(kappa: Array, s: Array, residual: Array) -> tuple[Array, Array, Array]:
+    """``J^T J``, ``J^T r`` and the damping matrix ``diag(J^T J)`` of the fit at ``kappa``."""
+    jac = _logistic_jacobian(kappa, s)
+    jtj = jac.T @ jac
+    return jtj, jac.T @ residual, np.diag(np.maximum(np.diag(jtj), 1e-12))
+
+
 def logistic_fit_trace(preds, gts) -> tuple[LogisticParams, list[float]]:
     """Fit the logistic mapping; also return the accepted-step cost trace.
 
     Damping: lambda starts at 1e-3, x10 on a rejected step, /10 on an
     accepted one; convergence at relative cost change < 1e-10 or 200
-    iterations.  If no step is ever accepted and damping blows up, the
-    identity mapping is returned with the fallback flag set.
+    iterations.  Each iterate's residual and normal equations are
+    computed once, when the fit moves to it.  If no step is ever accepted
+    and damping blows up, the identity mapping is returned with the
+    fallback flag set.
     """
-    preds = as_vector(preds, "preds")
-    gts = as_vector(gts, "gts")
-    if preds.size != gts.size:
-        raise DataError(f"logistic_fit: length mismatch {preds.size} vs {gts.size}")
-    if preds.size < LOGISTIC_MIN_POINTS:
-        raise DataError(f"logistic_fit: need at least {LOGISTIC_MIN_POINTS} points")
+    preds, gts = _pair(preds, gts, "logistic_fit", LOGISTIC_MIN_POINTS)
     span = float(preds.max() - preds.min())
     if span <= 0.0:
         raise NumericError("logistic_fit: predictions are constant")
@@ -212,36 +214,25 @@ def logistic_fit_trace(preds, gts) -> tuple[LogisticParams, list[float]]:
     cov = float((preds - preds.mean()) @ (gts - gts.mean()))
     k4_init = 4.0 / span if cov < 0 else -4.0 / span
     kappa = np.array([gts.max(), gts.min(), preds.mean(), k4_init])
-
-    def cost_of(k: Array) -> float:
-        r = gts - LogisticParams(*k).apply(preds)
-        return float(r @ r)
-
-    cost = cost_of(kappa)
+    residual = gts - LogisticParams(*kappa).apply(preds)
+    cost = float(residual @ residual)
     trace = [cost]
+    jtj, jtr, damping = _normal_equations(kappa, preds, residual)
     lam = 1e-3
-    accepted_any = False
     for _ in range(200):
-        residual = gts - LogisticParams(*kappa).apply(preds)
-        jac = _logistic_jacobian(kappa, preds)
-        jtj = jac.T @ jac
-        jtr = jac.T @ residual
-        diag = np.maximum(np.diag(jtj), 1e-12)
         try:
-            delta = np.linalg.solve(jtj + lam * np.diag(diag), jtr)
+            trial = kappa + np.linalg.solve(jtj + lam * damping, jtr)
         except np.linalg.LinAlgError:
-            lam *= 10.0
-            if lam > 1e12:
-                break
-            continue
-        trial = kappa + delta
-        trial_cost = cost_of(trial)
-        if np.isfinite(trial_cost) and trial_cost < cost:
+            trial_cost = np.inf
+        else:
+            trial_residual = gts - LogisticParams(*trial).apply(preds)
+            trial_cost = float(trial_residual @ trial_residual)
+        # The one rejection test: a singular system's cost is inf, and NaN compares false.
+        if trial_cost < cost:
             rel = (cost - trial_cost) / max(cost, 1e-300)
-            kappa = trial
-            cost = trial_cost
+            kappa, residual, cost = trial, trial_residual, trial_cost
             trace.append(cost)
-            accepted_any = True
+            jtj, jtr, damping = _normal_equations(kappa, preds, residual)
             lam = max(lam / 10.0, 1e-12)
             if rel < 1e-10:
                 break
@@ -249,7 +240,7 @@ def logistic_fit_trace(preds, gts) -> tuple[LogisticParams, list[float]]:
             lam *= 10.0
             if lam > 1e12:
                 break
-    if not accepted_any and cost > 0.0:
+    if len(trace) == 1 and cost > 0.0:
         return LogisticParams(0.0, 0.0, 0.0, 0.0, fallback=True), trace
     return LogisticParams(*(float(v) for v in kappa)), trace
 

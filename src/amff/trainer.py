@@ -28,6 +28,7 @@ from .losses import LossBundle, total_loss
 from .metrics import LOGISTIC_MIN_POINTS, EvalResult, TaskMetrics, krcc, plcc, srcc
 from .scoring import (
     SIMILARITY_KINDS,
+    ModelCache,
     ModelParams,
     init_model_params,
     model_backward,
@@ -207,14 +208,19 @@ def _validation_srcc(params: ModelParams, dataset: Dataset, active: Array) -> di
     return out
 
 
-def batch_objective(params: ModelParams, features: Array, targets: Array, active) -> tuple[LossBundle, ModelParams]:
-    """The mini-batch objective a training step descends: ``total_loss`` of the model's scores, and its gradient.
+def batch_loss(params: ModelParams, features: Array, targets: Array, active) -> tuple[LossBundle, ModelCache]:
+    """The mini-batch objective a training step descends, ``total_loss`` of the model's scores, and the forward cache.
 
     ``features`` is a (B, 4, D) block, ``targets`` its (B, 3) targets and
     ``active`` the task mask, all in ``TASKS`` order.
     """
     scores, cache = model_forward(features, params)
-    bundle = total_loss(scores, targets, active)
+    return total_loss(scores, targets, active), cache
+
+
+def batch_objective(params: ModelParams, features: Array, targets: Array, active) -> tuple[LossBundle, ModelParams]:
+    """``batch_loss`` and its gradient."""
+    bundle, cache = batch_loss(params, features, targets, active)
     return bundle, model_backward(cache, params, bundle.grad)
 
 

@@ -207,10 +207,11 @@ class TestToyEncode:
         with pytest.raises(DataError, match=r"^grid_cell_stats: image 9x12 smaller than the 16x16 grid$"):
             grid_cell_stats(_image(make_rng(17), 17, 23, 1), 0.5)
 
-    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
     def test_factor_must_be_positive(self, factor):
-        with pytest.raises(ConfigError, match="factor must be positive"):
-            grid_cell_stats(_image(make_rng(18), 32, 32), factor)
+        for scale in (rescale_bilinear, grid_cell_stats):
+            with pytest.raises(ConfigError, match=f"^{scale.__name__}: factor must be positive"):
+                scale(_image(make_rng(18), 32, 32), factor)
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -4,15 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from amff import metrics
 from amff.dataio import TASKS
 from amff.errors import DataError, NumericError
 from amff.metrics import (
     EvalResult,
     LogisticParams,
     TaskMetrics,
+    _logistic_jacobian,
     _ranks,
     format_scatter,
     format_table,
@@ -83,6 +85,88 @@ def _tied_vectors(draw, count):
         pool = _POOL[: draw(st.integers(1, len(_POOL)))]
         vectors.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))))
     return vectors
+
+
+def _logistic_fit_reference(preds, gts):
+    """The Levenberg-Marquardt loop that re-solved at an unmoved iterate after each rejected step.
+
+    Returns the fit, its cost trace and the number of iterations run.
+    """
+    preds, gts = np.asarray(preds, float), np.asarray(gts, float)
+    span = float(preds.max() - preds.min())
+    cov = float((preds - preds.mean()) @ (gts - gts.mean()))
+    k4_init = 4.0 / span if cov < 0 else -4.0 / span
+    kappa = np.array([gts.max(), gts.min(), preds.mean(), k4_init])
+
+    def cost_of(k):
+        r = gts - LogisticParams(*k).apply(preds)
+        return float(r @ r)
+
+    cost = cost_of(kappa)
+    trace = [cost]
+    lam = 1e-3
+    accepted_any = False
+    iterations = 0
+    for iterations in range(1, 201):
+        residual = gts - LogisticParams(*kappa).apply(preds)
+        jac = _logistic_jacobian(kappa, preds)
+        jtj = jac.T @ jac
+        jtr = jac.T @ residual
+        diag = np.maximum(np.diag(jtj), 1e-12)
+        try:
+            delta = np.linalg.solve(jtj + lam * np.diag(diag), jtr)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            if lam > 1e12:
+                break
+            continue
+        trial = kappa + delta
+        trial_cost = cost_of(trial)
+        if np.isfinite(trial_cost) and trial_cost < cost:
+            rel = (cost - trial_cost) / max(cost, 1e-300)
+            kappa = trial
+            cost = trial_cost
+            trace.append(cost)
+            accepted_any = True
+            lam = max(lam / 10.0, 1e-12)
+            if rel < 1e-10:
+                break
+        else:
+            lam *= 10.0
+            if lam > 1e12:
+                break
+    if not accepted_any and cost > 0.0:
+        return LogisticParams(0.0, 0.0, 0.0, 0.0, fallback=True), trace, iterations
+    return LogisticParams(*(float(v) for v in kappa)), trace, iterations
+
+
+def _fit_bits(params, trace):
+    """A fit's coefficients and cost trace as raw float64 bytes, with its fallback flag."""
+    return np.array([params.k1, params.k2, params.k3, params.k4, *trace]).tobytes(), params.fallback
+
+
+@st.composite
+def _fit_inputs(draw):
+    """Predictions and labels of 5 to 400 rows: monotone, inverted, constant or unrelated labels, with or without ties."""
+    n = draw(st.integers(5, 400))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    preds = rng.standard_normal(n)
+    if draw(st.booleans()):
+        preds = np.round(preds, 1)
+    assume(preds.max() > preds.min())
+    slope = draw(st.floats(0.25, 8.0))
+    noise = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    labels = draw(st.sampled_from(["monotone", "inverted", "constant", "unrelated"]))
+    if labels == "constant":
+        gts = np.full(n, draw(st.sampled_from([0.0, 1.0, 3.5])))
+    elif labels == "unrelated":
+        gts = rng.uniform(1.0, 5.0, n)
+    else:
+        sign = 1.0 if labels == "monotone" else -1.0
+        gts = 1.0 + 4.0 / (1.0 + np.exp(-sign * slope * preds)) + noise * rng.standard_normal(n)
+    if draw(st.booleans()):
+        gts = np.round(gts)
+    return preds, gts
 
 
 class TestAgainstReferences:
@@ -288,6 +372,34 @@ _COLLAPSE_GTS = [
     2.333549737930298, 3.603616237640381, 3.927034616470337, 3.360626697540283,
     3.0578129291534424, 3.2786478996276855, 3.279299259185791, 2.3324077129364014,
 ]
+
+
+class TestLogisticFitAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_fit_inputs())
+    @example((np.array(_COLLAPSE_PREDS), np.array(_COLLAPSE_GTS)))
+    def test_equals_the_reference_loop_bit_for_bit(self, inputs):
+        fitted, trace = logistic_fit_trace(*inputs)
+        expected, expected_trace, _ = _logistic_fit_reference(*inputs)
+        assert _fit_bits(fitted, trace) == _fit_bits(expected, expected_trace)
+
+    @pytest.mark.parametrize("case", ["collapse", "inverted", "unrelated", "constant_labels"])
+    def test_jacobian_runs_once_per_iterate(self, monkeypatch, case):
+        preds = make_rng(34).standard_normal(80)
+        inputs = {
+            "collapse": (np.array(_COLLAPSE_PREDS), np.array(_COLLAPSE_GTS)),
+            "inverted": (preds, -np.tanh(2.0 * preds) + 0.3 * make_rng(36).standard_normal(80)),
+            "unrelated": (preds, make_rng(35).uniform(1.0, 5.0, 80)),  # runs all 200 iterations
+            "constant_labels": (preds, np.full(80, 2.0)),  # accepts no step
+        }[case]
+        _, reference_trace, iterations = _logistic_fit_reference(*inputs)
+        assert iterations > len(reference_trace)  # the fit rejects some steps
+        calls = []
+        jacobian = metrics._logistic_jacobian
+        monkeypatch.setattr(metrics, "_logistic_jacobian", lambda *args: calls.append(1) or jacobian(*args))
+        _, trace = logistic_fit_trace(*inputs)
+        # Once for the initial iterate and once per accepted step, none for a rejected one.
+        assert len(calls) == len(trace)
 
 
 class TestPlcc:

@@ -25,6 +25,7 @@ import math
 import struct
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -43,6 +44,10 @@ _LABEL_NAMES = ("q_v", "q_a", "q_c")  # the labels in file order
 _COLUMN = [1, 2, 0]  # the TASKS column of each: quality, authenticity, consistency
 _MANIFEST_COLUMNS = ("id", "generator", "prompt", "image")  # an image manifest's required columns
 _F32_MAX = float(np.finfo(np.float32).max)
+# Rows the planted generator computes at once, and records whose vectors
+# the writer converts at once.  Larger chunks save little time and raise
+# the peak memory above the feature block.
+_CHUNK_ROWS = 64
 
 
 def _first_nonfinite(features: Array) -> str | None:
@@ -189,10 +194,13 @@ def read_manifest(path) -> tuple[list[dict[str, str]], Array]:
 def write_feature_records(dataset: Dataset, path) -> None:
     """Serialize a dataset to the binary record format (deterministic).
 
-    Every record's strings and labels are encoded before the file is
-    opened; its vectors are converted to f32 one record at a time as it
-    is written, so no f32 copy of the whole block is held.  A value
-    beyond the f32 range raises ``FormatError`` before the file is opened.
+    The label masks and the f32 bytes of the present labels are computed
+    for all records at once, and each record's strings, mask and labels
+    are packed into its head with one ``struct.pack`` before the file is
+    opened.  The vectors are converted to f32 ``_CHUNK_ROWS`` records at a
+    time, and each chunk of records is written with one call, so no f32
+    copy of the whole block is held.  A value beyond the f32 range raises
+    ``FormatError`` before the file is opened.
     """
     features, labels = dataset.features, dataset.labels[:, _COLUMN]  # labels in file order
     # max and min scan the block without a full-size temporary; only a refusal builds one.
@@ -200,25 +208,25 @@ def write_feature_records(dataset: Dataset, path) -> None:
         beyond = np.concatenate([np.abs(features).max(axis=2), np.abs(labels)], axis=1) > _F32_MAX
         i, k = np.argwhere(beyond)[0]
         raise FormatError(f"record {dataset.ids[i]!r}: {(_FEATURES + _LABEL_NAMES)[k]} is beyond the f32 range")
+    present = ~np.isnan(labels)
+    label_bytes = labels[present].astype("<f4").tobytes()  # the present labels, record after record
+    ends = (4 * np.cumsum(present.sum(axis=1))).tolist()
     heads = []
-    for sid, gen, prompt, mask, row in zip(
-        dataset.ids, dataset.generators, dataset.prompts, ~np.isnan(labels), labels
+    for sid, gen, prompt, mask, start, stop in zip(
+        dataset.ids, dataset.generators, dataset.prompts, (present @ (1, 2, 4)).tolist(), [0, *ends], ends
     ):
         id_b, gen_b, prompt_b = sid.encode("utf-8"), gen.encode("utf-8"), prompt.encode("utf-8")
-        if len(id_b) > 0xFFFF or len(gen_b) > 0xFFFF:
+        i, g, p = len(id_b), len(gen_b), len(prompt_b)
+        if i > 0xFFFF or g > 0xFFFF:
             raise FormatError(f"record {sid!r}: id/generator too long for u16 length")
-        heads.append(b"".join([
-            struct.pack("<H", len(id_b)), id_b,
-            struct.pack("<H", len(gen_b)), gen_b,
-            struct.pack("<I", len(prompt_b)), prompt_b,
-            struct.pack("<B", mask @ (1, 2, 4)),
-            row[mask].astype("<f4").tobytes(),
-        ]))
+        heads.append(struct.pack(
+            f"<H{i}sH{g}sI{p}sB{stop - start}s", i, id_b, g, gen_b, p, prompt_b, mask, label_bytes[start:stop]
+        ))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, dataset.dim, len(dataset)))
-        for head, vectors in zip(heads, dataset.features):
-            fh.write(head)
-            fh.write(vectors.astype("<f4").tobytes())
+        for first in range(0, len(heads), _CHUNK_ROWS):
+            vectors = features[first : first + _CHUNK_ROWS].astype("<f4")
+            fh.write(b"".join(chain.from_iterable(zip(heads[first : first + _CHUNK_ROWS], vectors))))
 
 
 def read_feature_records(path) -> Dataset:
@@ -433,12 +441,22 @@ _LATENT_DIM = 8
 
 
 def _smooth(v: Array) -> Array:
-    """Circular [1/4, 1/2, 1/4] moving average along the feature axis."""
-    return 0.5 * v + 0.25 * (np.roll(v, 1) + np.roll(v, -1))
+    """Circular [1/4, 1/2, 1/4] moving average along the last (feature) axis."""
+    return 0.5 * v + 0.25 * (np.roll(v, 1, axis=-1) + np.roll(v, -1, axis=-1))
 
 
-def _f32(x):
-    return np.asarray(x, dtype=np.float32).astype(np.float64)
+def _rowdot(a: Array, b: Array) -> Array:
+    """``a[i] @ b[i]`` for each row of a (c, k) block, computed by one BLAS dot per row as that expression is.
+
+    A (k,) ``b`` is shared by every row.  ``a @ b`` and ``np.einsum`` sum
+    in another order and can differ from it in the last bit.
+    """
+    return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
+
+
+def _rownorm(a: Array) -> Array:
+    """``np.linalg.norm(a[i])`` for each row: the square root of the row's dot with itself."""
+    return np.sqrt(_rowdot(a, a))
 
 
 @dataclass(frozen=True)
@@ -466,6 +484,13 @@ def synth_generate_with_latents(
     is the exact cosine between the stored (f32-quantized) vectors.
     Quality and authenticity labels are sigmoids of fixed latent
     projections rescaled to [1, 5].
+
+    The random numbers are drawn row by row, in stream order: a row's
+    latent and its three noise vectors, its angle, then the vector its
+    text feature is planted with.  Everything else is computed on
+    ``_CHUNK_ROWS`` rows at once with the same kernels a single row uses
+    (one gemv and one dot per row), so every byte equals that of a
+    row-at-a-time computation.
     """
     if n < 4:
         raise DataError(f"synth_generate: need n >= 4, got {n}")
@@ -473,6 +498,13 @@ def synth_generate_with_latents(
         raise DataError(f"synth_generate: need dim >= 8, got {dim}")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise DataError(f"synth_generate: noise_sigma must be finite and >= 0, got {noise_sigma}")
+    try:
+        features = np.empty((n, 4, dim))
+    except MemoryError:
+        raise DataError(
+            f"synth_generate: {n} samples of dim {dim} need a {n * 4 * dim * 8}-byte feature block, "
+            "more than can be allocated"
+        ) from None
 
     # Orthonormal mixing columns keep the latent-to-feature map well
     # conditioned, so planted labels are recoverable from few samples.
@@ -482,35 +514,43 @@ def synth_generate_with_latents(
     w_a = rng.standard_normal(_LATENT_DIM)
     w_a *= 0.5 / np.linalg.norm(w_a)
 
-    features = np.empty((n, 4, dim))
     labels = np.empty((n, 3))
     zs = np.empty((n, _LATENT_DIM))
     angles = np.empty(n)
-    for i in range(n):
-        z = rng.standard_normal(_LATENT_DIM)
-        zs[i] = z
-        f_10 = mix @ z + noise_sigma * rng.standard_normal(dim)
-        smooth = _smooth(f_10)
-        f_05 = smooth + noise_sigma * rng.standard_normal(dim)
-        f_15 = (2.0 * f_10 - smooth) + noise_sigma * rng.standard_normal(dim)
+    # A row of ``draws`` is one call's normals: z, then the noise of f_10, f_05 and f_15.
+    draws = np.empty((_CHUNK_ROWS, _LATENT_DIM + 3 * dim))
+    planted = np.empty((_CHUNK_ROWS, dim))
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, n))
+        c = rows.stop - start
+        for j in range(c):
+            rng.standard_normal(out=draws[j])
+            angles[start + j] = rng.uniform(0.0, np.pi / 2.0)
+            rng.standard_normal(out=planted[j])
+        zs[rows] = draws[:c, :_LATENT_DIM]
+        z = zs[rows]
+        e_10, e_05, e_15 = draws[:c, _LATENT_DIM:].reshape(c, 3, dim).transpose(1, 0, 2)
+        r = planted[:c]
 
-        angle = rng.uniform(0.0, np.pi / 2.0)
-        angles[i] = angle
-        u = f_10 / np.linalg.norm(f_10)
-        r = rng.standard_normal(dim)
-        ortho = r - (r @ u) * u
-        ortho /= np.linalg.norm(ortho)
+        # one gemv per row, as ``mix @ z`` runs; ``z @ mix.T`` sums in another order
+        f_10 = np.matmul(mix, z[:, :, None])[:, :, 0] + noise_sigma * e_10
+        smooth = _smooth(f_10)
+        f_05 = smooth + noise_sigma * e_05
+        f_15 = (2.0 * f_10 - smooth) + noise_sigma * e_15
+
+        u = f_10 / _rownorm(f_10)[:, None]
+        ortho = r - _rowdot(r, u)[:, None] * u
+        ortho /= _rownorm(ortho)[:, None]
+        angle = angles[rows, None]
         f_text = np.cos(angle) * u + np.sin(angle) * ortho
 
-        f_text, f_05, f_10, f_15 = _f32(f_text), _f32(f_05), _f32(f_10), _f32(f_15)
-        q_c = float(
-            np.float32(float(f_text @ f_10) / (np.linalg.norm(f_text) * np.linalg.norm(f_10)))
-        )
-        q_v = float(np.float32(1.0 + 4.0 / (1.0 + np.exp(-(w_v @ z)))))
-        q_a = float(np.float32(1.0 + 4.0 / (1.0 + np.exp(-(w_a @ z)))))
-
-        features[i] = f_text, f_05, f_10, f_15
-        labels[i] = q_c, q_v, q_a
+        block = features[rows]
+        block[...] = np.stack((f_text, f_05, f_10, f_15), axis=1).astype(np.float32)
+        f_text, f_10 = block[:, 0], block[:, 2]
+        q_c = _rowdot(f_text, f_10) / (_rownorm(f_text) * _rownorm(f_10))
+        q_v = 1.0 + 4.0 / (1.0 + np.exp(-_rowdot(z, w_v)))
+        q_a = 1.0 + 4.0 / (1.0 + np.exp(-_rowdot(z, w_a)))
+        labels[rows] = np.stack((q_c, q_v, q_a), axis=1).astype(np.float32)
     dataset = Dataset(
         ids=[f"synth-{i:06d}" for i in range(n)],
         generators=["gen-a" if i % 2 == 0 else "gen-b" for i in range(n)],

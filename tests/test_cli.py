@@ -212,12 +212,16 @@ class TestMalformedInput:
               for value in ("nan", "inf")],
             *[(_args("trials", "--data", "{data}", "--out", "{out}", "--trials", value), "E_CONFIG", "--trials")
               for value in ("0", "-2")],
+            # 1.46 PiB of features: numpy refuses the request without allocating it.
+            (_args("synth", "--out", "{out}/s.amff", "--n", "100000000000", "--dim", "512"), "E_DATA",
+             "100000000000 samples of dim 512 need a 1638400000000000-byte feature block"),
         ],
         ids=["long_csv_cell", "oversized_header", "non_utf8_manifest", "short_manifest_row", "nan_manifest_label",
              "repeated_manifest_id", "repeated_manifest_id_missing_image", "empty_manifest_prompt",
              "train_negative_seed", "gradcheck_negative_seed", "synth_negative_seed", "trials_negative_seed",
              "extract_negative_dim", "extract_zero_dim", "nan_lr", "inf_lr", "nan_weight_decay",
-             "inf_weight_decay", "nan_noise", "inf_noise", "zero_trials", "negative_trials"],
+             "inf_weight_decay", "nan_noise", "inf_noise", "zero_trials", "negative_trials",
+             "synth_impossible_size"],
     )
     def test_one_error_line(self, tmp_path, capsys, tiny_dataset, command, code, named):
         assert _run(command(tmp_path, tiny_dataset)) == 1

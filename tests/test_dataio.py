@@ -1,5 +1,8 @@
 import csv
+import hashlib
+import math
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from amff import dataio
+from amff import cli, dataio
 from amff.dataio import (
     Dataset,
+    SynthLatents,
     read_feature_records,
     read_feature_records_csv,
     split_per_generator,
@@ -80,6 +84,24 @@ class TestBinaryCodec:
         write_feature_records(ds, p1)
         write_feature_records(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_follow_the_record_layout(self, tmp_path):
+        # 130 records cross two of the writer's conversion chunks; absent labels and non-ASCII prompts included
+        ds = _dataset(make_rng(3), n=130, dim=3)
+        ds.prompts[:] = [f"prompt é{'€' * (i % 3)}" for i in range(130)]
+        ds.labels[::4, 0] = ds.labels[1::5, 1] = ds.labels[2::7] = np.nan
+        path = tmp_path / "d.amff"
+        write_feature_records(ds, path)
+        expected = [struct.pack("<4sIIQ", b"AMFF", 1, 3, 130)]
+        for sid, gen, prompt, labels, vectors in zip(ds.ids, ds.generators, ds.prompts, ds.labels, ds.features):
+            for text, width in ((sid, "H"), (gen, "H"), (prompt, "I")):
+                expected.append(struct.pack("<" + width, len(text.encode())) + text.encode())
+            file_labels = [labels[1], labels[2], labels[0]]  # q_v, q_a, q_c
+            present = [not math.isnan(v) for v in file_labels]
+            expected.append(struct.pack("<B", sum(1 << bit for bit, p in enumerate(present) if p)))
+            expected.append(b"".join(struct.pack("<f", v) for v, p in zip(file_labels, present) if p))
+            expected.append(struct.pack(f"<{vectors.size}f", *vectors.ravel()))
+        assert path.read_bytes() == b"".join(expected)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "data.amff"
@@ -338,7 +360,99 @@ class TestSplits:
         assert str(info.value) == message
 
 
+def _synth_reference(n, dim, noise_sigma, rng):
+    """The planted generator computed one row at a time, as it was before rows were chunked."""
+
+    def smooth(v):
+        return 0.5 * v + 0.25 * (np.roll(v, 1) + np.roll(v, -1))
+
+    def f32(x):
+        return np.asarray(x, dtype=np.float32).astype(np.float64)
+
+    mix, _ = np.linalg.qr(rng.standard_normal((dim, 8)))
+    w_v = rng.standard_normal(8)
+    w_v *= 0.5 / np.linalg.norm(w_v)
+    w_a = rng.standard_normal(8)
+    w_a *= 0.5 / np.linalg.norm(w_a)
+
+    features = np.empty((n, 4, dim))
+    labels = np.empty((n, 3))
+    zs = np.empty((n, 8))
+    angles = np.empty(n)
+    for i in range(n):
+        z = rng.standard_normal(8)
+        zs[i] = z
+        f_10 = mix @ z + noise_sigma * rng.standard_normal(dim)
+        smoothed = smooth(f_10)
+        f_05 = smoothed + noise_sigma * rng.standard_normal(dim)
+        f_15 = (2.0 * f_10 - smoothed) + noise_sigma * rng.standard_normal(dim)
+
+        angle = rng.uniform(0.0, np.pi / 2.0)
+        angles[i] = angle
+        u = f_10 / np.linalg.norm(f_10)
+        r = rng.standard_normal(dim)
+        ortho = r - (r @ u) * u
+        ortho /= np.linalg.norm(ortho)
+        f_text = np.cos(angle) * u + np.sin(angle) * ortho
+
+        f_text, f_05, f_10, f_15 = f32(f_text), f32(f_05), f32(f_10), f32(f_15)
+        q_c = float(np.float32(float(f_text @ f_10) / (np.linalg.norm(f_text) * np.linalg.norm(f_10))))
+        q_v = float(np.float32(1.0 + 4.0 / (1.0 + np.exp(-(w_v @ z)))))
+        q_a = float(np.float32(1.0 + 4.0 / (1.0 + np.exp(-(w_a @ z)))))
+
+        features[i] = f_text, f_05, f_10, f_15
+        labels[i] = q_c, q_v, q_a
+    dataset = Dataset(
+        ids=[f"synth-{i:06d}" for i in range(n)],
+        generators=["gen-a" if i % 2 == 0 else "gen-b" for i in range(n)],
+        prompts=[f"synthetic scene {i}" for i in range(n)],
+        features=features,
+        labels=labels,
+    )
+    return dataset, SynthLatents(zs, mix, w_v, w_a, angles)
+
+
+# sha256 of the `amff synth --seed 7 --noise 0.01` files, written by the
+# row-at-a-time generator and the record writer that packed field by field.
+_SYNTH_DIGESTS = {
+    (512, 64): "c37087b92a701b2723ef40dbe0802daac23863b5289ae6e908811505f83bebb0",
+    (2982, 512): "f81898dd8e9fd76a4694084073f925dae4536beaaaacdbc71a760fcbc97450a1",
+}
+
+
 class TestSynthGenerate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([63, 64, 65, 128, 129]) | st.integers(4, 300),
+        dim=st.sampled_from([8, 9, 33, 130]) | st.integers(8, 130),
+        noise=st.sampled_from([0.0, 1e-3, 0.01, 0.5, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_row_at_a_time_reference_bit_for_bit(self, n, dim, noise, seed):
+        ds, lat = synth_generate_with_latents(n, dim, noise, make_rng(seed))
+        ref, ref_lat = _synth_reference(n, dim, noise, make_rng(seed))
+        assert (ds.ids, ds.generators, ds.prompts) == (ref.ids, ref.generators, ref.prompts)
+        assert ds.features.tobytes() == ref.features.tobytes()
+        assert ds.labels.tobytes() == ref.labels.tobytes()
+        for field in ("z", "mix", "w_v", "w_a", "angles"):
+            assert getattr(lat, field).tobytes() == getattr(ref_lat, field).tobytes(), field
+
+    @pytest.mark.parametrize("n, dim", list(_SYNTH_DIGESTS), ids=lambda v: str(v))
+    def test_synth_file_digest(self, tmp_path, n, dim):
+        out = tmp_path / "synth.amff"
+        argv = ["synth", "--out", str(out), "--n", str(n), "--dim", str(dim), "--seed", "7", "--noise", "0.01"]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _SYNTH_DIGESTS[n, dim]
+
+    def test_peak_memory_stays_near_the_feature_block(self):
+        tracemalloc.start()
+        try:
+            ds = synth_generate(2982, 512, 0.01, make_rng(7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.features.nbytes + 8 * 2**20, (peak, ds.features.nbytes)
+
     def test_same_seed_identical_bytes(self, tmp_path):
         a = synth_generate(16, 8, 0.05, make_rng(4))
         b = synth_generate(16, 8, 0.05, make_rng(4))

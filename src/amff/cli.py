@@ -5,7 +5,9 @@ Each command parses only the flags it reads.
 Every command is deterministic given its flags and input bytes; all
 report files are written with full-precision floats and no timestamps.
 Failures print one machine-parsable ``ERROR <CODE>: <message>`` line on
-stderr and exit nonzero.
+stderr and exit nonzero.  Commands run with numpy's floating-point
+warnings off: an overflow or invalid value surfaces as the non-finite
+result the library's own checks refuse, in that one line.
 """
 
 from __future__ import annotations
@@ -335,7 +337,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (AmffError, OSError) as exc:
         code = next((code for cls, code in _ERROR_CODES.items() if isinstance(exc, cls)), "E_INTERNAL")
         print(f"ERROR {code}: {exc}", file=sys.stderr)

@@ -238,16 +238,16 @@ def read_feature_records(path) -> Dataset:
     """
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic, not a feature-record file")
+        raise FormatError("bad magic, not a feature-record file")
     if len(data) < _HEADER.size:
-        raise FormatError(f"{path}: truncated file in header")
+        raise FormatError("truncated file in header")
     _, version, dim, count = _HEADER.unpack_from(data)
     if version != _VERSION:
-        raise FormatError(f"{path}: unsupported version {version} (expected {_VERSION})")
+        raise FormatError(f"unsupported version {version} (expected {_VERSION})")
     if dim == 0:
-        raise FormatError(f"{path}: zero feature dimension")
+        raise FormatError("zero feature dimension")
     if count == 0:
-        raise FormatError(f"{path}: file contains no records")
+        raise FormatError("file contains no records")
     # A record holds at least its three string lengths, its label mask and
     # four f32 vectors; checking that here keeps a corrupt count or dim
     # from sizing the feature block.
@@ -255,7 +255,7 @@ def read_feature_records(path) -> Dataset:
     least = count * (9 + 16 * dim)
     if least > end - _HEADER.size:
         raise FormatError(
-            f"{path}: truncated file: {count} records of dim {dim} need at least "
+            f"truncated file: {count} records of dim {dim} need at least "
             f"{least} bytes after the header, found {end - _HEADER.size}"
         )
 
@@ -305,7 +305,7 @@ def read_feature_records(path) -> Dataset:
     if bad:
         raise FormatError(bad)
     if pos != end:
-        raise FormatError(f"{path}: {end - pos} trailing bytes after last record")
+        raise FormatError(f"{end - pos} trailing bytes after last record")
     return Dataset(ids, generators, prompts, features, labels, check_finite=False)
 
 
@@ -345,10 +345,10 @@ def read_feature_records_csv(path) -> Dataset:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
-                raise FormatError(f"{path}: empty CSV file")
+                raise FormatError("empty CSV file")
             dim = sum(1 for c in header if c.startswith("ftext_"))
             if dim == 0 or header != _csv_header(dim):
-                raise FormatError(f"{path}: unexpected CSV header")
+                raise FormatError("unexpected CSV header")
             for idx, row in enumerate(reader):
                 if len(row) != len(header):
                     raise FormatError(f"record {idx}: expected {len(header)} cells, got {len(row)}")
@@ -361,11 +361,11 @@ def read_feature_records_csv(path) -> Dataset:
                 except ValueError:
                     raise FormatError(f"record {idx}: non-numeric cell") from None
     except UnicodeDecodeError:
-        raise FormatError(f"{path}: not a text/CSV file") from None
+        raise FormatError("not a text/CSV file") from None
     except csv.Error as exc:
-        raise FormatError(f"{path}: malformed CSV at line {reader.line_num} ({exc})") from None
+        raise FormatError(f"malformed CSV at line {reader.line_num} ({exc})") from None
     if not ids:
-        raise FormatError(f"{path}: CSV file contains no records")
+        raise FormatError("CSV file contains no records")
     block = np.array(features).reshape(len(ids), 4, dim)
     bad = _first_nonfinite(block)
     if bad:
@@ -374,15 +374,19 @@ def read_feature_records_csv(path) -> Dataset:
 
 
 def read_dataset(path) -> Dataset:
-    """Read a feature-record file in either format: binary if it starts with the magic, else CSV."""
+    """Read a feature-record file in either format: binary if it starts with the magic, else CSV.
+
+    Every error the readers raise is prefixed with ``path``.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"data file not found: {path}")
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC))
-    if head == _MAGIC:
-        return read_feature_records(path)
-    return read_feature_records_csv(path)
+    try:
+        return read_feature_records(path) if head == _MAGIC else read_feature_records_csv(path)
+    except (DataError, FormatError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +474,7 @@ class SynthLatents:
     angles: Array  # (n,)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # each chunk's features are checked instead
 def synth_generate_with_latents(
     n: int, dim: int, noise_sigma: float, rng: np.random.Generator
 ) -> tuple[Dataset, SynthLatents]:
@@ -546,6 +551,9 @@ def synth_generate_with_latents(
 
         block = features[rows]
         block[...] = np.stack((f_text, f_05, f_10, f_15), axis=1).astype(np.float32)
+        # A noise_sigma too large for f32 features overflows on the way to the cast.
+        if not np.isfinite(block).all():
+            raise DataError(f"synth_generate: noise_sigma {noise_sigma} puts features beyond the f32 range")
         f_text, f_10 = block[:, 0], block[:, 2]
         q_c = _rowdot(f_text, f_10) / (_rownorm(f_text) * _rownorm(f_10))
         q_v = 1.0 + 4.0 / (1.0 + np.exp(-_rowdot(z, w_v)))
@@ -557,6 +565,7 @@ def synth_generate_with_latents(
         prompts=[f"synthetic scene {i}" for i in range(n)],
         features=features,
         labels=labels,
+        check_finite=False,  # every chunk checked above
     )
     return dataset, SynthLatents(zs, mix, w_v, w_a, angles)
 

@@ -8,8 +8,10 @@ pretrained weights.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +23,6 @@ from .tensor import Array, _round_half_up, make_rng
 _GRID = 16                      # toy encoder cell grid is _GRID x _GRID
 _STATS_DIM = 2 * _GRID * _GRID  # per-cell mean and std
 _PROJECTION_SEED = 0x5EED_CE11
-_projection_cache: dict[int, Array] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,11 +164,10 @@ def grid_cell_stats(img: Image, factor: float) -> tuple[Array, Array]:
     return means.ravel(), stds.ravel()
 
 
+@functools.cache
 def _projection(dim: int) -> Array:
-    if dim not in _projection_cache:
-        rng = make_rng((_PROJECTION_SEED, dim))
-        _projection_cache[dim] = rng.standard_normal((dim, _STATS_DIM)) / np.sqrt(_STATS_DIM)
-    return _projection_cache[dim]
+    rng = make_rng((_PROJECTION_SEED, dim))
+    return rng.standard_normal((dim, _STATS_DIM)) / np.sqrt(_STATS_DIM)
 
 
 def _encode_one_scale(img: Image, factor: float, dim: int) -> Array:
@@ -220,30 +220,25 @@ def toy_encode_text(prompt: str, dim: int) -> Array:
 # ---------------------------------------------------------------------------
 
 
+# Whitespace and comments (a "#" to the end of its line), then the digits of a number, if any.
+_HEADER_NUMBER = re.compile(rb"(?:[ \t\r\n]|#[^\n]*)*(\d*)")
+
+
 def _tokenize_header(path, data: bytes, count: int) -> tuple[list[int], int]:
-    """Read ``count`` ASCII integers after the magic, honoring # comments."""
+    """Read ``count`` ASCII integers after the magic, honoring # comments; also return the end of the last."""
     tokens: list[int] = []
     i = 2
     while len(tokens) < count:
-        if i >= len(data):
-            raise FormatError(f"{path}: image header truncated")
-        ch = data[i : i + 1]
-        if ch in b" \t\r\n":
-            i += 1
-        elif ch == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(data) and data[j : j + 1].isdigit():
-                j += 1
-            try:
-                tokens.append(int(data[i:j]))
-            except ValueError:  # more digits than int() converts
-                raise FormatError(f"{path}: image header number too long") from None
-            i = j
-        else:
-            raise FormatError(f"{path}: unexpected byte {ch!r} in image header")
+        match = _HEADER_NUMBER.match(data, i)
+        i = match.end()
+        if not match[1]:
+            if i >= len(data):
+                raise FormatError(f"{path}: image header truncated")
+            raise FormatError(f"{path}: unexpected byte {data[i : i + 1]!r} in image header")
+        try:
+            tokens.append(int(match[1]))
+        except ValueError:  # more digits than int() converts
+            raise FormatError(f"{path}: image header number too long") from None
     return tokens, i
 
 

@@ -4,9 +4,12 @@ SRCC uses fractional (average) ranks for ties, KRCC is tau-b with tie
 corrections, and PLCC is the Pearson correlation after mapping
 predictions through a four-parameter logistic curve fitted by
 least squares.  Both rank correlations sort instead of comparing pairs:
-ranks and tie counts come from the runs of equal values in sorted
-order, and KRCC counts discordant pairs with Knight's merge-sort
-algorithm, so all three metrics take O(n log n) time and O(n) memory.
+ranks and tie counts come from the counts of equal values that
+``np.unique`` returns, and KRCC counts discordant pairs with Knight's
+merge-sort algorithm, so all three metrics take O(n log n) time and
+O(n) memory.  Pearson scales each input by a power of two before it
+sums, which changes no bit of an ordinary result and keeps inputs near
+the float64 limits from overflowing.
 """
 
 from __future__ import annotations
@@ -24,29 +27,15 @@ from .tensor import Array, as_vector
 LOGISTIC_MIN_POINTS = 5
 
 
-def _tie_runs(xs: Array) -> Array:
-    """Boundaries of the runs of equal values in sorted ``xs``.
-
-    Run ``k`` is ``xs[b[k]:b[k + 1]]``; ``b`` starts at 0 and ends at
-    ``xs.size``.
-    """
-    return np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1], [True])))
-
-
-def _tied_pairs(xs: Array) -> int:
-    """Number of pairs of equal values in sorted ``xs``."""
-    lengths = np.diff(_tie_runs(xs))
-    return int((lengths * (lengths - 1) // 2).sum())
+def _tied_pairs(counts: Array) -> int:
+    """Number of pairs of equal values, given how many times each distinct value occurs."""
+    return int((counts * (counts - 1) // 2).sum())
 
 
 def _ranks(x: Array) -> Array:
     """Fractional ranks (1-based); tied values share the average rank."""
-    order = np.argsort(x, kind="stable")
-    bounds = _tie_runs(x[order])
-    run_ranks = 0.5 * (bounds[:-1] + bounds[1:] - 1) + 1.0
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = np.repeat(run_ranks, np.diff(bounds))
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def _inversions(a: Array) -> int:
@@ -88,9 +77,21 @@ def _pair(x, y, who: str, least: int) -> tuple[Array, Array]:
     return x, y
 
 
+def _unit_scaled(v: Array) -> Array:
+    """``v`` times the power of two that brings its largest magnitude into [0.5, 1).
+
+    The scaling is exact, so sums and products of the result are those of
+    ``v``, scaled, wherever those of ``v`` neither overflow nor turn
+    subnormal.
+    """
+    return np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+
+
 def pearson(x, y) -> float:
     """Pearson linear correlation; errors on constant input."""
     x, y = _pair(x, y, "pearson", 2)
+    # r does not depend on the scale of either input; scaled, no sum below can overflow.
+    x, y = _unit_scaled(x), _unit_scaled(y)
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(dx @ dx)
@@ -112,22 +113,20 @@ def krcc(x, y) -> float:
 
     Knight (1966, JASA 61:436), as in ``scipy.stats.kendalltau``: sort the
     pairs by (x, y); the discordant pairs are then the inversions of the
-    sorted y, and the tied pairs come from the runs of equal keys.  The
-    numerator ``concordant - discordant`` is the Python integer
+    sorted y, and the tied pairs come from how often each x, y and (x, y)
+    key occurs.  The numerator ``concordant - discordant`` is the Python integer
     ``n0 - ties_x - ties_y + ties_xy - 2 * discordant`` and the
     denominator is formed as in full pair enumeration, so the result is
     bit-identical to it while using O(n) memory.
     """
     x, y = _pair(x, y, "krcc", 2)
     n = x.size
-    _, rx = np.unique(x, return_inverse=True)
-    _, ry = np.unique(y, return_inverse=True)
+    _, rx, counts_x = np.unique(x, return_inverse=True, return_counts=True)
+    _, ry, counts_y = np.unique(y, return_inverse=True, return_counts=True)
     key = rx.astype(np.int64) * n + ry
-    order = np.argsort(key)
-    ties_xy = _tied_pairs(key[order])
-    ties_x = _tied_pairs(rx[order])
-    ties_y = _tied_pairs(np.sort(ry))
-    discordant = _inversions(ry[order])
+    ties_x, ties_y = _tied_pairs(counts_x), _tied_pairs(counts_y)
+    ties_xy = _tied_pairs(np.unique(key, return_counts=True)[1])
+    discordant = _inversions(ry[np.argsort(key)])
     n0 = n * (n - 1) // 2
     denom = np.sqrt(float(n0 - ties_x) * float(n0 - ties_y))
     if denom <= 0.0:

@@ -183,7 +183,8 @@ def score_dataset(params: ModelParams, dataset: Dataset, *, label_ranges: dict |
 
     Rows are scored ``SCORE_CHUNK`` at a time.  Head scores are
     denormalized through ``label_ranges`` (the training-time label
-    min/max) when it is given, so they live on the label scale.
+    min/max) when it is given, so they live on the label scale.  A
+    non-finite score raises ``NumericError`` naming its row and task.
     """
     scores = np.empty((len(dataset), len(TASKS)))
     for lo in range(0, len(dataset), SCORE_CHUNK):
@@ -192,6 +193,9 @@ def score_dataset(params: ModelParams, dataset: Dataset, *, label_ranges: dict |
     for k, task in enumerate(TASKS):
         if task != "consistency" and label_ranges and label_ranges.get(task):
             scores[:, k] = _denormalize(scores[:, k], *label_ranges[task])
+    if not np.isfinite(scores).all():
+        i, k = np.argwhere(~np.isfinite(scores))[0]
+        raise NumericError(f"score_dataset: row {dataset.ids[i]!r}: non-finite {TASKS[k]} score")
     return scores
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from amff import cli
 from amff.errors import AmffError
@@ -181,6 +182,54 @@ def _args(*argv):
     return command
 
 
+def _with_tensors(ckpt: Path, values: dict) -> bytes:
+    """The checkpoint ``ckpt`` with every element of each tensor named in ``values`` set to its value."""
+    prefix, header, payload = split_checkpoint(ckpt.read_bytes())
+    payload, pos = bytearray(payload), 0
+    for spec in header["tensors"]:
+        size = math.prod(spec["shape"])
+        if spec["name"] in values:
+            payload[pos : pos + 8 * size] = struct.pack(f"<{size}d", *[values[spec["name"]]] * size)
+        pos += 8 * size
+    return join_checkpoint(prefix, header, bytes(payload))
+
+
+def _predict_overflowing_checkpoint(tmp_path, dataset):
+    """predict with quality-head weights whose scores overflow float64."""
+    ckpt = tmp_path / "big.ckpt"
+    ckpt.write_bytes(_with_tensors(DATA / "parent_v1.ckpt", {"best.head_v.w2": 1e308, "best.head_v.b1": 1e308}))
+    return ["predict", "--data", DATA / "parent_v1.amff", "--ckpt", ckpt, "--out", tmp_path / "p.jsonl"]
+
+
+def _defective_records(edit):
+    """predict on ``dataset`` written to "{tmp}/bad.amff" by ``edit(dataset, path)``."""
+    def command(tmp_path, dataset):
+        edit(dataset, tmp_path / "bad.amff")
+        return ["predict", "--data", tmp_path / "bad.amff", "--ckpt", DATA / "parent_v1.ckpt",
+                "--out", tmp_path / "p.jsonl"]
+
+    return command
+
+
+def _truncated_records(dataset, path):
+    write_feature_records(dataset, path)
+    path.write_bytes(path.read_bytes()[:-10])
+
+
+def _poisoned_records(dataset, path):
+    dataset.features[7, 3, 5] = math.nan  # the writer passes NaN through
+    write_feature_records(dataset, path)
+
+
+def _long_csv_row(dataset, path):
+    from amff.dataio import write_feature_records_csv
+
+    write_feature_records_csv(dataset, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].rstrip("\r\n") + ",0\r\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
 def _extract_dim(dim: str):
     def command(tmp_path, dataset):
         return [*_manifest(b"a,g,p,x.ppm,1\n")(tmp_path, dataset), "--dim", dim]
@@ -215,18 +264,43 @@ class TestMalformedInput:
             # 1.46 PiB of features: numpy refuses the request without allocating it.
             (_args("synth", "--out", "{out}/s.amff", "--n", "100000000000", "--dim", "512"), "E_DATA",
              "100000000000 samples of dim 512 need a 1638400000000000-byte feature block"),
+            # Overflow that numpy would warn of before the one error line.
+            (_args("synth", "--out", "{out}/s.amff", "--n", "4", "--dim", "8", "--noise", "1e39"), "E_DATA",
+             "noise_sigma 1e+39 puts features beyond the f32 range"),
+            (_args("train", "--data", "{data}", "--out", "{out}", "--epochs", "2", "--lr", "1e30"), "E_NUMERIC",
+             "non-finite loss"),
+            (_predict_overflowing_checkpoint, "E_NUMERIC", "row 'synth-000000': non-finite quality score"),
+            # A feature-record file's errors name it once, whichever reader found them.
+            (_defective_records(_truncated_records), "E_FORMAT", "{tmp}/bad.amff: truncated file in record 47"),
+            (_defective_records(_poisoned_records), "E_FORMAT", "{tmp}/bad.amff: record 7: non-finite values in f_15"),
+            (_defective_records(_long_csv_row), "E_FORMAT", "{tmp}/bad.amff: record 1: expected 70 cells, got 71"),
         ],
         ids=["long_csv_cell", "oversized_header", "non_utf8_manifest", "short_manifest_row", "nan_manifest_label",
              "repeated_manifest_id", "repeated_manifest_id_missing_image", "empty_manifest_prompt",
              "train_negative_seed", "gradcheck_negative_seed", "synth_negative_seed", "trials_negative_seed",
              "extract_negative_dim", "extract_zero_dim", "nan_lr", "inf_lr", "nan_weight_decay",
              "inf_weight_decay", "nan_noise", "inf_noise", "zero_trials", "negative_trials",
-             "synth_impossible_size"],
+             "synth_impossible_size", "synth_f32_overflow", "train_overflow", "predict_overflow",
+             "truncated_records", "poisoned_records", "long_csv_row"],
     )
     def test_one_error_line(self, tmp_path, capsys, tiny_dataset, command, code, named):
         assert _run(command(tmp_path, tiny_dataset)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1 and named in err, err
+        assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1, err
+        assert named.format(tmp=tmp_path) in err and err.count(str(tmp_path)) <= 1, err
+
+    def test_eval_correlates_scores_near_the_float_limit(self, tmp_path, capsys):
+        # Quality scores of about 1e300: the logistic fit falls back to the identity, and
+        # the PLCC of the raw scores is the one scipy computes from the scatter file.
+        ckpt = tmp_path / "big.ckpt"
+        ckpt.write_bytes(_with_tensors(DATA / "parent_v1.ckpt", {"best.head_v.w2": 1e300, "best.head_v.b2": 1e300}))
+        argv = ["eval", "--data", DATA / "parent_v1.amff", "--ckpt", ckpt, "--out", tmp_path / "e", "--split", "all"]
+        assert _run(argv) == 0
+        assert capsys.readouterr().err == ""
+        rows = {row["task"]: row for row in map(json.loads, (tmp_path / "e/reports/eval.jsonl").read_text().splitlines())}
+        _, gts, mapped = np.loadtxt(tmp_path / "e/scatter/quality.txt").T
+        assert abs(mapped).max() > 1e299
+        assert abs(rows["quality"]["plcc"] - scipy.stats.pearsonr(mapped, gts).statistic) <= 1e-9
 
 
 class TestErrorCodes:

@@ -275,6 +275,7 @@ class TestReadDataset:
         with pytest.raises(FormatError, match="truncated file") as info:
             dataio.read_dataset(path)
         assert "CSV" not in str(info.value)
+        assert str(info.value).startswith(f"{path}: ") and str(info.value).count(str(path)) == 1
 
 
 class TestSplits:
@@ -501,6 +502,12 @@ class TestSynthGenerate:
             synth_generate(8, 4, 0.0, make_rng(0))
         with pytest.raises(DataError):
             synth_generate(8, 8, -0.1, make_rng(0))
+
+    @pytest.mark.parametrize("noise", [1e39, 1e308])
+    def test_noise_beyond_the_f32_range(self, noise):
+        # Every warning is an error in this suite, so the overflow on the way must raise none.
+        with pytest.raises(DataError, match=r"synth_generate: noise_sigma \S+ puts features beyond the f32 range"):
+            synth_generate(4, 8, noise, make_rng(1))
 
 
 class TestDatasetModel:

@@ -10,6 +10,7 @@ from amff.encoder import (
     _axis_coords,
     _bilinear_grid,
     _projection,
+    _tokenize_header,
     grid_cell_stats,
     read_image,
     rescale_bilinear,
@@ -361,6 +362,55 @@ class TestImageIO:
         path.write_text(f"P2\n{'9' * 5000} 1\n255\n12\n")
         with pytest.raises(FormatError, match="header"):
             read_image(path)
+
+
+def _tokenize_header_loop(path, data: bytes, count: int) -> tuple[list[int], int]:
+    """Reference header reader: one byte at a time, as before the compiled pattern."""
+    tokens: list[int] = []
+    i = 2
+    while len(tokens) < count:
+        if i >= len(data):
+            raise FormatError(f"{path}: image header truncated")
+        ch = data[i : i + 1]
+        if ch in b" \t\r\n":
+            i += 1
+        elif ch == b"#":
+            while i < len(data) and data[i : i + 1] != b"\n":
+                i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(data) and data[j : j + 1].isdigit():
+                j += 1
+            try:
+                tokens.append(int(data[i:j]))
+            except ValueError:
+                raise FormatError(f"{path}: image header number too long") from None
+            i = j
+        else:
+            raise FormatError(f"{path}: unexpected byte {ch!r} in image header")
+    return tokens, i
+
+
+# Pieces of a header: separators, comments (one without its newline), stray
+# bytes (other whitespace, signs, a UTF-8 Arabic-Indic digit), and numbers,
+# some longer than the 4300 digits int() converts.
+_HEADER_PIECES = st.one_of(
+    st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\r\n", b"#", b"# 12 x\n", b"#\n", b"#no newline"]),
+    st.sampled_from([b"x", b"\x00", b"\x0b", b"\x0c", b"-", b"+", b"\xd9\xa1", b"P5", b"\xff"]),
+    st.integers(0, 10**20).map(lambda k: b"%d" % k),
+    st.integers(4295, 4305).map(lambda k: b"7" * k),
+)
+
+
+class TestHeaderAgainstParent:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_HEADER_PIECES, max_size=12), st.integers(0, 64), st.integers(1, 4))
+    def test_tokens_end_and_errors(self, pieces, cut, count):
+        data = b"P5" + b"".join(pieces)
+        for blob in (data, data[: 2 + cut]):
+            assert _outcome(_tokenize_header, "h.pgm", blob, count) == _outcome(
+                _tokenize_header_loop, "h.pgm", blob, count
+            )
 
 
 def _valid_images() -> list[bytes]:

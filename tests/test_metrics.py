@@ -55,6 +55,65 @@ def _ranks_loop(x):
     return ranks
 
 
+def _tie_runs_parent(xs):
+    """Boundaries of the runs of equal values in sorted ``xs`` (the run-scanning helper ``np.unique`` replaced)."""
+    return np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1], [True])))
+
+
+def _tied_pairs_parent(xs):
+    """Number of pairs of equal values in sorted ``xs``."""
+    lengths = np.diff(_tie_runs_parent(xs))
+    return int((lengths * (lengths - 1) // 2).sum())
+
+
+def _ranks_parent(x):
+    """Reference fractional ranks from an argsort and the tie runs of the sorted values."""
+    order = np.argsort(x, kind="stable")
+    bounds = _tie_runs_parent(x[order])
+    run_ranks = 0.5 * (bounds[:-1] + bounds[1:] - 1) + 1.0
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(run_ranks, np.diff(bounds))
+    return ranks
+
+
+def _pearson_parent(x, y):
+    """Reference Pearson correlation on the unscaled inputs."""
+    x, y = metrics._pair(x, y, "pearson", 2)
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sx = float(dx @ dx)
+    sy = float(dy @ dy)
+    if sx <= 0.0 or sy <= 0.0:
+        raise NumericError("pearson: correlation undefined for constant input")
+    r = float(dx @ dy) / np.sqrt(sx * sy)
+    return float(np.clip(r, -1.0, 1.0))
+
+
+def _srcc_parent(x, y):
+    x, y = metrics._pair(x, y, "srcc", 2)
+    return _pearson_parent(_ranks_parent(x), _ranks_parent(y))
+
+
+def _krcc_parent(x, y):
+    """Reference Knight tau-b whose tie counts scan the sorted keys, x and y."""
+    x, y = metrics._pair(x, y, "krcc", 2)
+    n = x.size
+    _, rx = np.unique(x, return_inverse=True)
+    _, ry = np.unique(y, return_inverse=True)
+    key = rx.astype(np.int64) * n + ry
+    order = np.argsort(key)
+    ties_xy = _tied_pairs_parent(key[order])
+    ties_x = _tied_pairs_parent(rx[order])
+    ties_y = _tied_pairs_parent(np.sort(ry))
+    discordant = metrics._inversions(ry[order])
+    n0 = n * (n - 1) // 2
+    denom = np.sqrt(float(n0 - ties_x) * float(n0 - ties_y))
+    if denom <= 0.0:
+        raise NumericError("krcc: correlation undefined for constant input")
+    numerator = n0 - ties_x - ties_y + ties_xy - 2 * discordant
+    return float(np.clip(numerator / denom, -1.0, 1.0))
+
+
 def _krcc_enumerated(x, y):
     """Reference tau-b from the signs of all n(n-1)/2 pair differences."""
     n = x.size
@@ -169,6 +228,55 @@ def _fit_inputs(draw):
     return preds, gts
 
 
+# Small integer values, -0.0 and 0.0 among them, so ties are heavy and signed zeros tie.
+_INT_POOL = (-0.0, 0.0, 1.0, -1.0, 2.0, 3.0, -4.0, 6.0)
+
+
+@st.composite
+def _int_vectors(draw):
+    """Two vectors of one length in 2..500 drawn from the first k values of ``_INT_POOL``."""
+    n = draw(st.integers(2, 500))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    pools = [np.array(_INT_POOL[: draw(st.integers(1, len(_INT_POOL)))]) for _ in range(2)]
+    return [pool[rng.integers(0, pool.size, n)] for pool in pools]
+
+
+def _repr_outcome(fn, *args):
+    """``repr`` of what ``fn(*args)`` returns (as a list, for an array), or the type and message it raises."""
+    try:
+        out = fn(*args)
+    except (DataError, NumericError) as exc:
+        return type(exc), str(exc)
+    return repr(out.tolist() if isinstance(out, np.ndarray) else out)
+
+
+class TestAgainstParent:
+    """Ranks and tie counts from ``np.unique`` equal the run-scanning code they replaced, by repr."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_int_vectors())
+    @example([np.full(9, 2.0), np.arange(9.0)])
+    @example([np.arange(6.0), np.full(6, -0.0)])
+    @example([np.array([0.0, -0.0, 0.0, -0.0]), np.array([-0.0, 0.0, 1.0, 1.0])])
+    @example([np.full(500, 3.0), np.full(500, 3.0)])
+    def test_ranks_srcc_and_krcc(self, vectors):
+        x, y = vectors
+        assert _repr_outcome(_ranks, x) == _repr_outcome(_ranks_parent, x)
+        assert _repr_outcome(_ranks, y) == _repr_outcome(_ranks_parent, y)
+        assert _repr_outcome(srcc, x, y) == _repr_outcome(_srcc_parent, x, y)
+        assert _repr_outcome(krcc, x, y) == _repr_outcome(_krcc_parent, x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 400), st.integers(-30, 30), st.integers(-30, 30), st.integers(0, 2**32 - 1))
+    def test_pearson_at_ordinary_scales(self, n, ex, ey, seed):
+        # Power-of-two scaling changes no bit while the unscaled sums stay in range.
+        rng = make_rng(seed)
+        base = rng.standard_normal(n)
+        x = base * 10.0**ex
+        y = (rng.uniform(-2.0, 2.0) * base + rng.standard_normal(n)) * 10.0**ey
+        assert _repr_outcome(pearson, x, y) == _repr_outcome(_pearson_parent, x, y)
+
+
 class TestAgainstReferences:
     @settings(max_examples=300, deadline=None)
     @given(_tied_vectors(1))
@@ -238,6 +346,25 @@ class TestSrcc:
     def test_constant_input_errors(self):
         with pytest.raises(NumericError):
             srcc(np.ones(5), np.arange(5.0))
+
+
+class TestPearson:
+    @pytest.mark.parametrize("scale", [1e-300, 1e150, 1e301, 1e307])
+    def test_matches_scipy_near_the_float_limits(self, scale):
+        # Unscaled, ``dx @ dx`` overflows from about 1e154 and underflows below 1e-162.
+        rng = make_rng(41)
+        x = rng.standard_normal(60)
+        y = x + rng.standard_normal(60)
+        ref = scipy.stats.pearsonr(x, y).statistic
+        assert abs(pearson(x * scale, y) - ref) <= 1e-12
+        assert abs(pearson(x * scale, y * scale) - ref) <= 1e-12
+
+    def test_mean_beyond_the_float_range(self):
+        # The sum of these values overflows float64; the scaled values' does not.
+        x = np.array([1.7e308, 1.7e308, -1.7e308, 1.0e308, 1.5e308])
+        y = np.array([1.0, 2.0, 0.0, 3.0, 4.0])
+        ref = scipy.stats.pearsonr(x / 4, y).statistic
+        assert abs(pearson(x, y) - ref) <= 1e-12
 
 
 class TestKrcc:

@@ -277,6 +277,15 @@ class TestEvaluateModel:
         assert preds.mean() > 1.0 and lo <= preds.mean() <= hi + 1.0
 
 
+class TestScoreDataset:
+    @pytest.mark.parametrize("head, task", [("head_v", "quality"), ("head_a", "authenticity")])
+    def test_non_finite_score_names_row_and_task(self, tiny_dataset, head, task):
+        params = _params(dim=tiny_dataset.dim)
+        getattr(params, head).b2[:] = np.inf
+        with pytest.raises(NumericError, match=f"score_dataset: row 'synth-000000': non-finite {task} score"):
+            trainer.score_dataset(params, tiny_dataset, label_ranges=tiny_dataset.label_ranges)
+
+
 class TestRunTrials:
     def test_one_split_per_seed_and_results_by_trial_then_config(self, tiny_dataset, monkeypatch):
         splits, trainings = [], []

@@ -228,11 +228,7 @@ def _cmd_trials(args) -> int:
     results = [row[0] for row in trainer.run_trials(dataset, split, seeds, [_train_config(args)])]
     median = metrics.median_of_trials(results)
 
-    trial_rows = (
-        {"seed": seed, "task": task, "srcc": tm.srcc, "plcc": tm.plcc, "krcc": tm.krcc, "n": tm.n}
-        for seed, result in zip(seeds, results)
-        for task, tm in result.tasks.items()
-    )
+    trial_rows = ({"seed": seed, **row} for seed, result in zip(seeds, results) for row in metrics.task_rows(result))
     _output(args.out, "reports", "trials.jsonl").write_text(metrics.format_jsonl(trial_rows))
     title = f"median of {len(seeds)} trials"
     _write_eval_reports(args.out, median, {}, title)

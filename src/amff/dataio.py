@@ -8,8 +8,8 @@ absent label.  A mini-batch is an index gather of the blocks and a
 scoring chunk a slice of them, so no row is ever copied into an object
 of its own.
 
-Two interchangeable on-disk formats are supported: a little-endian
-binary layout (magic ``AMFF``) and a CSV layout with one header row;
+Feature records are written in a little-endian binary layout (magic
+``AMFF``) and read from it or from a CSV layout with one header row;
 ``read_dataset`` tells them apart by the magic.  Both keep the labels in
 file order (q_v, q_a, q_c), and ``read_manifest`` reads the same label
 columns from the image manifest of ``amff extract``; only the codecs
@@ -199,15 +199,19 @@ def write_feature_records(dataset: Dataset, path) -> None:
     are packed into its head with one ``struct.pack`` before the file is
     opened.  The vectors are converted to f32 ``_CHUNK_ROWS`` records at a
     time, and each chunk of records is written with one call, so no f32
-    copy of the whole block is held.  A value beyond the f32 range raises
-    ``FormatError`` before the file is opened.
+    copy of the whole block is held.  A NaN feature, or a value beyond the
+    f32 range, raises ``FormatError`` naming its record and vector before
+    the file is opened.
     """
     features, labels = dataset.features, dataset.labels[:, _COLUMN]  # labels in file order
-    # max and min scan the block without a full-size temporary; only a refusal builds one.
-    if max(features.max(), -features.min()) > _F32_MAX or np.any(np.abs(labels) > _F32_MAX):
-        beyond = np.concatenate([np.abs(features).max(axis=2), np.abs(labels)], axis=1) > _F32_MAX
-        i, k = np.argwhere(beyond)[0]
-        raise FormatError(f"record {dataset.ids[i]!r}: {(_FEATURES + _LABEL_NAMES)[k]} is beyond the f32 range")
+    # max and min scan the block without a full-size temporary, and are NaN if
+    # any feature is; only a refusal builds one.
+    if not max(features.max(), -features.min()) <= _F32_MAX or np.any(np.abs(labels) > _F32_MAX):
+        peaks = np.abs(features).max(axis=2)  # NaN for a vector that holds one
+        bad = np.concatenate([~(peaks <= _F32_MAX), np.abs(labels) > _F32_MAX], axis=1)
+        i, k = np.argwhere(bad)[0]
+        what = "holds NaN" if k < len(_FEATURES) and np.isnan(peaks[i, k]) else "is beyond the f32 range"
+        raise FormatError(f"record {dataset.ids[i]!r}: {(_FEATURES + _LABEL_NAMES)[k]} {what}")
     present = ~np.isnan(labels)
     label_bytes = labels[present].astype("<f4").tobytes()  # the present labels, record after record
     ends = (4 * np.cumsum(present.sum(axis=1))).tolist()
@@ -310,7 +314,7 @@ def read_feature_records(path) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV codec (alternative interchange format).
+# CSV reader (alternative interchange format).
 # ---------------------------------------------------------------------------
 
 
@@ -319,19 +323,6 @@ def _csv_header(dim: int) -> list[str]:
     for prefix in ("ftext", "f05", "f10", "f15"):
         cols.extend(f"{prefix}_{i}" for i in range(dim))
     return cols
-
-
-def write_feature_records_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(dataset.dim))
-        rows = zip(dataset.ids, dataset.generators, dataset.prompts, dataset.labels[:, _COLUMN], dataset.features)
-        for sid, gen, prompt, labels, features in rows:
-            writer.writerow([
-                sid, gen, prompt,
-                *("" if math.isnan(v) else repr(v) for v in labels.tolist()),
-                *map(repr, features.ravel().tolist()),
-            ])
 
 
 def read_feature_records_csv(path) -> Dataset:

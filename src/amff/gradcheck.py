@@ -15,8 +15,6 @@ from .scoring import SIMILARITY_KINDS, VARIANTS, init_model_params, similarity_s
 from .tensor import Array, finite_diff_check, make_rng
 from .trainer import batch_loss, batch_objective
 
-DEFAULT_EPS = 1e-5
-
 # Rows per probe batch: more than one, so the sums over the batch in
 # every backward pass are audited along with the per-row gradients.
 PROBE_BATCH = 3
@@ -30,12 +28,13 @@ def _check_leaves(tag: str, params: Block, grads: Block, loss_of) -> dict[str, f
             return loss_of(params._replace(**{leaf: flat.reshape(getattr(params, leaf).shape)}))
 
         results[f"{tag}.{leaf}"] = finite_diff_check(
-            loss_at, getattr(params, leaf).ravel(), getattr(grads, leaf).ravel(), DEFAULT_EPS
+            loss_at, getattr(params, leaf).ravel(), getattr(grads, leaf).ravel()
         )
     return results
 
 
-def _check_aff(seed: int, dim: int = 12, hidden: int = 7) -> dict[str, float]:
+def _check_aff(seed: int) -> dict[str, float]:
+    dim, hidden = 12, 7
     rng = make_rng((seed, 201))
     params = init_block(dim, hidden, dim, rng)
     stacked = rng.standard_normal((PROBE_BATCH, 3, dim))
@@ -52,13 +51,12 @@ def _check_aff(seed: int, dim: int = 12, hidden: int = 7) -> dict[str, float]:
             fused, _ = aff_forward(trial, params)
             return float((probe * fused).sum())
 
-        results[f"aff.{name}"] = finite_diff_check(
-            loss_input, stacked[:, slot].ravel(), d_stacked[:, slot].ravel(), DEFAULT_EPS
-        )
+        results[f"aff.{name}"] = finite_diff_check(loss_input, stacked[:, slot].ravel(), d_stacked[:, slot].ravel())
     return results
 
 
-def _check_head(seed: int, tag: str, salt: int, dim: int = 12, hidden: int = 9) -> dict[str, float]:
+def _check_head(seed: int, tag: str, salt: int) -> dict[str, float]:
+    dim, hidden = 12, 9
     rng = make_rng((seed, salt))
     params = init_block(dim, hidden, 1, rng)
     x = rng.standard_normal((PROBE_BATCH, dim))
@@ -68,15 +66,13 @@ def _check_head(seed: int, tag: str, salt: int, dim: int = 12, hidden: int = 9) 
 
     results = _check_leaves(tag, params, grads, lambda p: float(dy @ mlp_forward(p, x)[0][:, 0]))
     results[f"{tag}.x"] = finite_diff_check(
-        lambda flat: float(dy @ mlp_forward(params, flat.reshape(x.shape))[0][:, 0]),
-        x.ravel(),
-        dx.ravel(),
-        DEFAULT_EPS,
+        lambda flat: float(dy @ mlp_forward(params, flat.reshape(x.shape))[0][:, 0]), x.ravel(), dx.ravel()
     )
     return results
 
 
-def _check_similarity(seed: int, dim: int = 12) -> dict[str, float]:
+def _check_similarity(seed: int) -> dict[str, float]:
+    dim = 12
     rng = make_rng((seed, 204))
     results = {}
     for kind in SIMILARITY_KINDS:
@@ -88,22 +84,21 @@ def _check_similarity(seed: int, dim: int = 12) -> dict[str, float]:
             lambda flat, k=kind: float(upstream @ similarity_score(flat.reshape(f_img.shape), f_text, k)[0]),
             f_img.ravel(),
             (upstream[:, None] * grad).ravel(),
-            DEFAULT_EPS,
         )
     return results
 
 
-def _check_losses(seed: int, n: int = 5) -> dict[str, float]:
+def _check_losses(seed: int) -> dict[str, float]:
     rng = make_rng((seed, 205))
-    preds = rng.standard_normal(n)
-    gts = rng.standard_normal(n)
+    preds = rng.standard_normal(5)
+    gts = rng.standard_normal(5)
     return {
-        f"loss.{name}": finite_diff_check(lambda p, f=loss: f(p, gts)[0], preds, loss(preds, gts)[1], DEFAULT_EPS)
+        f"loss.{name}": finite_diff_check(lambda p, f=loss: f(p, gts)[0], preds, loss(preds, gts)[1])
         for name, loss in (("fidelity", fidelity_loss), ("mse", mse_loss))
     }
 
 
-def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
+def _check_model(seed: int) -> dict[str, float]:
     """Audit the whole mini-batch objective against every model parameter.
 
     Each variant's gradient is ``batch_objective``'s, the step ``train`` takes,
@@ -112,6 +107,7 @@ def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
     batch are checked together; the finite differences run only its
     forward half, ``batch_loss``.
     """
+    dim, hidden = 6, 5
     results = {}
     for k, (name, *variant) in enumerate(VARIANTS):
         rng = make_rng((seed, 206, k))
@@ -130,7 +126,7 @@ def _check_model(seed: int, dim: int = 6, hidden: int = 5) -> dict[str, float]:
             trial.flat[:] = flat
             return batch_loss(trial, features, gts.T, active)[0].total
 
-        results[f"model.{name}"] = finite_diff_check(loss_at, params.flat, grads.flat, DEFAULT_EPS)
+        results[f"model.{name}"] = finite_diff_check(loss_at, params.flat, grads.flat)
     return results
 
 

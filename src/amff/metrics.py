@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -353,12 +353,15 @@ def format_jsonl(rows: Iterable[dict]) -> str:
     return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
+def task_rows(result: EvalResult) -> Iterator[dict]:
+    """One row per task, {task, srcc, plcc, krcc, n}: ``eval.jsonl``'s lines, and ``trials.jsonl``'s with a seed."""
+    for name, tm in result.tasks.items():
+        yield {"task": name, "srcc": tm.srcc, "plcc": tm.plcc, "krcc": tm.krcc, "n": tm.n}
+
+
 def to_jsonl(result: EvalResult) -> str:
-    """One JSON object per task: {task, srcc, plcc, krcc, n}."""
-    return format_jsonl(
-        {"task": name, "srcc": tm.srcc, "plcc": tm.plcc, "krcc": tm.krcc, "n": tm.n}
-        for name, tm in result.tasks.items()
-    )
+    """One JSON object per task: the rows of ``task_rows``."""
+    return format_jsonl(task_rows(result))
 
 
 def format_scatter(preds: Array, gts: Array, mapped: Array) -> str:

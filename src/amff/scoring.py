@@ -116,15 +116,15 @@ class ModelParams:
             pos += math.prod(shape)
         self.similarity, self.use_msi, self.use_aff = similarity, use_msi, use_aff
         self.aff, self.head_v, self.head_a = (Block(*views[k : k + 4]) for k in (0, 4, 8))
+        self._layout = layout
 
     @property
     def dim(self) -> int:
         return self.aff.dim
 
     def named_arrays(self) -> Iterator[tuple[str, Array]]:
-        for block in ("aff", "head_v", "head_a"):
-            for leaf, a in zip(Block._fields, getattr(self, block)):
-                yield f"{block}.{leaf}", a
+        """Each parameter tensor (a view into ``flat``) under its ``param_layout`` name, in buffer order."""
+        return zip([name for name, _ in self._layout], (*self.aff, *self.head_v, *self.head_a))
 
     def copy(self) -> "ModelParams":
         out = self.zeros_like()
@@ -148,17 +148,17 @@ ModelGrads = ModelParams
 def init_model_params(
     dim: int,
     rng: np.random.Generator,
-    hidden_aff: int = 256,
-    hidden_head: int = 256,
+    hidden_aff: int,
+    hidden_head: int,
     similarity: str = "cosine",
     use_msi: bool = True,
     use_aff: bool = True,
 ) -> ModelParams:
-    """Glorot-uniform weights and zero biases, drawn block by block in layout order."""
+    """Glorot-uniform weight matrices and zero biases, drawn tensor by tensor in ``param_layout`` order."""
     params = ModelParams(dim, hidden_aff, hidden_head, similarity, use_msi, use_aff)
-    for block in (params.aff, params.head_v, params.head_a):
-        block.w1[...] = glorot_uniform(rng, *block.w1.shape)
-        block.w2[...] = glorot_uniform(rng, *block.w2.shape)
+    for _, a in params.named_arrays():
+        if a.ndim == 2:
+            a[...] = glorot_uniform(rng, *a.shape)
     return params
 
 

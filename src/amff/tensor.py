@@ -20,6 +20,9 @@ Array = np.ndarray
 # Every GEMM that ``affine_forward`` runs multiplies exactly this many rows.
 _BLOCK_ROWS = 64
 
+# The step of every central difference ``finite_diff_check`` takes.
+_FD_STEP = 1e-5
+
 
 def make_rng(seed) -> np.random.Generator:
     """Seeded PCG64 generator; identical seed yields an identical stream.
@@ -87,20 +90,13 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def finite_diff_check(
-    f: Callable[[Array], float],
-    x: Array,
-    analytic_grad: Array,
-    eps: float = 1e-5,
-) -> float:
-    """Compare an analytic gradient against central finite differences.
+def finite_diff_check(f: Callable[[Array], float], x: Array, analytic_grad: Array) -> float:
+    """Compare an analytic gradient against central finite differences of step ``_FD_STEP``.
 
     Returns the maximum over coordinates of
     ``|central_difference - analytic| / max(1, |analytic|)``.
-    Central differences are used for their O(eps^2) truncation error.
+    Central differences are used for their O(step^2) truncation error.
     """
-    if eps <= 0:
-        raise ConfigError(f"finite_diff_check: eps must be positive, got {eps}")
     x = as_vector(x, "x")
     g = as_vector(analytic_grad, "analytic_grad")
     if x.shape != g.shape:
@@ -108,12 +104,12 @@ def finite_diff_check(
     worst = 0.0
     for k in range(x.size):
         step = np.zeros_like(x)
-        step[k] = eps
+        step[k] = _FD_STEP
         hi = float(f(x + step))
         lo = float(f(x - step))
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise NumericError(f"finite_diff_check: f non-finite at coordinate {k}")
-        cd = (hi - lo) / (2.0 * eps)
+        cd = (hi - lo) / (2.0 * _FD_STEP)
         err = abs(cd - g[k]) / max(1.0, abs(g[k]))
         worst = max(worst, err)
     return worst

@@ -328,12 +328,13 @@ class ScatterData:
 
 
 def evaluate_model(
-    params: ModelParams, dataset: Dataset, *, label_ranges: dict | None = None
+    params: ModelParams, dataset: Dataset, *, label_ranges: dict | None
 ) -> tuple[EvalResult, dict[str, ScatterData]]:
     """Full metric protocol of the model ``params`` on a dataset: SRCC, KRCC, and mapped PLCC.
 
-    Head predictions are denormalized through ``label_ranges`` (the
-    training-time label min/max) so scatter files live on the label scale.
+    Head predictions are denormalized through ``label_ranges``, the
+    checkpoint's training-time label min/max, so scatter files live on the
+    label scale; ``None`` leaves them on the normalized scale.
     """
     scores = score_dataset(params, dataset, label_ranges=label_ranges)
     tasks: dict[str, TaskMetrics] = {}

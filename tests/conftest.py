@@ -1,6 +1,9 @@
+import csv
 import json
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,15 @@ from amff.dataio import Dataset, synth_generate
 from amff.scoring import ModelParams
 from amff.tensor import make_rng
 from amff.trainer import TrainConfig
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_sketch() -> str:
+    """The source of the README's one Python block, the library sketch."""
+    (sketch,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return sketch
 
 
 @pytest.fixture
@@ -24,6 +36,23 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
         and np.array_equal(a.features, b.features)
         and np.array_equal(a.labels, b.labels, equal_nan=True)
     )
+
+
+def write_feature_records_csv(dataset: Dataset, path) -> None:
+    """Write ``dataset`` in the CSV layout that ``read_feature_records_csv`` reads; the library writes only binary."""
+    header = ["id", "generator", "prompt", "q_v", "q_a", "q_c"]
+    header += [f"{prefix}_{i}" for prefix in ("ftext", "f05", "f10", "f15") for i in range(dataset.dim)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        # labels from TASKS order (q_c, q_v, q_a) to file order (q_v, q_a, q_c)
+        rows = zip(dataset.ids, dataset.generators, dataset.prompts, dataset.labels[:, [1, 2, 0]], dataset.features)
+        for sid, gen, prompt, labels, features in rows:
+            writer.writerow([
+                sid, gen, prompt,
+                *("" if math.isnan(v) else repr(v) for v in labels.tolist()),
+                *map(repr, features.ravel().tolist()),
+            ])
 
 
 def fast_config(**overrides) -> TrainConfig:

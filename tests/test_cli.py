@@ -14,7 +14,7 @@ from amff.errors import AmffError
 from amff.dataio import read_feature_records, write_feature_records
 from amff.encoder import Image, write_image
 from amff.tensor import make_rng
-from conftest import join_checkpoint, split_checkpoint
+from conftest import join_checkpoint, split_checkpoint, write_feature_records_csv
 
 
 DATA = Path(__file__).parent / "data"
@@ -148,8 +148,6 @@ class TestExtract:
 
 
 def _long_csv_cell(tmp_path, dataset):
-    from amff.dataio import write_feature_records_csv
-
     path = tmp_path / "long.csv"
     write_feature_records_csv(dataset, path)
     text = path.read_text(encoding="utf-8").replace(dataset.prompts[0], "x" * 200_000, 1)
@@ -217,13 +215,16 @@ def _truncated_records(dataset, path):
 
 
 def _poisoned_records(dataset, path):
-    dataset.features[7, 3, 5] = math.nan  # the writer passes NaN through
+    # The writer refuses NaN, so a finite sentinel's f32 bytes are swapped for NaN's.
+    dataset.features[7, 3, 5] = 1234.5
     write_feature_records(dataset, path)
+    data = path.read_bytes()
+    sentinel = struct.pack("<f", 1234.5)
+    assert data.count(sentinel) == 1
+    path.write_bytes(data.replace(sentinel, struct.pack("<f", math.nan)))
 
 
 def _long_csv_row(dataset, path):
-    from amff.dataio import write_feature_records_csv
-
     write_feature_records_csv(dataset, path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     lines[2] = lines[2].rstrip("\r\n") + ",0\r\n"
@@ -425,8 +426,6 @@ class TestTrainEval:
             assert (out / "scatter" / f"{task}.txt").exists()
 
     def test_csv_data_file_accepted(self, tmp_path, tiny_dataset):
-        from amff.dataio import write_feature_records_csv
-
         csv_path = tmp_path / "data.csv"
         write_feature_records_csv(tiny_dataset, csv_path)
         out = tmp_path / "run_csv"

@@ -22,11 +22,10 @@ from amff.dataio import (
     synth_generate,
     synth_generate_with_latents,
     write_feature_records,
-    write_feature_records_csv,
 )
 from amff.errors import AmffError, DataError, FormatError
 from amff.tensor import make_rng
-from conftest import datasets_equal
+from conftest import datasets_equal, write_feature_records_csv
 
 
 def _vec(rng, dim):
@@ -231,6 +230,15 @@ class TestBinaryCodec:
         path = tmp_path / "data.amff"
         with pytest.raises(FormatError, match=f"record 's{row}': {column} is beyond the f32 range"):
             write_feature_records(_rows(ds, range(4), features=features, labels=labels), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value, refusal", [(np.nan, "holds NaN"), (-np.inf, "is beyond the f32 range")])
+    def test_nonfinite_feature_refused_before_writing(self, tmp_path, value, refusal):
+        ds = _dataset(make_rng(6), n=4, dim=4)
+        ds.features[2, 3, 1] = value  # a built dataset's block can still be edited
+        path = tmp_path / "data.amff"
+        with pytest.raises(FormatError, match=f"record 's2': f_15 {refusal}"):
+            write_feature_records(ds, path)
         assert not path.exists()
 
     def test_empty_dataset_refused(self):

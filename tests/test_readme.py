@@ -4,22 +4,14 @@ and its checkpoint format names the header keys ``save_checkpoint`` writes."""
 import ast
 import re
 import types
-from pathlib import Path
 
 import amff
 from amff.trainer import save_checkpoint, train
-from conftest import fast_config, split_checkpoint
-
-README = Path(__file__).parents[1] / "README.md"
-
-
-def _sketch() -> str:
-    (sketch,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-    return sketch
+from conftest import README, fast_config, readme_sketch, split_checkpoint
 
 
 def test_library_sketch_runs_verbatim(capsys):
-    exec(compile(_sketch(), str(README), "exec"), {})
+    exec(compile(readme_sketch(), str(README), "exec"), {})
     srccs = ast.literal_eval(capsys.readouterr().out)
     assert set(srccs) == {"consistency", "quality", "authenticity"}
     assert all(0.5 < s <= 1.0 for s in srccs.values()), srccs
@@ -28,7 +20,7 @@ def test_library_sketch_runs_verbatim(capsys):
 def test_package_exports_what_the_sketch_imports():
     imported = {
         alias.name
-        for node in ast.walk(ast.parse(_sketch()))
+        for node in ast.walk(ast.parse(readme_sketch()))
         if isinstance(node, ast.ImportFrom) and node.module == "amff"
         for alias in node.names
     }

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from amff.errors import ConfigError, NumericError, ShapeError
+from amff.errors import NumericError, ShapeError
 from amff.losses import mse_loss
 from amff.tensor import affine_forward, as_vector, finite_diff_check, make_rng, softmax
 
@@ -93,10 +93,6 @@ class TestFiniteDiffCheck:
         _, grad = mse_loss(preds, gts)
         err = finite_diff_check(lambda p: mse_loss(p, gts)[0], preds, grad)
         assert err < 1e-4
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ConfigError):
-            finite_diff_check(lambda v: 0.0, np.ones(2), np.zeros(2), eps=0.0)
 
     def test_nonfinite_function(self):
         with pytest.raises(NumericError):

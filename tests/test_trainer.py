@@ -261,7 +261,7 @@ class TestEvaluateModel:
     def test_task_with_too_few_labels_is_refused(self, tiny_dataset, labelled):
         part = _with_labels(tiny_dataset, range(8), q_v=[1.0] * labelled + [np.nan] * (8 - labelled))
         with pytest.raises(DataError) as exc:
-            evaluate_model(_params(dim=part.dim), part)
+            evaluate_model(_params(dim=part.dim), part, label_ranges=None)
         assert str(exc.value) == (
             f"evaluate_model: quality has {labelled} labelled row(s); the metrics need at least 5"
         )

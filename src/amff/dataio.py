@@ -1,12 +1,18 @@
 """Columnar dataset, feature-record codecs, splits, and the planted generator.
 
 A ``Dataset`` holds its rows column-wise: lists of ids, generator ids
-and prompts, one ``(N, 4, D)`` float64 feature block whose rows are
-f_text, f_05, f_10 and f_15, and an ``(N, 3)`` float64 label block whose
-columns are in ``TASKS`` order (q_c, q_v, q_a), in which NaN marks an
-absent label.  A mini-batch is an index gather of the blocks and a
-scoring chunk a slice of them, so no row is ever copied into an object
-of its own.
+and prompts, one ``(N, 4, D)`` feature block whose rows are f_text,
+f_05, f_10 and f_15, and an ``(N, 3)`` float64 label block whose columns
+are in ``TASKS`` order (q_c, q_v, q_a), in which NaN marks an absent
+label.  A mini-batch is an index gather of the blocks and a scoring
+chunk a slice of them, so no row is ever copied into an object of its
+own.
+
+The feature block is float32 where the values came from f32: the binary
+reader and the planted generator fill one, and ``subset`` keeps it.
+Every other block (CSV cells, ``extract``'s encoder, a caller's list)
+is float64.  ``scoring.model_forward`` widens its input to float64,
+which is exact, so the model sees the same numbers from either block.
 
 Feature records are written in a little-endian binary layout (magic
 ``AMFF``) and read from it or from a CSV layout with one header row;
@@ -54,7 +60,8 @@ def _first_nonfinite(features: Array) -> str | None:
     """Where the first non-finite feature value of an (N, 4, D) block is, or None."""
     # A finite sum has only finite terms, and it needs no (N, 4, D) temporary;
     # the exact check below runs only when some term is not finite or the sum
-    # of finite terms overflowed.
+    # of finite terms overflowed, which an f32 block's f32 sum does sooner.
+    # The errstate also covers a signalling NaN, whose f32 sum raises "invalid".
     with np.errstate(over="ignore", invalid="ignore"):
         if math.isfinite(features.sum()):
             return None
@@ -69,8 +76,10 @@ def _first_nonfinite(features: Array) -> str | None:
 class Dataset:
     """Samples held column-wise, validated once when built.
 
-    ``check_finite=False`` skips the pass over the feature block, for a
-    builder that has just checked it with ``_first_nonfinite`` itself.
+    A float32 feature block is kept as it is; any other is converted to
+    float64, as the labels always are.  ``check_finite=False`` skips the
+    pass over the feature block, for a builder that has just checked it
+    with ``_first_nonfinite`` itself.
     """
 
     ids: list[str]
@@ -90,7 +99,8 @@ class Dataset:
             raise DataError(
                 f"Dataset: {n} ids but {len(self.generators)} generators and {len(self.prompts)} prompts"
             )
-        self.features = np.asarray(self.features, dtype=np.float64)
+        if getattr(self.features, "dtype", None) != np.float32:
+            self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.float64)
         f, lab = self.features.shape, self.labels.shape
         if len(f) != 3 or f[:2] != (n, 4) or f[2] == 0 or lab != (n, 3):
@@ -237,8 +247,9 @@ def read_feature_records(path) -> Dataset:
     """Parse a binary feature-record file into a Dataset.
 
     Only the string headers and label masks are walked record by record;
-    each record's four vectors go straight into the preallocated feature
-    block, which is checked for finite values once.
+    each record's four vectors are copied, still f32, into the
+    preallocated float32 feature block, which is checked for finite
+    values once.
     """
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
@@ -267,44 +278,41 @@ def read_feature_records(path) -> Dataset:
     generators: list[str] = []
     prompts: list[str] = []
     labels = np.full((count, 3), np.nan)
-    features = np.empty((count, 4, dim))
+    features = np.empty((count, 4, dim), dtype=np.float32)
     vector_bytes = 16 * dim
     pos = _HEADER.size
 
     def truncated(need: int) -> FormatError:
         return FormatError(f"truncated file in record {idx} (need {need} bytes at offset {pos})")
 
-    # A flipped byte can make a signalling NaN, whose cast to f64 raises
-    # "invalid"; it lands in the block as a NaN, which the check below reports.
-    with np.errstate(invalid="ignore"):
-        for idx in range(count):
-            for column, width, what in ((ids, 2, "id"), (generators, 2, "generator_id"), (prompts, 4, "prompt")):
-                size = int.from_bytes(data[pos : pos + width], "little")
-                if pos + width + size > end:
-                    raise truncated(width + size)
-                pos += width
-                try:
-                    column.append(data[pos : pos + size].decode("utf-8"))
-                except UnicodeDecodeError:
-                    raise FormatError(f"record {idx}: {what} is not valid UTF-8") from None
-                pos += size
-            if pos >= end:
-                raise truncated(1)
-            mask = data[pos]
-            pos += 1
-            for bit, (name, column) in enumerate(zip(_LABEL_NAMES, _COLUMN)):
-                if mask & (1 << bit):
-                    if pos + 4 > end:
-                        raise truncated(4)
-                    (value,) = struct.unpack_from("<f", data, pos)
-                    if not math.isfinite(value):
-                        raise FormatError(f"record {idx}: non-finite label {name}")
-                    labels[idx, column] = value
-                    pos += 4
-            if pos + vector_bytes > end:
-                raise truncated(vector_bytes)
-            features[idx] = np.frombuffer(data, "<f4", 4 * dim, pos).reshape(4, dim)
-            pos += vector_bytes
+    for idx in range(count):
+        for column, width, what in ((ids, 2, "id"), (generators, 2, "generator_id"), (prompts, 4, "prompt")):
+            size = int.from_bytes(data[pos : pos + width], "little")
+            if pos + width + size > end:
+                raise truncated(width + size)
+            pos += width
+            try:
+                column.append(data[pos : pos + size].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise FormatError(f"record {idx}: {what} is not valid UTF-8") from None
+            pos += size
+        if pos >= end:
+            raise truncated(1)
+        mask = data[pos]
+        pos += 1
+        for bit, (name, column) in enumerate(zip(_LABEL_NAMES, _COLUMN)):
+            if mask & (1 << bit):
+                if pos + 4 > end:
+                    raise truncated(4)
+                (value,) = struct.unpack_from("<f", data, pos)
+                if not math.isfinite(value):
+                    raise FormatError(f"record {idx}: non-finite label {name}")
+                labels[idx, column] = value
+                pos += 4
+        if pos + vector_bytes > end:
+            raise truncated(vector_bytes)
+        features[idx] = np.frombuffer(data, "<f4", 4 * dim, pos).reshape(4, dim)
+        pos += vector_bytes
     bad = _first_nonfinite(features)
     if bad:
         raise FormatError(bad)
@@ -495,10 +503,10 @@ def synth_generate_with_latents(
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise DataError(f"synth_generate: noise_sigma must be finite and >= 0, got {noise_sigma}")
     try:
-        features = np.empty((n, 4, dim))
+        features = np.empty((n, 4, dim), dtype=np.float32)
     except MemoryError:
         raise DataError(
-            f"synth_generate: {n} samples of dim {dim} need a {n * 4 * dim * 8}-byte feature block, "
+            f"synth_generate: {n} samples of dim {dim} need a {n * 4 * dim * 4}-byte feature block, "
             "more than can be allocated"
         ) from None
 
@@ -541,11 +549,12 @@ def synth_generate_with_latents(
         f_text = np.cos(angle) * u + np.sin(angle) * ortho
 
         block = features[rows]
-        block[...] = np.stack((f_text, f_05, f_10, f_15), axis=1).astype(np.float32)
-        # A noise_sigma too large for f32 features overflows on the way to the cast.
+        # The assignment rounds to f32; a noise_sigma too large for f32 features
+        # overflows on the way.
+        block[...] = np.stack((f_text, f_05, f_10, f_15), axis=1)
         if not np.isfinite(block).all():
             raise DataError(f"synth_generate: noise_sigma {noise_sigma} puts features beyond the f32 range")
-        f_text, f_10 = block[:, 0], block[:, 2]
+        f_text, f_10 = block[:, 0].astype(np.float64), block[:, 2].astype(np.float64)
         q_c = _rowdot(f_text, f_10) / (_rownorm(f_text) * _rownorm(f_10))
         q_v = 1.0 + 4.0 / (1.0 + np.exp(-_rowdot(z, w_v)))
         q_a = 1.0 + 4.0 / (1.0 + np.exp(-_rowdot(z, w_a)))

@@ -176,9 +176,11 @@ def model_forward(features: Array, params: ModelParams) -> tuple[Array, ModelCac
 
     ``features`` is a (B, 4, D) block whose rows are f_text, f_05, f_10
     and f_15.  The scores are a (B, 3) block, columns in ``TASKS`` order.
+    A float32 block is widened to float64 here, the one place it is.
     """
     if features.ndim != 3 or features.shape[1:] != (4, params.dim):
         raise ShapeError(f"model_forward: expected (B, 4, {params.dim}) features, got {features.shape}")
+    features = features.astype(np.float64, copy=False)
     f_text = features[:, 0]
     trio = features[:, 1:] if params.use_msi else features[:, (2, 2, 2)]
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -47,8 +48,9 @@ _CKPT_MAGIC = b"AMFK"
 _CKPT_VERSION = 1
 
 # Rows per forward pass outside training (validation, evaluation,
-# prediction).  A chunk's features are a view of the dataset's block, so
-# this bounds the activations a pass holds, not a copy of the features.
+# prediction).  A chunk's features are a view of the dataset's block, which
+# ``model_forward`` widens to float64 a chunk at a time, so this bounds the
+# activations and the widened copy a pass holds.
 SCORE_CHUNK = 256
 
 
@@ -484,70 +486,78 @@ def load_checkpoint(path) -> Checkpoint:
     of the loaded record (a missing or unknown key included) raises
     ``FormatError``.  So a file that loads re-saves byte for byte, less the
     v1 leftovers: the top-level ``rng_state`` and the ``_RETIRED_CONFIG`` fields.
+
+    The file is read once, through one open handle: the prefix and header
+    as bytes, then each container's tensors straight into its buffer, so
+    no copy of the payload is held beside the containers.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 16 or data[:4] != _CKPT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    version = struct.unpack("<I", data[4:8])[0]
-    if version != _CKPT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    hlen = struct.unpack("<Q", data[8:16])[0]
-    if 16 + hlen > len(data):
-        raise FormatError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(data[16 : 16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError, RecursionError):
-        raise FormatError(f"{path}: corrupt checkpoint header") from None
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if len(head) < 16 or head[:4] != _CKPT_MAGIC:
+            raise FormatError(f"{path}: not a checkpoint file")
+        version = struct.unpack("<I", head[4:8])[0]
+        if version != _CKPT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        hlen = struct.unpack("<Q", head[8:16])[0]
+        if 16 + hlen > file_size:
+            raise FormatError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, ValueError, RecursionError):
+            raise FormatError(f"{path}: corrupt checkpoint header") from None
 
-    def need(ok: bool, what: str) -> None:
-        if not ok:
-            raise FormatError(f"{path}: {what}")
+        def need(ok: bool, what: str) -> None:
+            if not ok:
+                raise FormatError(f"{path}: {what}")
 
-    try:
-        header.pop("rng_state", None)  # v1 wrote it and nothing read it
-        for name, only in _RETIRED_CONFIG.items():
-            value = header["config"].pop(name, only)
-            need(value == only, f"config field {name!r} must be {only!r}, got {value!r}")
-        cfg = TrainConfig(**header["config"])
-        dim = header["dim"]
-        need(_is_int(dim) and dim > 0, f"dim {dim!r} must be a positive integer")
-        need(_is_int(header["opt_step"]) and header["opt_step"] >= 0, "opt_step must be an integer >= 0")
-        need(header["label_ranges"].keys() == set(TASKS), f"label ranges must be for exactly {', '.join(TASKS)}")
-        label_ranges = {}
-        for task, v in header["label_ranges"].items():
-            need(
-                v is None or (isinstance(v, list) and len(v) == 2 and all(map(_is_real, v)) and v[0] <= v[1]),
-                f"label range of {task!r} is not null or two finite numbers lo <= hi",
-            )
-            label_ranges[task] = None if v is None else (float(v[0]), float(v[1]))
-        history = [EpochStats(**e) for e in header["history"]]
-        for k, e in enumerate(history, 1):
-            need(_is_int(e.epoch) and e.epoch == k, "history epochs are not 1..n")
-            need(e.val_srcc.keys() <= set(TASKS), f"history epoch {k}: val_srcc names a task outside {TASKS}")
-            numbers = (e.lr, e.loss_total, e.loss_c, e.loss_v, e.loss_a, e.val_mean, *e.val_srcc.values())
-            need(all(map(_is_real, numbers)), f"history epoch {k}: a rate, loss or SRCC is not a finite number")
-    except (KeyError, TypeError, AttributeError, OverflowError, ConfigError) as exc:
-        raise FormatError(f"{path}: malformed checkpoint header ({exc})") from None
+        try:
+            header.pop("rng_state", None)  # v1 wrote it and nothing read it
+            for name, only in _RETIRED_CONFIG.items():
+                value = header["config"].pop(name, only)
+                need(value == only, f"config field {name!r} must be {only!r}, got {value!r}")
+            cfg = TrainConfig(**header["config"])
+            dim = header["dim"]
+            need(_is_int(dim) and dim > 0, f"dim {dim!r} must be a positive integer")
+            need(_is_int(header["opt_step"]) and header["opt_step"] >= 0, "opt_step must be an integer >= 0")
+            need(header["label_ranges"].keys() == set(TASKS), f"label ranges must be for exactly {', '.join(TASKS)}")
+            label_ranges = {}
+            for task, v in header["label_ranges"].items():
+                need(
+                    v is None or (isinstance(v, list) and len(v) == 2 and all(map(_is_real, v)) and v[0] <= v[1]),
+                    f"label range of {task!r} is not null or two finite numbers lo <= hi",
+                )
+                label_ranges[task] = None if v is None else (float(v[0]), float(v[1]))
+            history = [EpochStats(**e) for e in header["history"]]
+            for k, e in enumerate(history, 1):
+                need(_is_int(e.epoch) and e.epoch == k, "history epochs are not 1..n")
+                need(e.val_srcc.keys() <= set(TASKS), f"history epoch {k}: val_srcc names a task outside {TASKS}")
+                numbers = (e.lr, e.loss_total, e.loss_c, e.loss_v, e.loss_a, e.val_mean, *e.val_srcc.values())
+                need(all(map(_is_real, numbers)), f"history epoch {k}: a rate, loss or SRCC is not a finite number")
+        except (KeyError, TypeError, AttributeError, OverflowError, ConfigError) as exc:
+            raise FormatError(f"{path}: malformed checkpoint header ({exc})") from None
 
-    size = sum(math.prod(shape) for _, shape in param_layout(dim, cfg.hidden_aff, cfg.hidden_head))
-    payload = len(data) - 16 - hlen
-    need(payload >= 8 * size * len(_CKPT_CONTAINERS), "truncated tensor payload")
-    need(payload == 8 * size * len(_CKPT_CONTAINERS), "trailing bytes after tensors")
-    containers = []
-    for k, prefix in enumerate(_CKPT_CONTAINERS):
-        container = ModelParams(dim, cfg.hidden_aff, cfg.hidden_head, cfg.similarity, cfg.use_msi, cfg.use_aff)
-        container.flat[:] = np.frombuffer(data, dtype="<f8", count=size, offset=16 + hlen + 8 * size * k)
-        for name, a in container.named_arrays():
-            need(bool(np.all(np.isfinite(a))), f"non-finite value in {prefix}.{name}")
-        containers.append(container)
-    best, final, m, v = containers
-    need(bool(np.all(v.flat >= 0.0)), "negative value in the second moment opt_v")
-    ckpt = Checkpoint(best, final, OptimizerState(m, v, header["opt_step"]), cfg, label_ranges, history)
-    difference = _first_difference(header, _header(ckpt), "")
-    if difference is not None:
-        key, got, want = difference
-        raise FormatError(f"{path}: header {key}: the file has {got[:80]}, the loaded record saves {want[:80]}")
-    return ckpt
+        size = sum(math.prod(shape) for _, shape in param_layout(dim, cfg.hidden_aff, cfg.hidden_head))
+        payload = file_size - 16 - hlen
+        need(payload >= 8 * size * len(_CKPT_CONTAINERS), "truncated tensor payload")
+        need(payload == 8 * size * len(_CKPT_CONTAINERS), "trailing bytes after tensors")
+        containers = []
+        for prefix in _CKPT_CONTAINERS:
+            container = ModelParams(dim, cfg.hidden_aff, cfg.hidden_head, cfg.similarity, cfg.use_msi, cfg.use_aff)
+            need(fh.readinto(container.flat.view(np.uint8)) == 8 * size, "truncated tensor payload")
+            if sys.byteorder == "big":  # the file holds <f8
+                container.flat.byteswap(inplace=True)
+            for name, a in container.named_arrays():
+                need(bool(np.all(np.isfinite(a))), f"non-finite value in {prefix}.{name}")
+            containers.append(container)
+        best, final, m, v = containers
+        need(bool(np.all(v.flat >= 0.0)), "negative value in the second moment opt_v")
+        ckpt = Checkpoint(best, final, OptimizerState(m, v, header["opt_step"]), cfg, label_ranges, history)
+        difference = _first_difference(header, _header(ckpt), "")
+        if difference is not None:
+            key, got, want = difference
+            raise FormatError(f"{path}: header {key}: the file has {got[:80]}, the loaded record saves {want[:80]}")
+        return ckpt
 
 
 def _first_difference(got, want, key: str) -> tuple[str, str, str] | None:

@@ -74,6 +74,12 @@ class TestExtract:
         assert _run(_golden_extract(tmp_path)) == 0
         assert (tmp_path / "features.amff").read_bytes() == (DATA / "extract_parent.amff").read_bytes()
 
+    def test_encoded_block_is_float64(self, tmp_path, monkeypatch):
+        written = []
+        monkeypatch.setattr(cli.dataio, "write_feature_records", lambda dataset, out: written.append(dataset))
+        assert _run(_golden_extract(tmp_path)) == 0
+        assert [ds.features.dtype for ds in written] == [np.float64]
+
     def test_images_to_features(self, tmp_path):
         rng = make_rng(0)
         img_dir = tmp_path / "imgs"
@@ -262,9 +268,9 @@ class TestMalformedInput:
               for value in ("nan", "inf")],
             *[(_args("trials", "--data", "{data}", "--out", "{out}", "--trials", value), "E_CONFIG", "--trials")
               for value in ("0", "-2")],
-            # 1.46 PiB of features: numpy refuses the request without allocating it.
+            # 0.73 PiB of f32 features: numpy refuses the request without allocating it.
             (_args("synth", "--out", "{out}/s.amff", "--n", "100000000000", "--dim", "512"), "E_DATA",
-             "100000000000 samples of dim 512 need a 1638400000000000-byte feature block"),
+             "100000000000 samples of dim 512 need a 819200000000000-byte feature block"),
             # Overflow that numpy would warn of before the one error line.
             (_args("synth", "--out", "{out}/s.amff", "--n", "4", "--dim", "8", "--noise", "1e39"), "E_DATA",
              "noise_sigma 1e+39 puts features beyond the f32 range"),

@@ -441,7 +441,8 @@ class TestSynthGenerate:
         ds, lat = synth_generate_with_latents(n, dim, noise, make_rng(seed))
         ref, ref_lat = _synth_reference(n, dim, noise, make_rng(seed))
         assert (ds.ids, ds.generators, ds.prompts) == (ref.ids, ref.generators, ref.prompts)
-        assert ds.features.tobytes() == ref.features.tobytes()
+        assert ds.features.dtype == np.float32
+        assert ds.features.astype(np.float64).tobytes() == ref.features.tobytes()
         assert ds.labels.tobytes() == ref.labels.tobytes()
         for field in ("z", "mix", "w_v", "w_a", "angles"):
             assert getattr(lat, field).tobytes() == getattr(ref_lat, field).tobytes(), field
@@ -472,7 +473,8 @@ class TestSynthGenerate:
 
     def test_noise_zero_consistency_label_exact(self):
         ds = synth_generate(12, 16, 0.0, make_rng(5))
-        for ft, f10, q_c in zip(ds.features[:, 0], ds.features[:, 2], ds.labels[:, 0]):
+        features = ds.features.astype(np.float64)
+        for ft, f10, q_c in zip(features[:, 0], features[:, 2], ds.labels[:, 0]):
             recomputed = float(
                 np.float32(float(ft @ f10) / (np.linalg.norm(ft) * np.linalg.norm(f10)))
             )
@@ -565,6 +567,26 @@ class TestDatasetModel:
         block = np.zeros((2, 4, 6))
         block[0, 1, :3] = 1e308  # finite values whose sum is inf
         assert np.array_equal(_rows(ds, [0, 1], features=block).features, block)
+
+
+class TestFeatureDtype:
+    """Blocks read from f32 stay f32, and every other block is float64."""
+
+    def test_binary_reader_and_synth_give_float32_that_subsets_and_splits_keep(self, tmp_path):
+        ds = synth_generate(40, 8, 0.01, make_rng(23))
+        write_feature_records(ds, tmp_path / "d.amff")
+        for block in (ds, read_feature_records(tmp_path / "d.amff")):
+            derived = [block.subset([3, 1]), *split_random(block, 0.5, make_rng(1)),
+                       *split_per_generator(block, 0.5, make_rng(2))]
+            assert [d.features.dtype for d in (block, *derived)] == [np.float32] * 6
+
+    def test_csv_and_list_input_give_float64(self, tmp_path):
+        ds = _dataset(make_rng(24), n=3, dim=4)
+        write_feature_records_csv(ds, tmp_path / "d.csv")
+        assert read_feature_records_csv(tmp_path / "d.csv").features.dtype == np.float64
+        listed = _rows(ds, range(3), features=ds.features.astype(np.float32).tolist())
+        assert listed.features.dtype == np.float64
+        assert np.array_equal(listed.features, ds.features)
 
 
 # The dimension each file label scores, labels in file order (mask bits 0, 1, 2):

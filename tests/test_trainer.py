@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from amff import trainer
 from amff.dataio import Dataset, read_feature_records, split_random, synth_generate
 from amff.errors import AmffError, ConfigError, DataError, FormatError, NumericError
 from amff.losses import total_loss
-from amff.scoring import init_model_params, model_backward, model_forward
+from amff.scoring import VARIANTS, init_model_params, model_backward, model_forward
 from amff.tensor import make_rng
 from amff.trainer import (
     ADAM_EPS,
@@ -20,6 +21,7 @@ from amff.trainer import (
     OptimizerState,
     TrainConfig,
     adamw_step,
+    batch_objective,
     evaluate_model,
     load_checkpoint,
     params_checksum,
@@ -286,6 +288,26 @@ class TestScoreDataset:
             trainer.score_dataset(params, tiny_dataset, label_ranges=tiny_dataset.label_ranges)
 
 
+class TestFloat32Features:
+    """The model scores and trains on a float32 block exactly as on its float64 widening."""
+
+    @pytest.mark.parametrize("name, similarity, use_msi, use_aff", VARIANTS, ids=[v[0] for v in VARIANTS])
+    def test_batch_objective(self, tiny_dataset, name, similarity, use_msi, use_aff):
+        params = _params(dim=tiny_dataset.dim, similarity=similarity, use_msi=use_msi, use_aff=use_aff)
+        block, targets, active = tiny_dataset.features[:16], tiny_dataset.labels[:16], np.ones(3, bool)
+        assert block.dtype == np.float32
+        narrow, grads = batch_objective(params, block, targets, active)
+        wide, wide_grads = batch_objective(params, block.astype(np.float64), targets, active)
+        assert narrow.total == wide.total
+        assert grads.flat.tobytes() == wide_grads.flat.tobytes()
+
+    def test_score_dataset(self, tiny_dataset):
+        params, ds = _params(dim=tiny_dataset.dim), tiny_dataset
+        wide = Dataset(ds.ids, ds.generators, ds.prompts, ds.features.astype(np.float64), ds.labels)
+        narrow_scores, wide_scores = (score_dataset(params, d, label_ranges=ds.label_ranges) for d in (ds, wide))
+        assert narrow_scores.tobytes() == wide_scores.tobytes()
+
+
 class TestRunTrials:
     def test_one_split_per_seed_and_results_by_trial_then_config(self, tiny_dataset, monkeypatch):
         splits, trainings = [], []
@@ -390,6 +412,20 @@ class TestCheckpoint:
 
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_loading_holds_no_copy_of_the_payload(self, tmp_path):
+        cfg = fast_config(max_epochs=1, hidden_aff=256, hidden_head=256)
+        ckpt = train(synth_generate(40, 128, 0.01, make_rng(3)), cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The four containers, and far less than a second copy of the file.
+        assert peak < 4 * loaded.params.flat.nbytes + path.stat().st_size // 4, peak
 
     def test_resume_from_earlier_checkpoint_matches_pins(self):
         # parent_v1.ckpt and the losses and final-parameter scores in

@@ -147,7 +147,7 @@ def _add_train_flags(p: argparse.ArgumentParser, variant_flags: bool = True) -> 
 
 def _write_eval_reports(out: str, result: metrics.EvalResult, scatter, title: str) -> None:
     _output(out, "reports", "eval.txt").write_text(metrics.format_table(result, title))
-    _output(out, "reports", "eval.jsonl").write_text(metrics.to_jsonl(result))
+    _output(out, "reports", "eval.jsonl").write_text(metrics.format_jsonl(metrics.task_rows(result)))
     for task, sd in scatter.items():
         _output(out, "scatter", f"{task}.txt").write_text(metrics.format_scatter(sd.preds, sd.gts, sd.mapped))
 

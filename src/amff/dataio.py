@@ -94,7 +94,9 @@ class Dataset:
         if n == 0:
             raise DataError("Dataset: refusing to build an empty dataset")
         if len(set(self.ids)) != n:
-            raise DataError("Dataset: duplicate sample ids")
+            first: dict[str, int] = {}
+            k, sid = next((k, sid) for k, sid in enumerate(self.ids) if first.setdefault(sid, k) != k)
+            raise DataError(f"Dataset: duplicate sample ids: row {k}: id {sid!r} is also the id of row {first[sid]}")
         if len(self.generators) != n or len(self.prompts) != n:
             raise DataError(
                 f"Dataset: {n} ids but {len(self.generators)} generators and {len(self.prompts)} prompts"
@@ -462,22 +464,9 @@ def _rownorm(a: Array) -> Array:
     return np.sqrt(_rowdot(a, a))
 
 
-@dataclass(frozen=True)
-class SynthLatents:
-    """Generator internals exposed for oracle tests."""
-
-    z: Array       # (n, 8)
-    mix: Array     # (dim, 8)
-    w_v: Array
-    w_a: Array
-    angles: Array  # (n,)
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # each chunk's features are checked instead
-def synth_generate_with_latents(
-    n: int, dim: int, noise_sigma: float, rng: np.random.Generator
-) -> tuple[Dataset, SynthLatents]:
-    """Planted-model dataset plus the latent factors that produced it.
+def synth_generate(n: int, dim: int, noise_sigma: float, rng: np.random.Generator) -> Dataset:
+    """Planted-model dataset for desk-scale training and evaluation.
 
     Per sample: an 8-dim latent drives the original-scale feature through
     a fixed mixing matrix; the half-scale feature is a smoothed copy and
@@ -494,7 +483,7 @@ def synth_generate_with_latents(
     text feature is planted with.  Everything else is computed on
     ``_CHUNK_ROWS`` rows at once with the same kernels a single row uses
     (one gemv and one dot per row), so every byte equals that of a
-    row-at-a-time computation.
+    row-at-a-time computation.  No latent is kept past its chunk.
     """
     if n < 4:
         raise DataError(f"synth_generate: need n >= 4, got {n}")
@@ -519,20 +508,18 @@ def synth_generate_with_latents(
     w_a *= 0.5 / np.linalg.norm(w_a)
 
     labels = np.empty((n, 3))
-    zs = np.empty((n, _LATENT_DIM))
-    angles = np.empty(n)
     # A row of ``draws`` is one call's normals: z, then the noise of f_10, f_05 and f_15.
     draws = np.empty((_CHUNK_ROWS, _LATENT_DIM + 3 * dim))
+    angles = np.empty(_CHUNK_ROWS)
     planted = np.empty((_CHUNK_ROWS, dim))
     for start in range(0, n, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, n))
         c = rows.stop - start
         for j in range(c):
             rng.standard_normal(out=draws[j])
-            angles[start + j] = rng.uniform(0.0, np.pi / 2.0)
+            angles[j] = rng.uniform(0.0, np.pi / 2.0)
             rng.standard_normal(out=planted[j])
-        zs[rows] = draws[:c, :_LATENT_DIM]
-        z = zs[rows]
+        z = draws[:c, :_LATENT_DIM]
         e_10, e_05, e_15 = draws[:c, _LATENT_DIM:].reshape(c, 3, dim).transpose(1, 0, 2)
         r = planted[:c]
 
@@ -545,7 +532,7 @@ def synth_generate_with_latents(
         u = f_10 / _rownorm(f_10)[:, None]
         ortho = r - _rowdot(r, u)[:, None] * u
         ortho /= _rownorm(ortho)[:, None]
-        angle = angles[rows, None]
+        angle = angles[:c, None]
         f_text = np.cos(angle) * u + np.sin(angle) * ortho
 
         block = features[rows]
@@ -559,7 +546,7 @@ def synth_generate_with_latents(
         q_v = 1.0 + 4.0 / (1.0 + np.exp(-_rowdot(z, w_v)))
         q_a = 1.0 + 4.0 / (1.0 + np.exp(-_rowdot(z, w_a)))
         labels[rows] = np.stack((q_c, q_v, q_a), axis=1).astype(np.float32)
-    dataset = Dataset(
+    return Dataset(
         ids=[f"synth-{i:06d}" for i in range(n)],
         generators=["gen-a" if i % 2 == 0 else "gen-b" for i in range(n)],
         prompts=[f"synthetic scene {i}" for i in range(n)],
@@ -567,10 +554,3 @@ def synth_generate_with_latents(
         labels=labels,
         check_finite=False,  # every chunk checked above
     )
-    return dataset, SynthLatents(zs, mix, w_v, w_a, angles)
-
-
-def synth_generate(n: int, dim: int, noise_sigma: float, rng: np.random.Generator) -> Dataset:
-    """Planted-model dataset for desk-scale training and evaluation."""
-    dataset, _ = synth_generate_with_latents(n, dim, noise_sigma, rng)
-    return dataset

@@ -359,11 +359,6 @@ def task_rows(result: EvalResult) -> Iterator[dict]:
         yield {"task": name, "srcc": tm.srcc, "plcc": tm.plcc, "krcc": tm.krcc, "n": tm.n}
 
 
-def to_jsonl(result: EvalResult) -> str:
-    """One JSON object per task: the rows of ``task_rows``."""
-    return format_jsonl(task_rows(result))
-
-
 def format_scatter(preds: Array, gts: Array, mapped: Array) -> str:
     """Scatter data, one `pred gt mapped_pred` triple per line."""
     rows = [f"{repr(float(p))} {repr(float(g))} {repr(float(m))}" for p, g, m in zip(preds, gts, mapped)]

@@ -36,7 +36,7 @@ from .scoring import (
     model_forward,
     param_layout,
 )
-from .tensor import Array, make_rng
+from .tensor import Array, _round_half_up, make_rng
 
 # AdamW moment hyperparameters.
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -245,12 +245,14 @@ def train(dataset: Dataset, cfg: TrainConfig, resume_from=None) -> Checkpoint:
     if not active.any():
         raise DataError("train: dataset has no fully present label for any task")
 
-    core, val = split_random(dataset, 1.0 - cfg.val_fraction, make_rng((cfg.seed, _TAG_VALSPLIT)))
-    if len(val) < 2:
+    # The validation side's size by the split's own rule, checked before the split refuses an empty side.
+    n_val = len(dataset) - _round_half_up((1.0 - cfg.val_fraction) * len(dataset))
+    if n_val < 2:
         raise DataError(
-            f"train: the validation side holds {len(val)} row(s) at val_fraction {cfg.val_fraction}; "
+            f"train: the validation side holds {n_val} row(s) at val_fraction {cfg.val_fraction}; "
             "the validation SRCC needs at least 2"
         )
+    core, val = split_random(dataset, 1.0 - cfg.val_fraction, make_rng((cfg.seed, _TAG_VALSPLIT)))
     ranges = dataset.label_ranges
 
     if resume_from is not None:
@@ -329,6 +331,28 @@ class ScatterData:
     mapped: Array
 
 
+def _scored_tasks(dataset: Dataset) -> dict[int, Array]:
+    """The ``TASKS`` column of each task ``evaluate_model`` scores on ``dataset``, with its mask of labelled rows.
+
+    A task with no label is left out; one with fewer than
+    ``LOGISTIC_MIN_POINTS``, or a dataset with no label at all, is refused.
+    """
+    scored = {}
+    for k, task in enumerate(TASKS):
+        labelled = ~np.isnan(dataset.labels[:, k])
+        n = int(labelled.sum())
+        if n == 0:
+            continue
+        if n < LOGISTIC_MIN_POINTS:
+            raise DataError(
+                f"evaluate_model: {task} has {n} labelled row(s); the metrics need at least {LOGISTIC_MIN_POINTS}"
+            )
+        scored[k] = labelled
+    if not scored:
+        raise DataError("evaluate_model: dataset carries no labels to score against")
+    return scored
+
+
 def evaluate_model(
     params: ModelParams, dataset: Dataset, *, label_ranges: dict | None
 ) -> tuple[EvalResult, dict[str, ScatterData]]:
@@ -338,31 +362,22 @@ def evaluate_model(
     checkpoint's training-time label min/max, so scatter files live on the
     label scale; ``None`` leaves them on the normalized scale.
     """
+    scored = _scored_tasks(dataset)
     scores = score_dataset(params, dataset, label_ranges=label_ranges)
     tasks: dict[str, TaskMetrics] = {}
     scatter: dict[str, ScatterData] = {}
-    for k, task in enumerate(TASKS):
-        gts = dataset.labels[:, k]
-        labelled = ~np.isnan(gts)
-        n = int(labelled.sum())
-        if n == 0:
-            continue
-        if n < LOGISTIC_MIN_POINTS:
-            raise DataError(
-                f"evaluate_model: {task} has {n} labelled row(s); the metrics need at least {LOGISTIC_MIN_POINTS}"
-            )
-        preds, gts = scores[labelled, k], gts[labelled]
+    for k, labelled in scored.items():
+        task = TASKS[k]
+        preds, gts = scores[labelled, k], dataset.labels[labelled, k]
         plcc_value, logistic = plcc(preds, gts)
         tasks[task] = TaskMetrics(
             srcc=srcc(preds, gts),
             plcc=plcc_value,
             krcc=krcc(preds, gts),
-            n=n,
+            n=len(gts),
             logistic=logistic,
         )
         scatter[task] = ScatterData(preds, gts, logistic.apply(preds))
-    if not tasks:
-        raise DataError("evaluate_model: dataset carries no labels to score against")
     return EvalResult(tasks), scatter
 
 
@@ -370,11 +385,13 @@ def run_trials(dataset: Dataset, split, seeds: list[int], configs: list[TrainCon
     """Test-side metrics of every config under every trial seed, indexed ``[trial][config]``.
 
     Each trial splits ``dataset`` once, by ``split(dataset, seed) -> (train, test)``; every config trains
-    on that train side with its seed replaced by the trial's, and all are scored on that test side.
+    on that train side with its seed replaced by the trial's, and all are scored on that test side.  A test
+    side too small to score is refused before any config trains.
     """
     results = []
     for seed in seeds:
         train_set, test_set = split(dataset, seed)
+        _scored_tasks(test_set)
         ckpts = (train(train_set, replace(cfg, seed=seed)) for cfg in configs)
         results.append([evaluate_model(c.params, test_set, label_ranges=c.label_ranges)[0] for c in ckpts])
     return results

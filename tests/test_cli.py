@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from amff import cli
+from amff import cli, trainer
 from amff.errors import AmffError
 from amff.dataio import read_feature_records, write_feature_records
 from amff.encoder import Image, write_image
@@ -494,13 +494,33 @@ class TestTrainEval:
 
     # parent_v1.amff holds 16 rows: the default split leaves 13 to train on, of
     # which val_fraction 0.1 holds out 1, and 3 to evaluate.
-    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("command", ["train"])
     def test_validation_side_too_small(self, tmp_path, capsys, command):
         assert _run([command, "--data", DATA / "parent_v1.amff", "--out", tmp_path / "r", "--epochs", 1]) == 1
         assert capsys.readouterr().err == (
             "ERROR E_DATA: train: the validation side holds 1 row(s) at val_fraction 0.1; "
             "the validation SRCC needs at least 2\n"
         )
+
+    def test_validation_side_of_a_five_row_train_side(self, tmp_path, capsys):
+        # 0.9 of 5 rows rounds up to all 5, which the split would refuse as an empty side.
+        assert _run(["synth", "--out", tmp_path / "d.amff", "--n", 5, "--dim", 8]) == 0
+        capsys.readouterr()
+        assert _run(["train", "--data", tmp_path / "d.amff", "--out", tmp_path / "r", "--split", "all"]) == 1
+        assert capsys.readouterr().err == (
+            "ERROR E_DATA: train: the validation side holds 0 row(s) at val_fraction 0.1; "
+            "the validation SRCC needs at least 2\n"
+        )
+
+    @pytest.mark.parametrize("command", ["trials", "ablate"])
+    def test_test_side_too_small_refused_before_training(self, tmp_path, capsys, monkeypatch, command):
+        trained = []
+        monkeypatch.setattr(trainer, "train", lambda *args: trained.append(args))
+        assert _run([command, "--data", DATA / "parent_v1.amff", "--out", tmp_path / "r", "--epochs", 1]) == 1
+        assert capsys.readouterr().err == (
+            "ERROR E_DATA: evaluate_model: consistency has 3 labelled row(s); the metrics need at least 5\n"
+        )
+        assert trained == []
 
     def test_evaluated_side_too_small(self, tmp_path, capsys):
         argv = ["eval", "--data", DATA / "parent_v1.amff", "--ckpt", DATA / "parent_v1.ckpt", "--out", tmp_path / "r"]

@@ -3,7 +3,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -14,13 +14,11 @@ from hypothesis.extra.numpy import arrays
 from amff import cli, dataio
 from amff.dataio import (
     Dataset,
-    SynthLatents,
     read_feature_records,
     read_feature_records_csv,
     split_per_generator,
     split_random,
     synth_generate,
-    synth_generate_with_latents,
     write_feature_records,
 )
 from amff.errors import AmffError, DataError, FormatError
@@ -369,8 +367,16 @@ class TestSplits:
         assert str(info.value) == message
 
 
+# The generator's internals, which only the reference keeps.
+_Latents = namedtuple("_Latents", "z mix w_v w_a angles")
+
+
 def _synth_reference(n, dim, noise_sigma, rng):
-    """The planted generator computed one row at a time, as it was before rows were chunked."""
+    """The planted generator computed one row at a time, as it was before rows were chunked.
+
+    It also returns the latents behind the labels, the tests' one source of
+    them: ``synth_generate`` returns only the dataset.
+    """
 
     def smooth(v):
         return 0.5 * v + 0.25 * (np.roll(v, 1) + np.roll(v, -1))
@@ -418,7 +424,18 @@ def _synth_reference(n, dim, noise_sigma, rng):
         features=features,
         labels=labels,
     )
-    return dataset, SynthLatents(zs, mix, w_v, w_a, angles)
+    return dataset, _Latents(zs, mix, w_v, w_a, angles)
+
+
+def _synth_with_latents(n, dim, noise_sigma, seed):
+    """``synth_generate``'s dataset, checked equal to the reference's, and the reference's latents."""
+    ds = synth_generate(n, dim, noise_sigma, make_rng(seed))
+    ref, latents = _synth_reference(n, dim, noise_sigma, make_rng(seed))
+    assert (ds.ids, ds.generators, ds.prompts) == (ref.ids, ref.generators, ref.prompts)
+    assert ds.features.dtype == np.float32
+    assert ds.features.astype(np.float64).tobytes() == ref.features.tobytes()
+    assert ds.labels.tobytes() == ref.labels.tobytes()
+    return ds, latents
 
 
 # sha256 of the `amff synth --seed 7 --noise 0.01` files, written by the
@@ -438,14 +455,7 @@ class TestSynthGenerate:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_the_row_at_a_time_reference_bit_for_bit(self, n, dim, noise, seed):
-        ds, lat = synth_generate_with_latents(n, dim, noise, make_rng(seed))
-        ref, ref_lat = _synth_reference(n, dim, noise, make_rng(seed))
-        assert (ds.ids, ds.generators, ds.prompts) == (ref.ids, ref.generators, ref.prompts)
-        assert ds.features.dtype == np.float32
-        assert ds.features.astype(np.float64).tobytes() == ref.features.tobytes()
-        assert ds.labels.tobytes() == ref.labels.tobytes()
-        for field in ("z", "mix", "w_v", "w_a", "angles"):
-            assert getattr(lat, field).tobytes() == getattr(ref_lat, field).tobytes(), field
+        _synth_with_latents(n, dim, noise, seed)
 
     @pytest.mark.parametrize("n, dim", list(_SYNTH_DIGESTS), ids=lambda v: str(v))
     def test_synth_file_digest(self, tmp_path, n, dim):
@@ -481,14 +491,14 @@ class TestSynthGenerate:
             assert recomputed == q_c
 
     def test_labels_are_functions_of_latents(self):
-        ds, lat = synth_generate_with_latents(10, 8, 0.0, make_rng(6))
+        ds, lat = _synth_with_latents(10, 8, 0.0, 6)
         for i, (label_c, label_v, _) in enumerate(ds.labels):
             q_v = float(np.float32(1.0 + 4.0 / (1.0 + np.exp(-(lat.w_v @ lat.z[i])))))
             assert label_v == q_v
             assert abs(label_c - np.cos(lat.angles[i])) < 1e-5
 
     def test_linear_probe_recovers_quality(self):
-        ds, lat = synth_generate_with_latents(512, 16, 0.0, make_rng(7))
+        ds, lat = _synth_with_latents(512, 16, 0.0, 7)
         z = np.hstack([lat.z, np.ones((len(ds), 1))])
         q = ds.labels[:, 1]
         coef, *_ = np.linalg.lstsq(z, q, rcond=None)
@@ -526,6 +536,9 @@ class TestDatasetModel:
         with pytest.raises(DataError, match="duplicate"):
             _rows(ds, [0, 1], ids=[ds.ids[0]] * 2, generators=[ds.generators[0], "g"],
                   prompts=[ds.prompts[0], "p"])
+        with pytest.raises(DataError) as info:
+            _rows(ds, [0, 1, 0, 1])
+        assert str(info.value) == "Dataset: duplicate sample ids: row 2: id 's0' is also the id of row 0"
 
     def test_label_ranges(self):
         ds = _dataset(make_rng(16), n=6)

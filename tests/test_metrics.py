@@ -19,13 +19,14 @@ from amff.metrics import (
     format_scatter,
     format_table,
     format_ablation,
+    format_jsonl,
     krcc,
     logistic_fit_trace,
     median_of_trials,
     pearson,
     plcc,
     srcc,
-    to_jsonl,
+    task_rows,
 )
 from amff.scoring import VARIANTS
 from amff.tensor import make_rng
@@ -614,7 +615,7 @@ def test_report_emitters_round():
     )
     text = format_table(result)
     assert "consistency" in text and "0.9000" in text
-    lines = to_jsonl(result).strip().splitlines()
+    lines = format_jsonl(task_rows(result)).strip().splitlines()
     assert len(lines) == 2 and '"task": "consistency"' in lines[0]
     scatter = format_scatter(np.array([1.0]), np.array([2.0]), np.array([3.0]))
     assert scatter == "1.0 2.0 3.0\n"

@@ -67,8 +67,8 @@ _ERROR_CODES = {
 
 
 def _load_checkpoint(path, dataset: dataio.Dataset) -> trainer.Checkpoint:
-    """The checkpoint at ``path``, which must score features of ``dataset``'s dim."""
-    ckpt = trainer.load_checkpoint(path)
+    """The best parameters of the checkpoint at ``path``, which must score features of ``dataset``'s dim."""
+    ckpt = trainer.load_checkpoint(path, best_only=True)
     if ckpt.dim != dataset.dim:
         raise ShapeError(f"dimension mismatch: checkpoint dim {ckpt.dim} vs data dim {dataset.dim}")
     return ckpt

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import InitVar, dataclass
 from functools import cached_property
@@ -54,6 +55,9 @@ _F32_MAX = float(np.finfo(np.float32).max)
 # the writer converts at once.  Larger chunks save little time and raise
 # the peak memory above the feature block.
 _CHUNK_ROWS = 64
+# Bytes the binary reader asks the file for at once: the reader holds about
+# two of them beside the feature block, not a copy of the whole file.
+_READ_WINDOW = 1 << 20
 
 
 def _first_nonfinite(features: Array) -> str | None:
@@ -248,73 +252,96 @@ def write_feature_records(dataset: Dataset, path) -> None:
 def read_feature_records(path) -> Dataset:
     """Parse a binary feature-record file into a Dataset.
 
-    Only the string headers and label masks are walked record by record;
-    each record's four vectors are copied, still f32, into the
-    preallocated float32 feature block, which is checked for finite
-    values once.
+    The file is read through one open handle, ``_READ_WINDOW`` bytes at a
+    time (more when one field is longer), each read capped at the bytes
+    its size leaves, so the reader holds about two windows beside the
+    feature block, not a copy of the file; a read that comes up short is a
+    truncated file.  Only the string headers and label masks are walked
+    record by record; each record's four vectors are copied, still f32,
+    into the preallocated float32 feature block, which is checked for
+    finite values once.
     """
-    data = Path(path).read_bytes()
-    if data[:4] != _MAGIC:
-        raise FormatError("bad magic, not a feature-record file")
-    if len(data) < _HEADER.size:
-        raise FormatError("truncated file in header")
-    _, version, dim, count = _HEADER.unpack_from(data)
-    if version != _VERSION:
-        raise FormatError(f"unsupported version {version} (expected {_VERSION})")
-    if dim == 0:
-        raise FormatError("zero feature dimension")
-    if count == 0:
-        raise FormatError("file contains no records")
-    # A record holds at least its three string lengths, its label mask and
-    # four f32 vectors; checking that here keeps a corrupt count or dim
-    # from sizing the feature block.
-    end = len(data)
-    least = count * (9 + 16 * dim)
-    if least > end - _HEADER.size:
-        raise FormatError(
-            f"truncated file: {count} records of dim {dim} need at least "
-            f"{least} bytes after the header, found {end - _HEADER.size}"
-        )
+    with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+        data, base, stop = b"", 0, 0  # the bytes read from file offset ``base`` up to ``stop``
+        pos = 0  # the file offset parsed up to
 
-    ids: list[str] = []
-    generators: list[str] = []
-    prompts: list[str] = []
-    labels = np.full((count, 3), np.nan)
-    features = np.empty((count, 4, dim), dtype=np.float32)
-    vector_bytes = 16 * dim
-    pos = _HEADER.size
+        def fill(need: int) -> None:
+            """Read on until ``data`` holds ``need`` bytes from ``pos`` on, or all the file has left."""
+            nonlocal data, base, stop
+            rest = data[pos - base :]
+            data = b""  # the spent window goes before the next one is read
+            ask = min(max(need - len(rest), _READ_WINDOW), end - stop)
+            more = fh.read(ask)
+            if len(more) < ask:
+                raise FormatError(f"truncated file: read {len(more)} of {ask} bytes at offset {stop}")
+            data, base, stop = rest + more, pos, stop + ask
 
-    def truncated(need: int) -> FormatError:
-        return FormatError(f"truncated file in record {idx} (need {need} bytes at offset {pos})")
+        fill(_HEADER.size)
+        if data[:4] != _MAGIC:
+            raise FormatError("bad magic, not a feature-record file")
+        if end < _HEADER.size:
+            raise FormatError("truncated file in header")
+        _, version, dim, count = _HEADER.unpack_from(data)
+        if version != _VERSION:
+            raise FormatError(f"unsupported version {version} (expected {_VERSION})")
+        if dim == 0:
+            raise FormatError("zero feature dimension")
+        if count == 0:
+            raise FormatError("file contains no records")
+        # A record holds at least its three string lengths, its label mask and
+        # four f32 vectors; checking that here keeps a corrupt count or dim
+        # from sizing the feature block.
+        least = count * (9 + 16 * dim)
+        if least > end - _HEADER.size:
+            raise FormatError(
+                f"truncated file: {count} records of dim {dim} need at least "
+                f"{least} bytes after the header, found {end - _HEADER.size}"
+            )
 
-    for idx in range(count):
-        for column, width, what in ((ids, 2, "id"), (generators, 2, "generator_id"), (prompts, 4, "prompt")):
-            size = int.from_bytes(data[pos : pos + width], "little")
-            if pos + width + size > end:
-                raise truncated(width + size)
-            pos += width
-            try:
-                column.append(data[pos : pos + size].decode("utf-8"))
-            except UnicodeDecodeError:
-                raise FormatError(f"record {idx}: {what} is not valid UTF-8") from None
-            pos += size
-        if pos >= end:
-            raise truncated(1)
-        mask = data[pos]
-        pos += 1
-        for bit, (name, column) in enumerate(zip(_LABEL_NAMES, _COLUMN)):
-            if mask & (1 << bit):
-                if pos + 4 > end:
-                    raise truncated(4)
-                (value,) = struct.unpack_from("<f", data, pos)
-                if not math.isfinite(value):
-                    raise FormatError(f"record {idx}: non-finite label {name}")
-                labels[idx, column] = value
-                pos += 4
-        if pos + vector_bytes > end:
-            raise truncated(vector_bytes)
-        features[idx] = np.frombuffer(data, "<f4", 4 * dim, pos).reshape(4, dim)
-        pos += vector_bytes
+        ids: list[str] = []
+        generators: list[str] = []
+        prompts: list[str] = []
+        labels = np.full((count, 3), np.nan)
+        features = np.empty((count, 4, dim), dtype=np.float32)
+        vector_bytes = 16 * dim
+        pos = _HEADER.size
+
+        def have(need: int) -> None:
+            """Refuse a file without ``need`` bytes from ``pos`` on; read them in when ``data`` lacks them."""
+            if pos + need > end:
+                raise FormatError(f"truncated file in record {idx} (need {need} bytes at offset {pos})")
+            if pos + need > stop:
+                fill(need)
+
+        for idx in range(count):
+            for column, width, what in ((ids, 2, "id"), (generators, 2, "generator_id"), (prompts, 4, "prompt")):
+                # A length cut by the file's end is read from the bytes left,
+                # so the refusal names the length they spell.
+                if pos + width > stop:
+                    fill(width)
+                size = int.from_bytes(data[pos - base : pos - base + width], "little")
+                have(width + size)
+                pos += width
+                try:
+                    column.append(data[pos - base : pos - base + size].decode("utf-8"))
+                except UnicodeDecodeError:
+                    raise FormatError(f"record {idx}: {what} is not valid UTF-8") from None
+                pos += size
+            have(1)
+            mask = data[pos - base]
+            pos += 1
+            for bit, (name, column) in enumerate(zip(_LABEL_NAMES, _COLUMN)):
+                if mask & (1 << bit):
+                    have(4)
+                    (value,) = struct.unpack_from("<f", data, pos - base)
+                    if not math.isfinite(value):
+                        raise FormatError(f"record {idx}: non-finite label {name}")
+                    labels[idx, column] = value
+                    pos += 4
+            have(vector_bytes)
+            features[idx] = np.frombuffer(data, "<f4", 4 * dim, pos - base).reshape(4, dim)
+            pos += vector_bytes
     bad = _first_nonfinite(features)
     if bad:
         raise FormatError(bad)

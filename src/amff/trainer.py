@@ -50,8 +50,13 @@ _CKPT_VERSION = 1
 # Rows per forward pass outside training (validation, evaluation,
 # prediction).  A chunk's features are a view of the dataset's block, which
 # ``model_forward`` widens to float64 a chunk at a time, so this bounds the
-# activations and the widened copy a pass holds.
-SCORE_CHUNK = 256
+# activations and the widened copy a pass holds.  It is one of the forward's
+# 64-row blocks, so no chunk is padded but the last.
+SCORE_CHUNK = 64
+
+# Elements of the flat buffers ``adamw_step`` updates at once, and the size
+# of each of its two scratch buffers (256 KiB each).
+_ADAMW_SLICE = 32768
 
 
 @dataclass
@@ -103,14 +108,14 @@ class TrainConfig:
 class OptimizerState:
     """First/second moment accumulators, laid out like the parameters, plus the step count."""
 
-    m: ModelParams
-    v: ModelParams
+    m: ModelParams | None  # None, with v, in a checkpoint loaded with best_only
+    v: ModelParams | None
     step: int = 0
 
     @cached_property
     def scratch(self) -> tuple[Array, Array]:
-        """Space for the update, so a step allocates no full-size temporaries."""
-        return np.empty_like(self.m.flat), np.empty_like(self.m.flat)
+        """Space for the update of one slice, so a step allocates no temporaries."""
+        return np.empty(_ADAMW_SLICE), np.empty(_ADAMW_SLICE)
 
     @staticmethod
     def zeros_like(params: ModelParams) -> "OptimizerState":
@@ -124,7 +129,13 @@ def adamw_step(
     lr: float,
     weight_decay: float,
 ) -> None:
-    """One decoupled-weight-decay Adam update of the whole buffer, in place."""
+    """One decoupled-weight-decay Adam update of the whole buffer, in place.
+
+    The whole gradient is checked before anything is written.  The update
+    then runs ``_ADAMW_SLICE`` elements at a time; every operation is
+    elementwise, so each element gets the same result as from one pass
+    over the whole buffer.
+    """
     p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
     if not (g.shape == m.shape == v.shape == p.shape):
         raise ShapeError(f"adamw_step: grad {g.shape} and moments do not match params {p.shape}")
@@ -135,17 +146,21 @@ def adamw_step(
     t = state.step
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    a, b = state.scratch
-    m *= BETA1
-    m += np.multiply(1.0 - BETA1, g, out=a)
-    v *= BETA2
-    v += np.multiply(np.multiply(1.0 - BETA2, g, out=a), g, out=a)
-    # Decay is decoupled: applied to the parameter, not the gradient.
-    p *= 1.0 - lr * weight_decay
-    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time.
-    np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
-    p -= np.divide(a, b, out=a)
+    decay = 1.0 - lr * weight_decay
+    for lo in range(0, p.size, _ADAMW_SLICE):
+        part = slice(lo, lo + _ADAMW_SLICE)
+        ps, gs, ms, vs = p[part], g[part], m[part], v[part]
+        a, b = (s[: ps.size] for s in state.scratch)
+        ms *= BETA1
+        ms += np.multiply(1.0 - BETA1, gs, out=a)
+        vs *= BETA2
+        vs += np.multiply(np.multiply(1.0 - BETA2, gs, out=a), gs, out=a)
+        # Decay is decoupled: applied to the parameter, not the gradient.
+        ps *= decay
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time.
+        np.multiply(lr, np.divide(ms, bc1, out=a), out=a)
+        np.add(np.sqrt(np.divide(vs, bc2, out=b), out=b), ADAM_EPS, out=b)
+        ps -= np.divide(a, b, out=a)
 
 
 @dataclass
@@ -407,7 +422,7 @@ class Checkpoint:
     """One trained model: what ``train`` returns, ``save_checkpoint`` writes and ``load_checkpoint`` reads."""
 
     params: ModelParams           # best-validation parameters
-    final_params: ModelParams
+    final_params: ModelParams | None  # None, as are the moments, when loaded with best_only
     opt_state: OptimizerState
     config: TrainConfig
     label_ranges: dict[str, tuple[float, float] | None]
@@ -494,7 +509,7 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, *, best_only: bool = False) -> Checkpoint:
     """Read a checkpoint whose header is exactly the one ``save_checkpoint`` writes for it.
 
     The header's ``dim`` and config fix the tensor layout.  A short or long
@@ -507,6 +522,12 @@ def load_checkpoint(path) -> Checkpoint:
     The file is read once, through one open handle: the prefix and header
     as bytes, then each container's tensors straight into its buffer, so
     no copy of the payload is held beside the containers.
+
+    ``best_only`` keeps only the best parameters, for scoring: the final
+    parameters and the optimizer moments are read into one reused buffer
+    and checked as in a full load, and the record's ``final_params``,
+    ``opt_state.m`` and ``opt_state.v`` are None, so it cannot be saved or
+    resumed from.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -558,17 +579,23 @@ def load_checkpoint(path) -> Checkpoint:
         payload = file_size - 16 - hlen
         need(payload >= 8 * size * len(_CKPT_CONTAINERS), "truncated tensor payload")
         need(payload == 8 * size * len(_CKPT_CONTAINERS), "trailing bytes after tensors")
-        containers = []
-        for prefix in _CKPT_CONTAINERS:
-            container = ModelParams(dim, cfg.hidden_aff, cfg.hidden_head, cfg.similarity, cfg.use_msi, cfg.use_aff)
-            need(fh.readinto(container.flat.view(np.uint8)) == 8 * size, "truncated tensor payload")
+
+        def container() -> ModelParams:
+            return ModelParams(dim, cfg.hidden_aff, cfg.hidden_head, cfg.similarity, cfg.use_msi, cfg.use_aff)
+
+        # Under best_only, final, opt_m and opt_v are read in turn into one buffer.
+        later = (container(),) * 3 if best_only else (container(), container(), container())
+        containers = (container(), *later)
+        for prefix, params in zip(_CKPT_CONTAINERS, containers):
+            need(fh.readinto(params.flat.view(np.uint8)) == 8 * size, "truncated tensor payload")
             if sys.byteorder == "big":  # the file holds <f8
-                container.flat.byteswap(inplace=True)
-            for name, a in container.named_arrays():
+                params.flat.byteswap(inplace=True)
+            for name, a in params.named_arrays():
                 need(bool(np.all(np.isfinite(a))), f"non-finite value in {prefix}.{name}")
-            containers.append(container)
         best, final, m, v = containers
         need(bool(np.all(v.flat >= 0.0)), "negative value in the second moment opt_v")
+        if best_only:
+            final = m = v = None
         ckpt = Checkpoint(best, final, OptimizerState(m, v, header["opt_step"]), cfg, label_ranges, history)
         difference = _first_difference(header, _header(ckpt), "")
         if difference is not None:

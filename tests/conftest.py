@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +55,17 @@ def write_feature_records_csv(dataset: Dataset, path) -> None:
                 *("" if math.isnan(v) else repr(v) for v in labels.tolist()),
                 *map(repr, features.ravel().tolist()),
             ])
+
+
+def fstat_says_longer(monkeypatch, path, extra: int) -> None:
+    """Make ``os.fstat`` report ``extra`` more bytes than ``path`` holds, as if the file shrank after the call."""
+    real, inode = os.fstat, Path(path).stat().st_ino
+
+    def fstat(fd):
+        st = real(fd)
+        return SimpleNamespace(st_size=st.st_size + extra) if st.st_ino == inode else st
+
+    monkeypatch.setattr(os, "fstat", fstat)
 
 
 def fast_config(**overrides) -> TrainConfig:

@@ -3,18 +3,20 @@ import csv
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from amff import cli, trainer
+from amff import cli, dataio, trainer
 from amff.errors import AmffError
-from amff.dataio import read_feature_records, write_feature_records
+from amff.dataio import read_feature_records, synth_generate, write_feature_records
 from amff.encoder import Image, write_image
+from amff.scoring import model_forward
 from amff.tensor import make_rng
-from conftest import join_checkpoint, split_checkpoint, write_feature_records_csv
+from conftest import fstat_says_longer, join_checkpoint, split_checkpoint, write_feature_records_csv
 
 
 DATA = Path(__file__).parent / "data"
@@ -295,6 +297,15 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1, err
         assert named.format(tmp=tmp_path) in err and err.count(str(tmp_path)) <= 1, err
+
+    def test_records_shorter_than_their_size_are_one_format_error(self, tmp_path, capsys, tiny_dataset, monkeypatch):
+        data, out = tmp_path / "d.amff", tmp_path / "p.jsonl"
+        write_feature_records(tiny_dataset, data)
+        fstat_says_longer(monkeypatch, data, 3)
+        assert _run(["predict", "--data", data, "--ckpt", DATA / "parent_v1.ckpt", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR E_FORMAT: {data}: truncated file: read ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_eval_correlates_scores_near_the_float_limit(self, tmp_path, capsys):
         # Quality scores of about 1e300: the logistic fit falls back to the identity, and
@@ -584,6 +595,27 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err == "ERROR E_SHAPE: dimension mismatch: checkpoint dim 8 vs data dim 16\n", err
         assert not out.exists()
+
+    def test_memory_is_the_block_one_container_one_chunk_and_one_window(self, tmp_path):
+        dataset = synth_generate(1024, 512, 0.01, make_rng(8))
+        data, ckpt = tmp_path / "d.amff", tmp_path / "m.ckpt"
+        write_feature_records(dataset, data)
+        cfg = trainer.TrainConfig(max_epochs=1, val_fraction=0.25, hidden_aff=128, hidden_head=128)
+        run = trainer.train(dataset.subset(range(40)), cfg)
+        trainer.save_checkpoint(ckpt, run)
+        tracemalloc.start()
+        try:
+            model_forward(dataset.features[: trainer.SCORE_CHUNK], run.params)
+            chunk = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert _run(["predict", "--data", data, "--ckpt", ckpt, "--out", tmp_path / "p.jsonl"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1 MiB of slack holds the ids, prompts, labels, scores and predictions text, about 0.5 MiB
+        # here.  A read of the whole 8.4 MiB file, or a load of all four 2 MiB containers, exceeds it.
+        block, container = dataset.features.nbytes, run.params.flat.nbytes
+        assert peak < block + container + chunk + dataio._READ_WINDOW + (1 << 20), peak
 
     def test_earlier_checkpoint_predicts_its_pinned_scores(self, tmp_path):
         # parent_v1.ckpt and parent_v1_preds.jsonl were written by the

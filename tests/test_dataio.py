@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import re
 import struct
 import tracemalloc
 from collections import Counter, namedtuple
@@ -23,7 +24,7 @@ from amff.dataio import (
 )
 from amff.errors import AmffError, DataError, FormatError
 from amff.tensor import make_rng
-from conftest import datasets_equal, write_feature_records_csv
+from conftest import datasets_equal, fstat_says_longer, write_feature_records_csv
 
 
 def _vec(rng, dim):
@@ -282,6 +283,105 @@ class TestReadDataset:
             dataio.read_dataset(path)
         assert "CSV" not in str(info.value)
         assert str(info.value).startswith(f"{path}: ") and str(info.value).count(str(path)) == 1
+
+
+def _window(monkeypatch, size):
+    monkeypatch.setattr(dataio, "_READ_WINDOW", size)
+
+
+def _read_error(path) -> str:
+    with pytest.raises(FormatError) as info:
+        read_feature_records(path)
+    return str(info.value)
+
+
+def _corrupt_files(tmp_path) -> dict:
+    """Files that each existing refusal of the binary reader names, by case."""
+    ds = _dataset(make_rng(13), n=6, dim=5)
+    ds.prompts[4] = "p" * 300  # a field longer than a small window
+    path = tmp_path / "good.amff"
+    write_feature_records(ds, path)
+    blob = path.read_bytes()
+    first = blob.index(b"s0") - 2  # the first record's id length
+    cases = {f"cut_at_{k}": blob[:k] for k in range(len(blob))}
+    cases["id_not_utf8"] = blob[: first + 2] + b"\xff\xfe" + blob[first + 4 :]
+    cases["generator_not_utf8"] = blob[: first + 6] + b"\xff" + blob[first + 7 :]
+    cases["prompt_not_utf8"] = blob.replace(b"p" * 300, b"p" * 299 + b"\xff")
+    cases["trailing_bytes"] = blob + b"\0" * 7
+    label = struct.pack("<f", ds.labels[5, 1])  # record 5's q_v
+    assert blob.count(label) == 1
+    cases["non_finite_label"] = blob.replace(label, struct.pack("<f", math.inf))
+    cases["non_finite_feature"] = blob[:-4] + struct.pack("<f", math.nan)
+    files = {}
+    for name, data in cases.items():
+        files[name] = tmp_path / f"{name}.amff"
+        files[name].write_bytes(data)
+    return files
+
+
+class TestWindowedRead:
+    """The binary reader reads the file a window at a time and parses it as one whole read would."""
+
+    WHOLE = 1 << 30  # a window that holds any test file, so the file is read at once
+
+    def test_small_windows_parse_as_one_read(self, tmp_path, monkeypatch):
+        ds = _dataset(make_rng(14), n=40, dim=7)
+        ds.prompts[:] = [f"prompt é{'€' * (i % 5)}" + "x" * (i * 9) for i in range(40)]  # some over 97 bytes
+        ds.labels[::3, 0] = ds.labels[1::4, 1] = ds.labels[2::5] = np.nan
+        path = tmp_path / "d.amff"
+        write_feature_records(ds, path)
+        assert path.stat().st_size > 20 * 97
+        reads = {}
+        for window in (self.WHOLE, 97, 1):
+            _window(monkeypatch, window)
+            reads[window] = read_feature_records(path)
+        whole = reads.pop(self.WHOLE)
+        assert datasets_equal(whole, ds)
+        for got in reads.values():
+            assert (got.ids, got.generators, got.prompts) == (whole.ids, whole.generators, whole.prompts)
+            assert got.labels.tobytes() == whole.labels.tobytes()
+            assert got.features.dtype == np.float32 and got.features.tobytes() == whole.features.tobytes()
+
+    def test_small_windows_refuse_as_one_read(self, tmp_path, monkeypatch):
+        files = _corrupt_files(tmp_path)
+        _window(monkeypatch, self.WHOLE)
+        want = {name: _read_error(path) for name, path in files.items()}
+        prompt = files["trailing_bytes"].read_bytes().index(b"p" * 300)
+        assert want[f"cut_at_{prompt + 250}"] == f"truncated file in record 4 (need 304 bytes at offset {prompt - 4})"
+        assert want["non_finite_label"] == "record 5: non-finite label q_v"
+        assert want["trailing_bytes"] == "7 trailing bytes after last record"
+        assert want["prompt_not_utf8"] == "record 4: prompt is not valid UTF-8"
+        for window in (97, 1):
+            _window(monkeypatch, window)
+            assert {name: _read_error(path) for name, path in files.items()} == want
+
+    @pytest.mark.parametrize("window", [WHOLE, 97])
+    def test_a_read_that_comes_up_short_is_a_format_error(self, tmp_path, monkeypatch, window):
+        path = tmp_path / "d.amff"
+        write_feature_records(_dataset(make_rng(15), n=8, dim=6), path)
+        size = path.stat().st_size
+        _window(monkeypatch, window)
+        fstat_says_longer(monkeypatch, path, 10)
+        message = _read_error(path)
+        if window == self.WHOLE:  # one read asks for the whole file
+            assert message == f"truncated file: read {size} of {size + 10} bytes at offset 0"
+        else:  # the read that runs into the file's true end
+            read, ask, offset = map(int, re.fullmatch(r"truncated file: read (\d+) of (\d+) bytes at offset (\d+)",
+                                                      message).groups())
+            assert offset + read == size < offset + ask <= size + 10
+
+    def test_peak_memory_is_the_block_and_two_windows(self, tmp_path):
+        path = tmp_path / "d.amff"
+        write_feature_records(synth_generate(512, 512, 0.01, make_rng(16)), path)
+        assert path.stat().st_size > 4 * dataio._READ_WINDOW
+        tracemalloc.start()
+        try:
+            ds = read_feature_records(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A whole-file read holds the file's bytes beside the block, about twice this.
+        assert peak < ds.features.nbytes + 2 * dataio._READ_WINDOW + ds.features.nbytes // 4, peak
 
 
 class TestSplits:

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -115,6 +117,58 @@ class TestAdamW:
         for got, want in ((p, ref), (state.m, ref_m), (state.v, ref_v)):
             for name, a in got.named_arrays():
                 assert np.array_equal(a, want[name]), name
+
+
+def _adamw_whole_buffer(params, grads, state, lr, weight_decay):
+    """The AdamW step as one pass over the whole buffers: the reference ``adamw_step`` equals bit for bit."""
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    state.step += 1
+    bc1, bc2 = 1.0 - BETA1**state.step, 1.0 - BETA2**state.step
+    a, b = np.empty_like(p), np.empty_like(p)
+    m *= BETA1
+    m += np.multiply(1.0 - BETA1, g, out=a)
+    v *= BETA2
+    v += np.multiply(np.multiply(1.0 - BETA2, g, out=a), g, out=a)
+    p *= 1.0 - lr * weight_decay
+    np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
+    p -= np.divide(a, b, out=a)
+
+
+class TestAdamWSlices:
+    @pytest.mark.parametrize("dim", [64, 512])
+    def test_sliced_step_equals_the_whole_buffer_step(self, dim):
+        rng = make_rng(31)
+        params = init_model_params(dim, rng, hidden_aff=256, hidden_head=256)
+        assert params.flat.size > trainer._ADAMW_SLICE and params.flat.size % trainer._ADAMW_SLICE
+        ref, state, ref_state = params.copy(), OptimizerState.zeros_like(params), OptimizerState.zeros_like(params)
+        for lr in (1e-2, 1e-2, 3e-3, 1e-3, 5e-4):
+            grads = params.zeros_like()
+            grads.flat[:] = rng.standard_normal(grads.flat.size) * rng.choice([1e-6, 1.0, 1e3], grads.flat.size)
+            adamw_step(params, grads, state, lr=lr, weight_decay=0.05)
+            _adamw_whole_buffer(ref, grads, ref_state, lr, 0.05)
+        assert state.step == ref_state.step == 5
+        for got, want in ((params, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
+            assert got.flat.tobytes() == want.flat.tobytes()
+
+    def test_scratch_is_two_slices(self):
+        state = OptimizerState.zeros_like(init_model_params(512, make_rng(32), hidden_aff=256, hidden_head=256))
+        assert [a.size for a in state.scratch] == [trainer._ADAMW_SLICE] * 2
+
+    def test_non_finite_gradient_in_the_last_slice_writes_nothing(self):
+        rng = make_rng(33)
+        params = init_model_params(64, rng, hidden_aff=256, hidden_head=256)
+        state = OptimizerState.zeros_like(params)
+        for _ in range(2):
+            grads = params.zeros_like()
+            grads.flat[:] = rng.standard_normal(grads.flat.size)
+            adamw_step(params, grads, state, lr=1e-3, weight_decay=0.05)
+        before = [c.flat.tobytes() for c in (params, state.m, state.v)]
+        grads.flat[-1] = np.inf  # head_a.b2, in the last slice
+        with pytest.raises(NumericError, match="non-finite gradient in head_a.b2"):
+            adamw_step(params, grads, state, lr=1e-3, weight_decay=0.05)
+        assert [c.flat.tobytes() for c in (params, state.m, state.v)] == before
+        assert state.step == 2
 
 
 def _with_labels(dataset, rows, **columns):
@@ -280,6 +334,31 @@ class TestEvaluateModel:
 
 
 class TestScoreDataset:
+    def test_scores_do_not_depend_on_the_chunk(self, monkeypatch):
+        # Rests on TestBatchInvariance: a row scores the same in any batch.
+        dataset = synth_generate(300, 512, 0.01, make_rng(34))
+        params = init_model_params(512, make_rng(35), hidden_aff=256, hidden_head=256)
+        scores = {}
+        for chunk in (1, 7, 64, 256):
+            monkeypatch.setattr(trainer, "SCORE_CHUNK", chunk)
+            scores[chunk] = score_dataset(params, dataset, label_ranges=dataset.label_ranges).tobytes()
+        assert len(set(scores.values())) == 1
+
+    def test_peak_memory_does_not_grow_with_the_rows(self):
+        dataset = synth_generate(1024, 512, 0.01, make_rng(36))
+        params = init_model_params(512, make_rng(37), hidden_aff=256, hidden_head=256)
+        peaks = {}
+        for n in (trainer.SCORE_CHUNK, 128, 1024):
+            rows = dataset.subset(range(n))
+            tracemalloc.start()
+            try:
+                score_dataset(params, rows)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # One chunk's activations, and its scores, are what scoring SCORE_CHUNK rows takes.
+        assert peaks[1024] - peaks[128] < 1024 * 3 * 8 + peaks[trainer.SCORE_CHUNK], peaks
+
     @pytest.mark.parametrize("head, task", [("head_v", "quality"), ("head_a", "authenticity")])
     def test_non_finite_score_names_row_and_task(self, tiny_dataset, head, task):
         params = _params(dim=tiny_dataset.dim)
@@ -427,6 +506,26 @@ class TestCheckpoint:
         # The four containers, and far less than a second copy of the file.
         assert peak < 4 * loaded.params.flat.nbytes + path.stat().st_size // 4, peak
 
+    def test_best_only_load_holds_two_containers(self, tmp_path):
+        cfg = fast_config(max_epochs=1, hidden_aff=256, hidden_head=256)
+        ckpt = train(synth_generate(40, 128, 0.01, make_rng(3)), cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        header_bytes = path.stat().st_size - 4 * 8 * ckpt.params.flat.size
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path, best_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.final_params is None and loaded.opt_state.m is None and loaded.opt_state.v is None
+        assert loaded.params.flat.tobytes() == ckpt.params.flat.tobytes()
+        assert loaded.report_json() == ckpt.report_json()
+        # The best parameters and the one buffer the other three pass through, the
+        # header and its parsed form, and a quarter container: room for the opt_v
+        # sign check's one byte per value, far from a third container.
+        assert peak < 2 * loaded.params.flat.nbytes + 4 * header_bytes + loaded.params.flat.nbytes // 4, peak
+
     def test_resume_from_earlier_checkpoint_matches_pins(self):
         # parent_v1.ckpt and the losses and final-parameter scores in
         # parent_v1_resume.json were written by the implementation that kept
@@ -477,12 +576,68 @@ _PARENT_CKPT = (DATA / "parent_v1.ckpt").read_bytes()
 
 
 def _load_or_amff_error(path, data: bytes):
-    """The checkpoint ``data`` holds, or None when loading it raises an AmffError."""
+    """The checkpoint ``data`` holds, or None when loading it raises an AmffError.
+
+    A best-only load of the same bytes raises the same error, or loads the
+    same best parameters and report.
+    """
     path.write_bytes(data)
     try:
-        return load_checkpoint(path)
-    except AmffError:
+        ckpt = load_checkpoint(path)
+    except AmffError as exc:
+        with pytest.raises(type(exc)) as info:
+            load_checkpoint(path, best_only=True)
+        assert str(info.value) == str(exc)
         return None
+    best = load_checkpoint(path, best_only=True)
+    assert best.params.flat.tobytes() == ckpt.params.flat.tobytes() and best.report_json() == ckpt.report_json()
+    return ckpt
+
+
+def _tensor_set(name: str, value: float):
+    """An edit of a checkpoint's parts that sets the first element of tensor ``name`` to ``value``."""
+    def edit(header, payload):
+        pos = 0
+        for spec in header["tensors"]:
+            if spec["name"] == name:
+                return header, payload[:pos] + struct.pack("<d", value) + payload[pos + 8 :]
+            pos += 8 * math.prod(spec["shape"])
+        raise KeyError(name)
+
+    return edit
+
+
+_CORRUPTIONS = {
+    **{f"nan_in_{prefix}": (_tensor_set(f"{prefix}.head_v.w1", math.nan), f"non-finite value in {prefix}.head_v.w1")
+       for prefix in ("best", "final", "opt_m", "opt_v")},
+    "inf_in_opt_m": (_tensor_set("opt_m.head_a.b2", -math.inf), "non-finite value in opt_m.head_a.b2"),
+    "negative_opt_v": (_tensor_set("opt_v.aff.b1", -1e-300), "negative value in the second moment opt_v"),
+    "truncated_payload": (lambda header, payload: (header, payload[:-16]), "truncated tensor payload"),
+    "trailing_bytes": (lambda header, payload: (header, payload + bytes(8)), "trailing bytes after tensors"),
+    "best_epoch_edit": (lambda header, payload: ({**header, "best_epoch": 3}, payload),
+                        "header best_epoch: the file has 3, the loaded record saves 1"),
+    "shape_edit": (lambda header, payload: ({**header, "tensors": header["tensors"][:-1]}, payload),
+                   "header tensors: the file has"),
+}
+
+
+class TestBestOnlyLoad:
+    @pytest.mark.parametrize("edit, message", _CORRUPTIONS.values(), ids=_CORRUPTIONS.keys())
+    def test_refuses_as_the_full_load_does(self, tmp_path, edit, message):
+        prefix, header, payload = split_checkpoint(_PARENT_CKPT)
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(join_checkpoint(prefix, *edit(header, payload)))
+        errors = []
+        for best_only in (False, True):
+            with pytest.raises(FormatError) as info:
+                load_checkpoint(path, best_only=best_only)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and errors[0].startswith(f"{path}: {message}"), errors
+
+    def test_loads_what_the_full_load_does(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(_PARENT_CKPT)
+        assert _load_or_amff_error(path, _PARENT_CKPT) is not None
 
 
 class TestCheckpointFuzz:
